@@ -14,6 +14,7 @@ from .errors import (
     DependentBasis,
     EmptyInput,
     GcdNotOne,
+    InvalidStep,
     NotApplicable,
     NotCI,
     NotGorenstein,
@@ -31,11 +32,9 @@ from .semigroup import (
     MPureVerdict,
     NumericalSemigroup,
     Representation,
-    apery_set,
     box_elements,
     compute_beta_gamma,
     create_semigroup,
-    frobenius,
     is_m_pure_symmetric,
 )
 from .algebra import (
@@ -50,7 +49,6 @@ from .algebra import (
     ci_tilde_ideal,
     codim3_defining_ideal,
     colon_by_power,
-    hilbert_function,
     multiplication_matrix,
     same_ideal_through_degree,
     variable_names,

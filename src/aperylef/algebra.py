@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 from .errors import DegreeOutOfRange, NotApplicable, SizeLimit
 from .linalg import Matrix, fraction_nullspace, fraction_rank
 from .polynomial import SparsePoly, grlex_key, monomials_of_degree
-from .semigroup import AperyTable, FrameData, NumericalSemigroup, compute_beta_gamma
+from .semigroup import AperyTable, FrameData, NumericalSemigroup
 
 
 def variable_names(codim: int) -> tuple[str, ...]:
@@ -120,6 +120,17 @@ class GradedAlgebra:
 
     def is_gorenstein(self) -> bool:
         return self.gorenstein_info()["is_gorenstein"]
+
+    # -- the protocol the Lefschetz routes share with DualAlgebraView ---------
+
+    def map_matrix(self, d: int, power: int) -> Matrix:
+        """Multiplication by the generic linear form^power, degree d to d+power."""
+        return multiplication_matrix(self, LinearForm.symbolic(self), d, power)
+
+    def colon_step(self, variable: str) -> Optional["GradedAlgebra"]:
+        """Quotient by the annihilator of one variable; None for the zero ring."""
+        _, quotient = colon_by_power(self, variable, 1)
+        return quotient if quotient.dimension else None
 
     def __repr__(self) -> str:
         return f"GradedAlgebra(kind={self.kind!r}, hilbert={self.hilbert()})"
@@ -245,10 +256,6 @@ def build_gamma_algebra(frame: FrameData) -> GradedAlgebra:
     )
     assert alg.dimension == frame.box_gamma_points()
     return alg
-
-
-def hilbert_function(alg: GradedAlgebra) -> tuple[int, ...]:
-    return alg.hilbert()
 
 
 @dataclass(frozen=True)
@@ -481,7 +488,7 @@ def codim3_defining_ideal(S: NumericalSemigroup) -> IdealDescription:
     table = S.apery_table()
     if not table.m_pure_verdict():
         raise NotApplicable("requires an order-symmetric apery set")
-    frame = compute_beta_gamma(S)
+    frame = S.frame()
     if frame.is_ci():
         raise NotApplicable("complete intersection: the tilde ideal is already everything")
     tilde = ci_tilde_ideal(frame)

@@ -24,6 +24,7 @@ from .algebra import (
 from .errors import (
     EmptyInput,
     GcdNotOne,
+    InvalidStep,
     NotApplicable,
     NotCI,
     NotGorenstein,
@@ -31,7 +32,6 @@ from .errors import (
     SizeLimit,
 )
 from .inverse_system import dual_algebra_view, dual_socle_generator, hessian
-from .linalg import rank_info
 from .lefschetz import (
     conjecture_check,
     derive_seed,
@@ -44,8 +44,8 @@ from .lefschetz import (
     wlp_by_hessian,
     wlp_by_ranks,
 )
-from .polynomial import parse_polynomial
-from .semigroup import box_elements, compute_beta_gamma, create_semigroup
+from .polynomial import SparsePoly, parse_polynomial
+from .semigroup import NumericalSemigroup, box_elements, create_semigroup
 
 SCHEMA_VERSION = 1
 
@@ -55,6 +55,38 @@ def _parse_gens(text: str) -> list[int]:
         return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise EmptyInput(f"cannot parse generator list {text!r}") from exc
+
+
+def _seed(seed_root: Optional[int], subject: NumericalSemigroup | SparsePoly) -> int:
+    """Per-record seed from the root seed (APERY_SEED unless given).
+
+    The key is the canonical input: the minimal generator tuple of a
+    semigroup or the printed form of a polynomial, so every spelling of the
+    same input gives the same record.
+    """
+    if isinstance(subject, NumericalSemigroup):
+        key = ",".join(map(str, subject.generators))
+    else:
+        key = str(subject)
+    return derive_seed(root_seed() if seed_root is None else seed_root, key)
+
+
+def _parse_steps(text: Optional[str]) -> list[tuple[str, int]]:
+    """--steps items "var" or "var:power"; each power an integer >= 1."""
+    steps = []
+    for item in (text or "").split(","):
+        item = item.strip()
+        if not item:
+            continue
+        var, sep, power = item.partition(":")
+        try:
+            n = int(power) if sep else 1
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise InvalidStep(f"step {item!r}: the power must be an integer >= 1")
+        steps.append((var.strip(), n))
+    return steps
 
 
 def classify(frame) -> str:
@@ -78,12 +110,9 @@ def analyze_record(
     """Full pipeline record for one semigroup."""
     t0 = time.perf_counter()
     S = create_semigroup(list(gens))
-    seed = derive_seed(
-        root_seed() if seed_root is None else seed_root,
-        ",".join(map(str, S.generators)),
-    )
+    seed = _seed(seed_root, S)
     table = S.apery_table()
-    frame = compute_beta_gamma(S)
+    frame = S.frame()
     _, _, boxes = box_elements(frame)
     A = build_algebra(table)
     ginfo = A.gorenstein_info()
@@ -106,8 +135,10 @@ def analyze_record(
 
     wlp: dict = {}
     slp: dict = {}
+    wlp_ranks = None
     if method in ("ranks", "both"):
-        wlp["ranks"] = wlp_by_ranks(A, seed=seed).to_dict()
+        wlp_ranks = wlp_by_ranks(A, seed=seed)
+        wlp["ranks"] = wlp_ranks.to_dict()
         slp["ranks"] = slp_by_ranks(A, seed=seed).to_dict()
     if method in ("hessian", "both"):
         if view is not None:
@@ -144,7 +175,7 @@ def analyze_record(
     chain = None
     conjecture = None
     if frame.is_ci():
-        chain = quotient_condition_ci(S, seed=seed).to_dict()
+        chain = quotient_condition_ci(S, seed=seed, base_report=wlp_ranks).to_dict()
     elif classification == "codim3-structured":
         chain = quotient_condition_codim3(S, seed=seed).to_dict()
     if frame.is_ci() or len(S.generators) - 1 == 3:
@@ -204,16 +235,16 @@ def from_dual_record(poly_text: str, seed_root: Optional[int] = None) -> dict:
     if not F or not F.is_homogeneous() or F.degree() < 1:
         raise PolyParseError("dual polynomial must be nonzero, homogeneous, degree >= 1")
     view = dual_algebra_view(F, require_positive_degree=True)
-    seed = derive_seed(root_seed() if seed_root is None else seed_root, str(F))
+    seed = _seed(seed_root, F)
     wlp_h = wlp_by_hessian(F, view, seed=seed)
     slp_h = slp_by_hessian(F, view, seed=seed)
     wlp_r = wlp_by_ranks(view, seed=seed)
     slp_r = slp_by_ranks(view, seed=seed)
     hess1_zero = None
     if view.socle_degree >= 2:
-        m1 = hessian(F, 1, view.bases[1])
-        rank, _ = rank_info(m1)
-        hess1_zero = rank < m1.nrows  # determinant identically zero
+        # the SLP Hessian evidence starts with degree 1; not maximal means
+        # the determinant vanishes identically
+        hess1_zero = not slp_h.evidence[0]["maximal"]
     return {
         "schema_version": SCHEMA_VERSION,
         "dual_polynomial": str(F),
@@ -348,7 +379,7 @@ def sweep(args) -> int:
                         skipped += 1
                         continue
                     if args.require_ci_or_codim3:
-                        frame = compute_beta_gamma(S)
+                        frame = S.frame()
                         if not (frame.is_ci() or len(gens) - 1 == 3):
                             skipped += 1
                             continue
@@ -513,7 +544,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 out.write(_matrix_text(matrix) + "\n")
         elif args.command == "classify":
             S = create_semigroup(_parse_gens(args.gens))
-            frame = compute_beta_gamma(S)
+            frame = S.frame()
             _, _, boxes = box_elements(frame)
             tilde = ci_tilde_ideal(frame) if frame.gamma else None
             record = {
@@ -532,47 +563,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "quotient-chain":
             if args.gens:
                 S = create_semigroup(_parse_gens(args.gens))
-                frame = compute_beta_gamma(S)
-                seed = args.seed
-                if frame.is_ci():
-                    report = quotient_condition_ci(S, seed=derive_seed(root_seed() if seed is None else seed, args.gens))
-                else:
-                    report = quotient_condition_codim3(S, seed=derive_seed(root_seed() if seed is None else seed, args.gens))
+                build = quotient_condition_ci if S.frame().is_ci() else quotient_condition_codim3
+                report = build(S, seed=_seed(args.seed, S))
                 _emit(report.to_dict(), args.format, out)
             elif args.poly:
                 F = parse_polynomial(args.poly)
                 view = dual_algebra_view(F, require_positive_degree=True)
-                steps = []
-                for item in (args.steps or "").split(","):
-                    item = item.strip()
-                    if not item:
-                        continue
-                    if ":" in item:
-                        var, power = item.split(":")
-                        steps.append((var.strip(), int(power)))
-                    else:
-                        steps.append((item, 1))
+                steps = _parse_steps(args.steps)
                 if not steps:
                     raise NotApplicable("--steps is required with --poly")
-                seed = derive_seed(
-                    root_seed() if args.seed is None else args.seed, str(F)
-                )
-                report = transfer_wlp(view, steps, seed=seed)
+                report = transfer_wlp(view, steps, seed=_seed(args.seed, F))
                 _emit(report.to_dict(), args.format, out)
             else:
                 raise EmptyInput("quotient-chain needs --gens or --poly")
         elif args.command == "conjecture":
             S = create_semigroup(_parse_gens(args.gens))
-            seed = derive_seed(
-                root_seed() if args.seed is None else args.seed,
-                ",".join(map(str, S.generators)),
-            )
-            report = conjecture_check(S, seed=seed)
+            report = conjecture_check(S, seed=_seed(args.seed, S))
             _emit(report.to_dict(), args.format, out)
         elif args.command == "sweep":
             return sweep(args)
         return 0
-    except (EmptyInput, GcdNotOne, PolyParseError, ValueError) as exc:
+    except (EmptyInput, GcdNotOne, InvalidStep, PolyParseError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (NotApplicable, NotCI, NotGorenstein) as exc:

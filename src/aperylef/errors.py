@@ -55,3 +55,7 @@ class DegreeTooSmall(AperyError):
 
 class PolyParseError(AperyError):
     """The polynomial text did not match the expected grammar."""
+
+
+class InvalidStep(AperyError):
+    """A quotient-chain step names no variable of the algebra or a power below 1."""

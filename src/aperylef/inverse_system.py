@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DependentBasis, NotGorenstein
-from .linalg import Matrix, fraction_rank, generic_rank, polynomial_determinant
+from .linalg import Matrix, fraction_rank
 from .polynomial import SparsePoly, monomials_of_degree
 from .semigroup import AperyTable
 from .algebra import variable_names
@@ -29,8 +29,6 @@ __all__ = [
     "dual_algebra_view",
     "hessian",
     "mixed_hessian",
-    "generic_rank",
-    "polynomial_determinant",
 ]
 
 
@@ -231,6 +229,23 @@ class DualAlgebraView:
                 row.append(apply_operator(m, F=self.F).rename(symbols))
             entries.append(row)
         return Matrix(list(rows), list(cols), entries)
+
+    # -- the protocol the Lefschetz routes share with GradedAlgebra -----------
+
+    def map_matrix(self, d: int, power: int) -> Matrix:
+        """Multiplication by the generic linear form^power, through the pairing."""
+        return self.pairing_matrix(d, power)
+
+    def colon_step(self, variable: str) -> Optional["DualAlgebraView"]:
+        """Quotient by the annihilator of one variable; None for the zero ring.
+
+        The annihilator of the derivative of F by the variable is the colon of
+        the annihilator of F, so the derivative presents the quotient.
+        """
+        idx = self.variables.index(variable)
+        exps = tuple(int(i == idx) for i in range(len(self.variables)))
+        derived = apply_operator(SparsePoly.monomial(self.variables, exps), self.F)
+        return dual_algebra_view(derived) if derived else None
 
 
 def dual_algebra_view(F: SparsePoly, require_positive_degree: bool = False) -> DualAlgebraView:

@@ -21,33 +21,31 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .algebra import (
     GradedAlgebra,
-    LinearForm,
     build_algebra,
     build_gamma_algebra,
     codim3_defining_ideal,
     colon_by_power,
-    multiplication_matrix,
 )
 from .errors import (
     DegreeTooSmall,
+    InvalidStep,
     NotApplicable,
     NotCI,
     NotGorensteinAtStep,
 )
 from .inverse_system import (
     DualAlgebraView,
-    apply_operator,
     dual_algebra_view,
     hessian,
     mixed_hessian,
 )
 from .linalg import Matrix, rank_info
 from .polynomial import SparsePoly
-from .semigroup import FrameData, NumericalSemigroup, compute_beta_gamma
+from .semigroup import FrameData, NumericalSemigroup
 
 AlgebraLike = Union[GradedAlgebra, DualAlgebraView]
 
@@ -102,132 +100,121 @@ class LefschetzReport:
 
 
 def _hilbert(obj: AlgebraLike) -> tuple[int, ...]:
-    if isinstance(obj, GradedAlgebra):
-        return obj.hilbert()
-    return obj.hilbert
+    """The Hilbert vector: a method of GradedAlgebra, a field of DualAlgebraView."""
+    h = obj.hilbert
+    return h() if callable(h) else h
 
 
-def _top_degree(obj: AlgebraLike) -> int:
-    if isinstance(obj, GradedAlgebra):
-        return obj.top_degree
-    return obj.socle_degree
-
-
-def _gorenstein_info(obj: AlgebraLike) -> dict:
-    return obj.gorenstein_info()
-
-
-def _symbols(obj: AlgebraLike) -> tuple[str, ...]:
-    return obj.symbols()
-
-
-def _witness_names(obj: AlgebraLike) -> tuple[str, ...]:
-    """Names the witness dict is keyed by: the degree-1 variables."""
-    return obj.variables
-
-
-def _map_matrix(obj: AlgebraLike, d: int, power: int) -> Matrix:
-    if isinstance(obj, GradedAlgebra):
-        return multiplication_matrix(obj, LinearForm.symbolic(obj), d, power)
-    return obj.pairing_matrix(d, power)
-
-
-def _decide_by_ranks(
-    obj: AlgebraLike,
+def _decide(
     property_name: str,
-    maps: list[tuple[int, int]],
+    method: str,
+    obj: AlgebraLike,
+    checks: Iterable[tuple[dict, Matrix]],
     seed: Optional[int],
-    notes: str = "",
+    notes: str,
+    symbols: Optional[Sequence[str]] = None,
+    point_filter=None,
 ) -> LefschetzReport:
-    """Shared rank-method core: generic ranks, verdict, exact witness."""
-    h = _hilbert(obj)
-    D = _top_degree(obj)
-    info = _gorenstein_info(obj)
+    """The verdict core both routes share: generic ranks, verdict, witness.
+
+    Each check is an evidence head and a matrix that must reach maximal rank,
+    min(rows, cols).  "holds" needs every rank maximal and carries a witness
+    point re-verified on every matrix; "fails" needs a certified
+    (non-probabilistic) deficiency; anything else is "inconclusive".  The
+    matrix entries are polynomials in ``symbols`` (default ``obj.symbols()``),
+    one per variable of ``obj``.
+    """
     rng = random.Random(0 if seed is None else seed)
     evidence = []
-    matrices = []
-    any_prob = False
-    all_max = True
-    certified_fail = False
-    for d, power in maps:
-        required = min(h[d], h[d + power])
-        matrix = _map_matrix(obj, d, power)
+    targets = []
+    for head, matrix in checks:
+        required = min(matrix.nrows, matrix.ncols)
         rank, prob = rank_info(matrix, rng)
-        any_prob = any_prob or prob
-        maximal = rank == required
-        if not maximal:
-            all_max = False
-            if not prob:
-                certified_fail = True
-        evidence.append(
-            {
-                "from_degree": d,
-                "power": power,
-                "source_dim": h[d],
-                "target_dim": h[d + power],
-                "required_rank": required,
-                "generic_rank": rank,
-                "maximal": maximal,
-                "probabilistic": prob,
-            }
-        )
-        matrices.append((matrix, required))
-    if all_max:
+        entry = dict(head, required_rank=required, generic_rank=rank, maximal=rank == required)
+        if method == "hessian":
+            entry["singular"] = rank != required
+        entry["probabilistic"] = prob
+        evidence.append(entry)
+        targets.append((matrix, required))
+    witness = None
+    if all(e["maximal"] for e in evidence):
         verdict = "holds"
-    elif certified_fail:
+        if symbols is None:
+            symbols = obj.symbols()
+        witness = _draw_witness(obj.variables, targets, rng, symbols, point_filter) if targets else {}
+    elif any(not (e["maximal"] or e["probabilistic"]) for e in evidence):
         verdict = "fails"
     else:
         verdict = "inconclusive"
-    witness = None
-    if verdict == "holds":
-        witness = _draw_witness(obj, matrices, rng)
+    D = max(obj.top_degree, 0)
     return LefschetzReport(
         property=property_name,
         verdict=verdict,
-        method="ranks",
+        method=method,
         witness=witness,
         evidence=evidence,
-        gorenstein=info["is_gorenstein"],
+        gorenstein=obj.gorenstein_info()["is_gorenstein"],
         socle_degree=D,
-        k=D // 2 if D >= 0 else 0,
-        probabilistic=any_prob,
+        k=D // 2,
+        probabilistic=any(e["probabilistic"] for e in evidence),
         notes=notes,
     )
 
 
-def _draw_witness(obj: AlgebraLike, matrices: list[tuple[Matrix, int]], rng) -> dict:
-    """Random integer linear form re-verified exactly on every checked map."""
-    names = _witness_names(obj)
-    symbols = _symbols(obj)
-    if not matrices:
-        return {}
+def _draw_witness(
+    names: Sequence[str],
+    checks: list[tuple[Matrix, int]],
+    rng,
+    symbols: Sequence[str],
+    point_filter=None,
+) -> dict:
+    """Random integer point, keyed by names, re-verified exactly on every check.
+
+    One draw per name, in order; the matrices are specialized with the same
+    values read as ``symbols``.  A draw the point filter rejects still counts
+    as an attempt.
+    """
     for _ in range(WITNESS_ATTEMPTS):
-        draw = [rng.randint(1, WITNESS_RANGE) for _ in symbols]
+        draw = [rng.randint(1, WITNESS_RANGE) for _ in names]
+        point = dict(zip(names, draw))
+        if point_filter is not None and not point_filter(point):
+            continue
         assignment = dict(zip(symbols, draw))
         if all(
             rank_info(matrix.specialize(assignment))[0] == required
-            for matrix, required in matrices
+            for matrix, required in checks
         ):
-            return dict(zip(names, draw))
+            return point
     raise RuntimeError("failed to find a witness despite generic maximal ranks")
+
+
+NO_MAPS = "no multiplication maps in degree range"
+
+
+def _rank_checks(obj: AlgebraLike, maps: list[tuple[int, int]]) -> Iterator[tuple[dict, Matrix]]:
+    """One check per (degree, power) multiplication map, built as it is ranked.
+
+    The map from degree d has h[d] columns and h[d+p] rows; the pairing
+    matrix of a dual view has h[D-d-p] rows, the same by Gorenstein symmetry.
+    """
+    for d, power in maps:
+        matrix = obj.map_matrix(d, power)
+        head = {"from_degree": d, "power": power,
+                "source_dim": matrix.ncols, "target_dim": matrix.nrows}
+        yield head, matrix
 
 
 def wlp_by_ranks(obj: AlgebraLike, seed: Optional[int] = None) -> LefschetzReport:
     """Weak Lefschetz via generic ranks of every one-step multiplication map."""
-    D = _top_degree(obj)
-    info = _gorenstein_info(obj)
-    if D <= 0:
-        return LefschetzReport(
-            "WLP", "holds", "ranks", {}, [], info["is_gorenstein"], max(D, 0), 0,
-            notes="no multiplication maps in degree range",
-        )
-    maps = [(i, 1) for i in range(D)]
+    D = obj.top_degree
     notes = ""
-    if info["is_gorenstein"]:
+    if D <= 0:
+        notes = NO_MAPS
+    elif obj.gorenstein_info()["is_gorenstein"]:
         k = D // 2
         decisive = f"A_{k} -> A_{k + 1}" if D % 2 else f"A_{k - 1} -> A_{k}"
         notes = f"gorenstein middle-map shortcut: {decisive} decisive; all maps recorded"
-    return _decide_by_ranks(obj, "WLP", maps, seed, notes)
+    return _decide("WLP", "ranks", obj, _rank_checks(obj, [(i, 1) for i in range(D)]), seed, notes)
 
 
 def slp_by_ranks(obj: AlgebraLike, seed: Optional[int] = None) -> LefschetzReport:
@@ -237,38 +224,16 @@ def slp_by_ranks(obj: AlgebraLike, seed: Optional[int] = None) -> LefschetzRepor
     from degree i must be bijective for each i.  Otherwise every (i, d) pair
     is checked for maximal rank.
     """
-    D = _top_degree(obj)
-    info = _gorenstein_info(obj)
+    D = obj.top_degree
     if D <= 0:
-        return LefschetzReport(
-            "SLP", "holds", "ranks", {}, [], info["is_gorenstein"], max(D, 0), 0,
-            notes="no multiplication maps in degree range",
-        )
-    if info["is_gorenstein"]:
+        maps, notes = [], NO_MAPS
+    elif obj.gorenstein_info()["is_gorenstein"]:
         maps = [(i, D - 2 * i) for i in range((D - 1) // 2 + 1)]
         notes = "narrow-sense check: power D-2i maps bijective"
     else:
         maps = [(i, p) for i in range(D) for p in range(1, D - i + 1)]
         notes = "full sweep of power maps (algebra not gorenstein)"
-    return _decide_by_ranks(obj, "SLP", maps, seed, notes)
-
-
-def _hessian_witness(
-    F: SparsePoly,
-    checks: list[tuple[Matrix, int]],
-    rng,
-) -> Optional[dict]:
-    """Point with F(a) nonzero at which every Hessian keeps its required rank."""
-    for _ in range(WITNESS_ATTEMPTS):
-        draw = {v: rng.randint(1, WITNESS_RANGE) for v in F.vars}
-        if not F.evaluate(draw):
-            continue
-        if all(
-            rank_info(matrix.specialize(draw))[0] == required
-            for matrix, required in checks
-        ):
-            return dict(draw)
-    raise RuntimeError("failed to find a Hessian witness point")
+    return _decide("SLP", "ranks", obj, _rank_checks(obj, maps), seed, notes)
 
 
 def wlp_by_hessian(
@@ -284,45 +249,21 @@ def wlp_by_hessian(
     """
     if view is None:
         view = dual_algebra_view(F)
-    D = view.socle_degree
+    D = view.top_degree
     k = D // 2
-    rng = random.Random(0 if seed is None else seed)
-    if D <= 0:
-        return LefschetzReport("WLP", "holds", "hessian", {}, [], True, max(D, 0), 0,
-                               notes="trivial algebra")
-    if D % 2 == 1:
-        matrix = hessian(F, k, view.bases[k])
-        required = len(view.bases[k])
-        kind = f"hessian degree {k}"
-    else:
-        matrix = mixed_hessian(F, k - 1, k, view.bases[k - 1], view.bases[k], view=view)
-        required = min(len(view.bases[k - 1]), len(view.bases[k]))
-        kind = f"mixed hessian degrees ({k - 1}, {k})"
-    rank, prob = rank_info(matrix, rng)
-    maximal = rank == required
-    evidence = [
-        {
-            "check": kind,
-            "rows": matrix.nrows,
-            "cols": matrix.ncols,
-            "required_rank": required,
-            "generic_rank": rank,
-            "maximal": maximal,
-            "singular": not maximal,
-            "probabilistic": prob,
-        }
-    ]
-    if maximal:
-        verdict = "holds"
-        witness = _hessian_witness(F, [(matrix, required)], rng)
-    elif prob:
-        verdict, witness = "inconclusive", None
-    else:
-        verdict, witness = "fails", None
-    return LefschetzReport(
-        "WLP", verdict, "hessian", witness, evidence, True, D, k, prob,
-        notes="decisive Hessian per socle-degree parity",
-    )
+    checks = []
+    notes = "trivial algebra"
+    if D > 0:
+        notes = "decisive Hessian per socle-degree parity"
+        if D % 2 == 1:
+            kind = f"hessian degree {k}"
+            matrix = hessian(F, k, view.bases[k])
+        else:
+            kind = f"mixed hessian degrees ({k - 1}, {k})"
+            matrix = mixed_hessian(F, k - 1, k, view.bases[k - 1], view.bases[k], view=view)
+        checks.append(({"check": kind, "rows": matrix.nrows, "cols": matrix.ncols}, matrix))
+    return _decide("WLP", "hessian", view, checks, seed, notes,
+                   symbols=F.vars, point_filter=F.evaluate)
 
 
 def slp_by_hessian(
@@ -333,47 +274,12 @@ def slp_by_hessian(
     """Strong Lefschetz: every Hessian up to the middle degree is nonsingular."""
     if view is None:
         view = dual_algebra_view(F)
-    D = view.socle_degree
-    k = D // 2
-    rng = random.Random(0 if seed is None else seed)
-    evidence = []
     checks = []
-    any_prob = False
-    all_max = True
-    certified_fail = False
-    for d in range(1, k + 1):
+    for d in range(1, view.top_degree // 2 + 1):
         matrix = hessian(F, d, view.bases[d])
-        required = len(view.bases[d])
-        rank, prob = rank_info(matrix, rng)
-        any_prob = any_prob or prob
-        maximal = rank == required
-        if not maximal:
-            all_max = False
-            if not prob:
-                certified_fail = True
-        evidence.append(
-            {
-                "check": f"hessian degree {d}",
-                "size": required,
-                "required_rank": required,
-                "generic_rank": rank,
-                "maximal": maximal,
-                "singular": not maximal,
-                "probabilistic": prob,
-            }
-        )
-        checks.append((matrix, required))
-    if all_max:
-        verdict = "holds"
-        witness = _hessian_witness(F, checks, rng) if checks else {}
-    elif certified_fail:
-        verdict, witness = "fails", None
-    else:
-        verdict, witness = "inconclusive", None
-    return LefschetzReport(
-        "SLP", verdict, "hessian", witness, evidence, True, D, k, any_prob,
-        notes="hessians of degrees 1..k",
-    )
+        checks.append(({"check": f"hessian degree {d}", "size": matrix.nrows}, matrix))
+    return _decide("SLP", "hessian", view, checks, seed, "hessians of degrees 1..k",
+                   symbols=F.vars, point_filter=F.evaluate)
 
 
 def ci_degree_criterion(degrees: Sequence[int]) -> bool:
@@ -394,24 +300,6 @@ def gamma_criterion(frame: FrameData, D: int) -> bool:
     if not frame.is_ci():
         raise NotCI("gamma criterion applies to complete intersections only")
     return any(2 * g >= D - 2 for g in frame.gamma)
-
-
-def _quotient_step(obj: AlgebraLike, variable: str):
-    """Single colon quotient by one degree-1 variable.
-
-    Table algebras quotient by the annihilator of the variable; dual views
-    differentiate the dual polynomial (the annihilator of the derivative is
-    the colon of the annihilator).  Returns None for the zero ring.
-    """
-    if isinstance(obj, GradedAlgebra):
-        _, quotient = colon_by_power(obj, variable, 1)
-        return quotient if quotient.dimension else None
-    idx = obj.variables.index(variable)
-    exps = tuple(1 if i == idx else 0 for i in range(len(obj.variables)))
-    derived = apply_operator(SparsePoly.monomial(obj.variables, exps), obj.F)
-    if not derived:
-        return None
-    return dual_algebra_view(derived)
 
 
 @dataclass
@@ -496,10 +384,15 @@ def transfer_wlp(
     expanded into single steps).  A step concludes "WLP transferred" only
     when the current algebra has established WLP, codimension is preserved,
     and the socle degree is odd or the two middle components match.  Any
-    other step falls back to a direct rank check of the quotient.
+    other step falls back to a direct rank check of the quotient.  A step
+    variable that is not a variable of G raises InvalidStep.
     """
     expanded: list[str] = []
     for variable, power in steps:
+        if variable not in G.variables:
+            raise InvalidStep(
+                f"step {variable!r}: not a variable of the algebra ({', '.join(G.variables)})"
+            )
         expanded.extend([variable] * int(power))
     if base_report is None:
         base_report = wlp_by_ranks(G, seed=seed)
@@ -513,18 +406,17 @@ def transfer_wlp(
                           "quotient chain already reached the zero ring")
             )
             continue
-        info = _gorenstein_info(current)
-        if not info["is_gorenstein"]:
+        if not current.gorenstein_info()["is_gorenstein"]:
             raise NotGorensteinAtStep(
                 "quotient-chain step requires a gorenstein algebra"
             )
         h = _hilbert(current)
-        D = _top_degree(current)
+        D = current.top_degree
         k = D // 2
-        codim_before = h[1] if len(h) > 1 else 0
-        quotient = _quotient_step(current, variable)
+        codim_before = current.codim
+        quotient = current.colon_step(variable)
         qh = _hilbert(quotient) if quotient is not None else ()
-        codim_after = qh[1] if len(qh) > 1 else 0
+        codim_after = quotient.codim if quotient is not None else 0
         codim_equal = codim_before == codim_after
         if D % 2 == 1:
             parity_ok = True
@@ -646,46 +538,44 @@ def ci_quotient_plan(gamma: Sequence[int], D: int) -> dict:
     }
 
 
-def quotient_condition_ci(S: NumericalSemigroup, seed: Optional[int] = None) -> QuotientChainReport:
+def quotient_condition_ci(
+    S: NumericalSemigroup,
+    seed: Optional[int] = None,
+    base_report: Optional[LefschetzReport] = None,
+) -> QuotientChainReport:
     """Express a complete intersection apery algebra as a colon quotient.
 
     Either the gamma criterion already gives the algebra the WLP (empty
     chain), or a taller monomial-degree box realizes it as a quotient by the
-    principal monomial colon ideal of the first variable.
+    principal monomial colon ideal of the first variable.  ``base_report``
+    is the apery algebra's WLP rank report when the caller already has it;
+    otherwise it is computed with ``seed``.
     """
-    frame = compute_beta_gamma(S)
+    frame = S.frame()
     if not frame.is_ci():
         raise NotCI(f"{S!r} does not give a complete intersection")
-    table = frame.table
-    A = build_algebra(table)
+    A = build_algebra(frame.table)
     D = A.top_degree
-    direct = wlp_by_ranks(A, seed=seed)
+    if base_report is None:
+        base_report = wlp_by_ranks(A, seed=seed)
     if not frame.gamma:  # the field itself
-        return QuotientChainReport(
-            kind="ci_quotient",
-            base_report=direct,
-            steps=[],
-            final_hilbert=A.hilbert(),
-            wlp_established=direct.holds,
-            extras={"C": 0, "criterion": "trivial"},
-        )
-    plan = ci_quotient_plan(frame.gamma, D)
-    extras = dict(plan)
-    extras["gamma"] = list(frame.gamma)
-    if plan["C"] == 0:
-        extras["gamma_criterion"] = gamma_criterion(frame, D)
-        extras["colon_generator"] = None
+        extras = {"C": 0, "criterion": "trivial"}
     else:
-        var = A.variables[0]
-        extras["colon_generator"] = f"{var}^{frame.gamma[0] + 1}"
-        expected = ci_hilbert(tuple(g + 1 for g in frame.gamma))
-        extras["hilbert_matches_ci_product"] = expected == A.hilbert()
+        extras = ci_quotient_plan(frame.gamma, D)
+        extras["gamma"] = list(frame.gamma)
+        if extras["C"] == 0:
+            extras["gamma_criterion"] = gamma_criterion(frame, D)
+            extras["colon_generator"] = None
+        else:
+            extras["colon_generator"] = f"{A.variables[0]}^{frame.gamma[0] + 1}"
+            expected = ci_hilbert(tuple(g + 1 for g in frame.gamma))
+            extras["hilbert_matches_ci_product"] = expected == A.hilbert()
     return QuotientChainReport(
         kind="ci_quotient",
-        base_report=direct,
+        base_report=base_report,
         steps=[],
         final_hilbert=A.hilbert(),
-        wlp_established=direct.holds,
+        wlp_established=base_report.holds,
         extras=extras,
     )
 
@@ -701,9 +591,8 @@ def quotient_condition_codim3(
     transfers WLP down the C-step chain.
     """
     ideal = codim3_defining_ideal(S)  # validates applicability
-    frame = compute_beta_gamma(S)
-    table = frame.table
-    A = build_algebra(table)
+    frame = S.frame()
+    A = build_algebra(frame.table)
     G = build_gamma_algebra(frame)
     C = ideal.data["C"]
     _, quotient = colon_by_power(G, "z", C)
@@ -783,7 +672,7 @@ def conjecture_check(S: NumericalSemigroup, seed: Optional[int] = None) -> Conje
     a non-holds verdict is surfaced as a counterexample candidate with its
     full evidence.
     """
-    frame = compute_beta_gamma(S)
+    frame = S.frame()
     codim = len(S.generators) - 1
     if not (frame.is_ci() or codim == 3):
         raise NotApplicable(
@@ -793,8 +682,8 @@ def conjecture_check(S: NumericalSemigroup, seed: Optional[int] = None) -> Conje
     results = []
     flagged = []
     for variable in A.variables:
-        _, quotient = colon_by_power(A, variable, 1)
-        if quotient.dimension == 0:
+        quotient = A.colon_step(variable)
+        if quotient is None:
             record = {
                 "variable": variable,
                 "quotient_hilbert": [],

@@ -55,6 +55,7 @@ class NumericalSemigroup:
         non_members = [s for s in range(len(self._member)) if not self._member[s]]
         self.frobenius = max(non_members) if non_members else -1
         self._apery_table: Optional[AperyTable] = None
+        self._frame: Optional[FrameData] = None
 
     def _grow(self, bound: int) -> None:
         """Extend membership/order tables so indices 0..bound are valid."""
@@ -121,6 +122,12 @@ class NumericalSemigroup:
         if self._apery_table is None:
             self._apery_table = _build_apery_table(self)
         return self._apery_table
+
+    def frame(self) -> "FrameData":
+        """The beta/gamma frame, computed once per semigroup."""
+        if self._frame is None:
+            self._frame = compute_beta_gamma(self)
+        return self._frame
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup{self.generators}"
@@ -234,18 +241,9 @@ def _m_pure_check(table: AperyTable) -> MPureVerdict:
     return MPureVerdict(True, None)
 
 
-def apery_set(S: NumericalSemigroup) -> AperyTable:
-    """The apery table of S with respect to its multiplicity."""
-    return S.apery_table()
-
-
 def is_m_pure_symmetric(S: NumericalSemigroup) -> MPureVerdict:
     """Additive and order symmetry of the apery set (element i pairs with m-1-i)."""
     return S.apery_table().m_pure_verdict()
-
-
-def frobenius(S: NumericalSemigroup) -> int:
-    return S.frobenius
 
 
 @dataclass

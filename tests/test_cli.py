@@ -1,7 +1,10 @@
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from aperylef.cli import analyze_record, main
 
@@ -141,6 +144,24 @@ def test_quotient_chain_command_poly():
     assert step["conclusion"].startswith("inconclusive")
     assert step["middle_dims"] == [5, 10]
     assert step["direct_report"]["verdict"] == "fails"
+
+
+def test_quotient_chain_seed_follows_canonical_generators():
+    spellings = ("16,18,21,27", "27,21,18,16", "16,18,21,27,")
+    outs = {run_cli(["--seed", "0", "quotient-chain", "--gens", g])[1] for g in spellings}
+    assert len(outs) == 1
+    digest = hashlib.sha256(outs.pop().encode()).hexdigest()
+    assert digest == "f96c44f360add27dedf3e53bc8636af51813e18ad0525e75549f5e7b44855d39"
+
+
+@pytest.mark.parametrize("steps", ["q", "x:q", "x:0"])
+def test_quotient_chain_rejects_bad_steps(steps):
+    code, out, err = run_cli(
+        ["quotient-chain", "--poly", "x^2*y + y^2*z + x*z^2", "--steps", steps]
+    )
+    assert code == 2
+    assert out == ""
+    assert f"input error: step {steps!r}" in err
 
 
 def test_conjecture_command():

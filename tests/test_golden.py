@@ -1,0 +1,62 @@
+"""Golden records: the sha256 of each command's output at seed 0 is pinned.
+
+Records are byte-identical for a fixed seed; these cases cover both routes,
+CI and codimension-3 sweeps with their chains and conjecture harness, a
+certified SLP failure, the degenerate notes, dual forms and a transfer
+chain.  A change that alters a record on purpose updates its digest here and
+says why in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from aperylef.cli import main
+
+GOLDEN = {
+    "sweep": (
+        ["sweep", "--mult", "2:10", "--count", "3:4", "--max-gen", "20",
+         "--require-m-pure", "--method", "both"],
+        "aa432032a90a024a85224d3f1cda641bf4f568e2fa4ead620040ee790ada4733",
+    ),
+    "analyze-nongorenstein": (
+        ["analyze", "--gens", "60,66,71,77,83", "--method", "both"],
+        "21540eab002eeed2cd863e9303f1f14c0a67614c41e34bc6ad3d84049c05d747",
+    ),
+    "analyze-field": (
+        ["analyze", "--gens", "1", "--method", "both"],
+        "79f757b1f773ee65d6b7767d1953a55acd32a107671f5cf790a7780bdcedaa1a",
+    ),
+    "analyze-2-3": (
+        ["analyze", "--gens", "2,3", "--method", "both"],
+        "54fcb1582d5ef3189adf9fb8eae2e9b2e12f07cf6fc79c4a85930fa9caadd640",
+    ),
+    "from-dual-perazzo": (
+        ["from-dual", "--poly", "2*a^3*x0 + a^2*b*x1 + 3*a*b^2*x2 + b^3*x3 + 5*a*b^3"],
+        "e56e776b5bc6f226b744bbc2c51d8240fafa347f5b3d8fb028f34cc815bbe2fc",
+    ),
+    "from-dual-linear": (
+        ["from-dual", "--poly", "x + 2*y"],
+        "406463937b9dec8cef3eb7a38508fa960f8ebc8fefda702bc9cced6735aece97",
+    ),
+    "from-dual-cube": (
+        ["from-dual", "--poly", "x^3"],
+        "21cc25b4a07835fb795f6781f2710593506704323ea47ba56e102e5b37305679",
+    ),
+    "quotient-chain-poly": (
+        ["quotient-chain", "--poly", "a^2*x*z + a*b*y*z + 1/2*b^2*z^2", "--steps", "z"],
+        "b0473607a3a74a09e819a66feff655fe3b516a8223ad3f01a4c7bfc341f398c0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_record_digest(name):
+    argv, digest = GOLDEN[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--seed", "0"] + argv)
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

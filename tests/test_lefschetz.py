@@ -323,14 +323,13 @@ def test_conjecture_check_not_applicable():
 def test_table_and_pairing_routes_give_identical_map_ranks():
     # same multiplication map, two unrelated computations: product table vs
     # perfect-pairing matrices from the dual polynomial
-    from aperylef.lefschetz import _map_matrix
     from aperylef import generic_rank
 
     for gens in ([8, 10, 11, 12], [16, 18, 21, 27], [15, 21, 35], [6, 7, 8, 9, 10]):
         A = algebra_of(gens)
         _, view = dual_of(gens)
         for d in range(A.top_degree):
-            assert generic_rank(_map_matrix(A, d, 1)) == generic_rank(
+            assert generic_rank(A.map_matrix(d, 1)) == generic_rank(
                 view.pairing_matrix(d, 1)
             ), (gens, d)
 
