@@ -14,6 +14,7 @@ from .errors import (
     DependentBasis,
     EmptyInput,
     GcdNotOne,
+    InternalFault,
     InvalidStep,
     NotApplicable,
     NotCI,

@@ -4,7 +4,7 @@ Records are self-contained JSON documents (schema_version 1) that can be
 regenerated byte-identically from the generator tuple and the root seed
 (APERY_SEED).  Timings are opt-in so default output stays deterministic.
 Exit codes: 0 success, 2 input error, 3 inapplicable analysis, 4 internal
-limit exceeded.
+limit exceeded, 5 internal fault (a broken invariant of the library).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .algebra import (
 from .errors import (
     EmptyInput,
     GcdNotOne,
+    InternalFault,
     InvalidStep,
     NotApplicable,
     NotCI,
@@ -592,6 +593,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SizeLimit as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return 4
+    except InternalFault as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
     finally:
         if close_out:
             out.close()

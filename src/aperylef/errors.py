@@ -59,3 +59,7 @@ class PolyParseError(AperyError):
 
 class InvalidStep(AperyError):
     """A quotient-chain step names no variable of the algebra or a power below 1."""
+
+
+class InternalFault(AperyError):
+    """An invariant the library guarantees was found broken: a bug, not bad input."""

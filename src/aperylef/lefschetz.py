@@ -32,6 +32,7 @@ from .algebra import (
 )
 from .errors import (
     DegreeTooSmall,
+    InternalFault,
     InvalidStep,
     NotApplicable,
     NotCI,
@@ -185,7 +186,7 @@ def _draw_witness(
             for matrix, required in checks
         ):
             return point
-    raise RuntimeError("failed to find a witness despite generic maximal ranks")
+    raise InternalFault("failed to find a witness despite generic maximal ranks")
 
 
 NO_MAPS = "no multiplication maps in degree range"

@@ -1,23 +1,27 @@
-"""Numerical semigroup arithmetic.
+"""Numerical semigroup arithmetic on the Apery set.
 
-Membership and orders are dynamic-programming tables indexed by value; the
-table is built up to frobenius + 2*multiplicity and extended on demand for
-box elements that land beyond it.  The order of an element is
+Ap[r] is the least element of S congruent to r mod the multiplicity g_1; it
+is the only table a semigroup keeps.  s is in S iff s >= Ap[s mod g_1], the
+Frobenius number is max(Ap) - g_1, and the order of s is
 
     ord(s) = 1 + max(ord(s - g) : g generator, s - g in S),  ord(0) = 0,
 
 the largest total degree of a representation of s as a sum of generators.
+Ap comes from Dijkstra over the residues mod g_1, with edges r -> r + g of
+weight g (Nijenhuis 1979); every w - g in S of an Apery element w is another
+Apery element, so the orders of the Apery set cost O(n*g_1).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product as iter_product
 from typing import Optional, Sequence
 
-from .errors import EmptyInput, GcdNotOne, NotInSemigroup
+from .errors import EmptyInput, GcdNotOne, InternalFault, NotInSemigroup
 
 
 @dataclass(frozen=True)
@@ -39,62 +43,42 @@ class NumericalSemigroup:
     """A numerical semigroup given by its minimal generators.
 
     Use :func:`create_semigroup`; the constructor assumes an already reduced,
-    sorted, gcd-1 generator tuple.  Values are immutable once computed, but
-    the DP tables grow lazily on large order queries, so share an instance
-    across threads only after warming the queries you need.
+    sorted, gcd-1 generator tuple and its Apery list, indexed by residue.
+    Orders are memoized as they are asked for.
     """
 
-    def __init__(self, generators: tuple[int, ...]):
+    def __init__(self, generators: tuple[int, ...], apery: list[int]):
         self.generators = tuple(generators)
         self.multiplicity = self.generators[0]
-        self._member = [False]
-        self._order = [0]
-        g1 = self.multiplicity
-        gmax = self.generators[-1]
-        self._grow(g1 * gmax + 2 * g1 + 1)
-        non_members = [s for s in range(len(self._member)) if not self._member[s]]
-        self.frobenius = max(non_members) if non_members else -1
+        self._apery = apery
+        self._orders = {0: 0}
+        self.frobenius = max(apery) - self.multiplicity
         self._apery_table: Optional[AperyTable] = None
         self._frame: Optional[FrameData] = None
 
-    def _grow(self, bound: int) -> None:
-        """Extend membership/order tables so indices 0..bound are valid."""
-        start = len(self._member)
-        if bound < start:
-            return
-        self._member.extend([False] * (bound - start + 1))
-        self._order.extend([-1] * (bound - start + 1))
-        self._member[0] = True
-        self._order[0] = 0
-        for s in range(max(1, start), bound + 1):
-            best = -1
-            for g in self.generators:
-                if g > s:
-                    break
-                if self._member[s - g]:
-                    best = max(best, self._order[s - g])
-            if best >= 0:
-                self._member[s] = True
-                self._order[s] = best + 1
-
     def contains(self, s: int) -> bool:
-        if s < 0:
-            return False
-        if s >= len(self._member):
-            return s > self.frobenius
-        return self._member[s]
+        return s >= 0 and s >= self._apery[s % self.multiplicity]
 
     def order(self, s: int) -> int:
         """Largest total degree over all representations of s."""
-        if s < 0 or not self.contains(s):
+        if not self.contains(s):
             raise NotInSemigroup(f"{s} is not in the semigroup")
-        if s >= len(self._member):
-            self._grow(s)
-        return self._order[s]
+        orders, stack = self._orders, [s]
+        while stack:
+            t = stack.pop()
+            if t in orders:
+                continue
+            below = [t - g for g in self.generators if self.contains(t - g)]
+            missing = [u for u in below if u not in orders]
+            if missing:
+                stack += [t] + missing
+            else:
+                orders[t] = 1 + max(orders[u] for u in below)
+        return orders[s]
 
     def representations(self, s: int) -> list[Representation]:
         """Every representation of s, sorted lexicographically descending."""
-        if s < 0 or not self.contains(s):
+        if not self.contains(s):
             raise NotInSemigroup(f"{s} is not in the semigroup")
         gens = self.generators
         n = len(gens)
@@ -133,6 +117,21 @@ class NumericalSemigroup:
         return f"NumericalSemigroup{self.generators}"
 
 
+def _apery_residues(gens: Sequence[int]) -> list[int]:
+    """Least element of <gens> in each residue class mod gens[0] (Dijkstra)."""
+    g1 = gens[0]
+    apery = [0] + [math.inf] * (g1 - 1)
+    heap = [(0, 0)]
+    while heap:
+        w, r = heapq.heappop(heap)
+        if w == apery[r]:
+            for v in (w + g for g in gens[1:]):
+                if v < apery[v % g1]:
+                    apery[v % g1] = v
+                    heapq.heappush(heap, (v, v % g1))
+    return apery
+
+
 def create_semigroup(gens: Sequence[int]) -> NumericalSemigroup:
     """Validate, deduplicate, and reduce a generator list to the minimal set."""
     gens = list(gens)
@@ -143,22 +142,18 @@ def create_semigroup(gens: Sequence[int]) -> NumericalSemigroup:
     uniq = sorted(set(gens))
     if reduce(math.gcd, uniq) != 1:
         raise GcdNotOne(f"gcd of {tuple(uniq)} is not 1")
-    if uniq[0] == 1:
-        return NumericalSemigroup((1,))
-    # Membership table for the full set; redundant generators do not change S.
-    g1, gmax = uniq[0], uniq[-1]
-    bound = g1 * gmax + 1
-    member = [False] * (bound + 1)
-    member[0] = True
-    for s in range(1, bound + 1):
-        member[s] = any(g <= s and member[s - g] for g in uniq)
-    # g is a minimal generator iff it is not a sum of two nonzero elements;
-    # both summands are < g, so the full-set table decides this correctly.
+    # Redundant generators do not change S, so the full set gives its Apery set.
+    apery = _apery_residues(uniq)
+    g1 = uniq[0]
+    # g is a minimal generator iff it is not a sum of two nonzero elements.
     minimal = tuple(
         g for g in uniq
-        if not any(member[s] and member[g - s] for s in range(g1, g - g1 + 1))
+        if not any(
+            s >= apery[s % g1] and g - s >= apery[(g - s) % g1]
+            for s in range(g1, g - g1 + 1)
+        )
     )
-    return NumericalSemigroup(minimal)
+    return NumericalSemigroup(minimal, apery)
 
 
 @dataclass(frozen=True)
@@ -187,16 +182,24 @@ class AperyTable:
 
     elements are the least semigroup members of each residue class mod g_1,
     sorted increasingly; orders[i] = ord(elements[i]); max_reps[i] lists every
-    maximal representation of elements[i] (all have first exponent 0).
+    maximal representation of elements[i] (all have first exponent 0), built
+    on first access.
     """
 
     semigroup: NumericalSemigroup
     elements: tuple[int, ...]
     orders: tuple[int, ...]
-    max_reps: tuple[tuple[Representation, ...], ...]
     socle_degree: int
     frobenius: int
     _m_pure: Optional[MPureVerdict] = field(default=None, repr=False)
+
+    @cached_property
+    def max_reps(self) -> tuple[tuple[Representation, ...], ...]:
+        S = self.semigroup
+        reps = tuple(tuple(S.maximal_representations(e)) for e in self.elements)
+        if any(r.exponents[0] for row in reps for r in row):
+            raise InternalFault("a maximal representation of an apery element uses g_1")
+        return reps
 
     def order_of(self) -> dict[int, int]:
         return dict(zip(self.elements, self.orders))
@@ -211,21 +214,14 @@ class AperyTable:
 
 
 def _build_apery_table(S: NumericalSemigroup) -> AperyTable:
-    g1 = S.multiplicity
-    top = S.frobenius + g1 if S.frobenius >= 0 else 0
-    elements = [s for s in range(top + 1) if S.contains(s) and not S.contains(s - g1)]
-    assert len(elements) == g1, "apery set must have one element per residue class"
+    elements = tuple(sorted(S._apery))
     orders = tuple(S.order(e) for e in elements)
-    reps = tuple(tuple(S.maximal_representations(e)) for e in elements)
-    for row in reps:
-        assert all(r.exponents[0] == 0 for r in row)
     return AperyTable(
         semigroup=S,
-        elements=tuple(elements),
+        elements=elements,
         orders=orders,
-        max_reps=reps,
         socle_degree=orders[-1],
-        frobenius=elements[-1] - g1,
+        frobenius=S.frobenius,
     )
 
 
@@ -314,9 +310,11 @@ def compute_beta_gamma(S: NumericalSemigroup) -> FrameData:
                 r for r in S.maximal_representations((gm + 1) * g)
                 if r.exponents != pure
             ]
-            assert others, "gamma < beta requires a second maximal representation"
+            if not others:
+                raise InternalFault(f"gamma < beta at {g} without a second maximal representation")
             # Any non-pure maximal representation avoids the generator itself.
-            assert all(r.exponents[idx] == 0 for r in others)
+            if any(r.exponents[idx] for r in others):
+                raise InternalFault(f"a second maximal representation of {(gm + 1) * g} uses {g}")
             witness[idx] = others[0]  # lex-greatest, enumeration is lex-descending
     box_b = _box_values(gens, beta)
     box_gamma = _box_values(gens, gamma)
@@ -329,8 +327,8 @@ def compute_beta_gamma(S: NumericalSemigroup) -> FrameData:
         box_b=box_b,
         box_gamma=box_gamma,
     )
-    apery = set(table.elements)
-    assert apery <= set(frame.box_gamma) <= set(frame.box_b)
+    if not set(table.elements) <= set(box_gamma) <= set(box_b):
+        raise InternalFault(f"apery set, gamma box and b box of {gens} are not nested")
     return frame
 
 

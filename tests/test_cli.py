@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from aperylef import InternalFault
 from aperylef.cli import analyze_record, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -67,6 +68,15 @@ def test_exit_codes():
     assert run_cli(["analyze", "--gens", "4,5,6,7", "--method", "hessian"])[0] == 3
     assert run_cli(["from-dual", "--poly", "x^2 + y^3"])[0] == 2
     assert run_cli(["from-dual", "--poly", "x^2 +"])[0] == 2
+
+
+def test_internal_fault_exit_code(monkeypatch):
+    # No witness draws: a generic-rank "holds" finds no witness, a library fault.
+    monkeypatch.setattr("aperylef.lefschetz.WITNESS_ATTEMPTS", 0)
+    code, _, err = run_cli(["analyze", "--gens", "8,10,11,12"])
+    assert code == 5
+    assert err.startswith("internal error: ")
+    assert not issubclass(InternalFault, ValueError)
 
 
 def test_from_dual_cubic_counterexample():

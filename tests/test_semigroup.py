@@ -24,6 +24,15 @@ def oracle_membership(gens, bound):
     return table
 
 
+def oracle_orders(gens, bound):
+    """Plain order DP: ord(s) = 1 + max ord(s - g) over members s - g, else -1."""
+    orders = [0] + [-1] * bound
+    for s in range(1, bound + 1):
+        best = max((orders[s - g] for g in gens if g <= s and orders[s - g] >= 0), default=-1)
+        orders[s] = best + 1 if best >= 0 else -1
+    return orders
+
+
 def oracle_minimal_generators(gens):
     """Remove each generator reachable from the others by exhaustive search."""
     gens = sorted(set(gens))
@@ -92,7 +101,7 @@ def test_create_errors():
 
 # -- membership / frobenius ----------------------------------------------------
 
-def test_contains_against_oracle_table():
+def test_contains_against_oracle_table(corpus):
     S = create_semigroup([8, 10, 11, 12])
     table = oracle_membership((8, 10, 11, 12), 60)
     for s in range(61):
@@ -100,6 +109,11 @@ def test_contains_against_oracle_table():
     assert not S.contains(25)
     assert S.contains(0)
     assert not S.contains(-3)
+    for S in corpus:
+        bound = S.frobenius + 2 * S.multiplicity
+        table = oracle_membership(S.generators, bound)
+        assert [S.contains(s) for s in range(bound + 1)] == table
+        assert S.frobenius == max(s for s in range(bound + 1) if not table[s])
 
 
 def test_contains_generator_sum():
@@ -142,10 +156,26 @@ def test_apery_table_invariants():
 
 # -- orders and representations --------------------------------------------------
 
-def test_order_values():
+def test_order_values(corpus):
     assert create_semigroup([8, 10, 11, 12]).order(33) == 3
     assert create_semigroup([16, 18, 21, 27]).order(99) == 5
     assert create_semigroup([8, 10, 11, 12]).order(0) == 0
+    for S in corpus:
+        table = S.apery_table()
+        bound = table.elements[-1] + S.multiplicity
+        orders = oracle_orders(S.generators, bound)
+        assert table.orders == tuple(orders[e] for e in table.elements)
+        assert [S.order(s) for s in range(bound + 1) if S.contains(s)] == [
+            o for o in orders if o >= 0
+        ]
+
+
+def test_order_and_membership_far_past_the_apery_table():
+    # Iterative memoized recurrence: no RecursionError at depth 50_000.
+    assert create_semigroup([2, 3]).order(100_000) == 50_000
+    S = create_semigroup([16, 18, 21, 27])
+    assert S.contains(10**9)
+    assert not S.contains(S.frobenius)
 
 
 def test_order_rejects_non_members():
