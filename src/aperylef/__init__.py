@@ -15,6 +15,7 @@ from .errors import (
     EmptyInput,
     GcdNotOne,
     InternalFault,
+    InvalidSeed,
     InvalidStep,
     NotApplicable,
     NotCI,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Optional, Sequence
 
-from .errors import DegreeOutOfRange, NotApplicable, SizeLimit
+from .errors import DegreeOutOfRange, InternalFault, NotApplicable, SizeLimit
 from .linalg import Matrix, fraction_nullspace, fraction_rank
 from .polynomial import SparsePoly, grlex_key, monomials_of_degree
 from .semigroup import AperyTable, FrameData, NumericalSemigroup
@@ -254,7 +254,8 @@ def build_gamma_algebra(frame: FrameData) -> GradedAlgebra:
         kind="gamma",
         meta={"frame": frame, "mu": (mu2, mu4)},
     )
-    assert alg.dimension == frame.box_gamma_points()
+    if alg.dimension != frame.box_gamma_points():
+        raise InternalFault(f"the gamma algebra has dimension {alg.dimension}, not the box's point count")
     return alg
 
 
@@ -496,8 +497,10 @@ def codim3_defining_ideal(S: NumericalSemigroup) -> IdealDescription:
     gamma2, gamma3, gamma4 = frame.gamma
     witness = frame.gamma_witness[2]
     mu2, mu4 = witness.exponents[1], witness.exponents[3]
-    assert 1 <= mu2 <= gamma2 and 1 <= mu4 <= gamma4
-    assert mu2 + mu4 == gamma3 + 1
+    if not (1 <= mu2 <= gamma2 and 1 <= mu4 <= gamma4):
+        raise InternalFault(f"exponents {(mu2, mu4)} of the double representation lie outside the gamma box")
+    if mu2 + mu4 != gamma3 + 1:
+        raise InternalFault(f"exponents {(mu2, mu4)} of the double representation do not sum to gamma_3 + 1")
     omega_d = gamma2 * g2 + gamma3 * g3 + gamma4 * g4
     omega_e = table.elements[-1]
     diff = omega_d - omega_e
@@ -505,11 +508,13 @@ def codim3_defining_ideal(S: NumericalSemigroup) -> IdealDescription:
         raise NotApplicable("top box element does not sit over the apery top by g3 steps")
     C = diff // g3
     order_gap = sum(frame.gamma) - table.socle_degree
-    assert C == order_gap and C <= gamma3
+    if C != order_gap or C > gamma3:
+        raise InternalFault(f"gap C = {C} differs from the order gap {order_gap} or exceeds gamma_3")
     h2 = gamma2 - mu2 + 1
     h3 = gamma3 - C + 1
     h4 = gamma4 - mu4 + 1
-    assert h3 >= 1
+    if h3 < 1:
+        raise InternalFault(f"exponent h3 = {h3} of the extra generators is below 1")
     names = tilde.variables
     extra = [
         SparsePoly.monomial(names, (h2, h3, 0)),

@@ -25,6 +25,7 @@ from .errors import (
     EmptyInput,
     GcdNotOne,
     InternalFault,
+    InvalidSeed,
     InvalidStep,
     NotApplicable,
     NotCI,
@@ -584,7 +585,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "sweep":
             return sweep(args)
         return 0
-    except (EmptyInput, GcdNotOne, InvalidStep, PolyParseError, ValueError) as exc:
+    except (EmptyInput, GcdNotOne, InvalidSeed, InvalidStep, PolyParseError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (NotApplicable, NotCI, NotGorenstein) as exc:

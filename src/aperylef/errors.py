@@ -61,5 +61,9 @@ class InvalidStep(AperyError):
     """A quotient-chain step names no variable of the algebra or a power below 1."""
 
 
+class InvalidSeed(AperyError):
+    """The APERY_SEED environment variable is not an integer."""
+
+
 class InternalFault(AperyError):
     """An invariant the library guarantees was found broken: a bug, not bad input."""

@@ -1,10 +1,15 @@
 """Macaulay-style inverse systems: dual generators, catalecticants, Hessians.
 
 A homogeneous polynomial F presents a graded Artinian Gorenstein algebra as
-differential operators modulo the annihilator of F.  The degree-d component
-has dimension equal to the catalecticant rank: the rank of all degree-d
-monomial operators applied to F.  Hessian matrices pair two monomial bases
-through F and their ranks decide the Lefschetz properties.
+differential operators modulo the annihilator of F.  Two builders serve
+everything else.  `_images` writes the images of degree-d monomial operators
+on F as coefficient rows: their rank is the catalecticant rank, the
+dimension of the degree-d component; their pivot columns, taken in
+graded-lex descending order, are the greedy monomial basis of a dual view;
+and a given basis is independent iff the rank equals its size.  `_pairing`
+applies the products of two monomial bases to F: the entries of Hessians,
+mixed Hessians and the pairing matrices of multiplication maps, whose ranks
+decide the Lefschetz properties (Maeno-Watanabe 2009).
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DependentBasis, NotGorenstein
-from .linalg import Matrix, fraction_rank
+from .errors import DependentBasis, InternalFault, NotGorenstein
+from .linalg import Matrix, fraction_rank, pivot_columns
 from .polynomial import SparsePoly, monomials_of_degree
 from .semigroup import AperyTable
 from .algebra import variable_names
@@ -110,33 +115,29 @@ def dual_socle_generator(table: AperyTable) -> SparsePoly:
     return SparsePoly(names, terms)
 
 
-class _RowSpace:
-    """Incremental exact row space for greedy basis selection."""
+def _images(F: SparsePoly, d: int, monos: Sequence[tuple[int, ...]]) -> list[list[Fraction]]:
+    """Coefficient rows of the images of degree-d monomial operators on F.
 
-    def __init__(self, width: int):
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-        self.width = width
-
-    def try_add(self, row: Sequence[Fraction]) -> bool:
-        vec = list(row)
-        for r, p in zip(self.rows, self.pivots):
-            if vec[p]:
-                factor = vec[p] / r[p]
-                vec = [a - factor * b for a, b in zip(vec, r)]
-        pivot = next((i for i, x in enumerate(vec) if x), None)
-        if pivot is None:
-            return False
-        self.rows.append(vec)
-        self.pivots.append(pivot)
-        return True
+    Row i holds the coefficients of monos[i](X)F over the degree D-d
+    monomials in graded-lex descending order; a zero image is a zero row.
+    """
+    target = monomials_of_degree(F.vars, F.degree() - d)
+    index = {m: i for i, m in enumerate(target)}
+    rows = []
+    for m in monos:
+        row = [Fraction(0)] * len(target)
+        for e, c in apply_operator(SparsePoly.monomial(F.vars, m), F).terms.items():
+            row[index[e]] = c
+        rows.append(row)
+    return rows
 
 
-def _coeff_row(poly: SparsePoly, monos: Sequence[tuple[int, ...]], index: dict) -> list[Fraction]:
-    row = [Fraction(0)] * len(monos)
-    for e, c in poly.terms.items():
-        row[index[e]] = c
-    return row
+def _pairing(F: SparsePoly, rows: Sequence, cols: Sequence) -> list[list[SparsePoly]]:
+    """Entries (r*c)(X)F for the exponent tuples r of rows and c of cols."""
+    def entry(r, c):
+        return apply_operator(SparsePoly.monomial(F.vars, tuple(a + b for a, b in zip(r, c))), F)
+
+    return [[entry(r, c) for c in cols] for r in rows]
 
 
 def catalecticant_rank(F: SparsePoly, d: int) -> int:
@@ -145,17 +146,9 @@ def catalecticant_rank(F: SparsePoly, d: int) -> int:
     Equals the dimension of the degree-d component of the algebra presented
     by F.
     """
-    D = F.degree()
-    if d < 0 or d > D:
+    if d < 0 or d > F.degree():
         return 0
-    target = monomials_of_degree(F.vars, D - d)
-    index = {m: i for i, m in enumerate(target)}
-    rows = []
-    for m in monomials_of_degree(F.vars, d):
-        img = apply_operator(SparsePoly.monomial(F.vars, m), F)
-        if img:
-            rows.append(_coeff_row(img, target, index))
-    return fraction_rank(rows)
+    return fraction_rank(_images(F, d, monomials_of_degree(F.vars, d)))
 
 
 @dataclass
@@ -203,9 +196,6 @@ class DualAlgebraView:
             taken.add(name)
         return tuple(out)
 
-    def basis_polys(self, d: int) -> list[SparsePoly]:
-        return [SparsePoly.monomial(self.variables, e) for e in self.bases[d]]
-
     def pairing_matrix(self, d: int, power: int) -> Matrix:
         """Symbolic matrix with the rank of multiplication by a generic form.
 
@@ -221,13 +211,7 @@ class DualAlgebraView:
         symbols = self.symbols()
         rows = self.bases[D - d - power]
         cols = self.bases[d]
-        entries = []
-        for r in rows:
-            row = []
-            for c in cols:
-                m = SparsePoly.monomial(self.variables, tuple(a + b for a, b in zip(r, c)))
-                row.append(apply_operator(m, F=self.F).rename(symbols))
-            entries.append(row)
+        entries = [[e.rename(symbols) for e in row] for row in _pairing(self.F, rows, cols)]
         return Matrix(list(rows), list(cols), entries)
 
     # -- the protocol the Lefschetz routes share with GradedAlgebra -----------
@@ -259,17 +243,14 @@ def dual_algebra_view(F: SparsePoly, require_positive_degree: bool = False) -> D
         raise ValueError("the dual generator must have degree at least 1")
     bases = []
     for d in range(D + 1):
-        target = monomials_of_degree(F.vars, D - d)
-        index = {m: i for i, m in enumerate(target)}
-        space = _RowSpace(len(target))
-        chosen = []
-        for m in monomials_of_degree(F.vars, d):
-            img = apply_operator(SparsePoly.monomial(F.vars, m), F)
-            if img and space.try_add(_coeff_row(img, target, index)):
-                chosen.append(m)
-        bases.append(tuple(chosen))
+        # the greedy basis: each monomial whose image is independent of the
+        # images of the monomials before it in graded-lex descending order
+        monos = monomials_of_degree(F.vars, d)
+        columns = list(zip(*_images(F, d, monos)))
+        bases.append(tuple(monos[i] for i in pivot_columns(columns)))
     hilbert = tuple(len(b) for b in bases)
-    assert hilbert == hilbert[::-1], "catalecticant ranks must be symmetric"
+    if hilbert != hilbert[::-1]:
+        raise InternalFault(f"catalecticant ranks {hilbert} are not symmetric")
     return DualAlgebraView(
         F=F,
         variables=F.vars,
@@ -291,16 +272,10 @@ def _validate_basis(F: SparsePoly, d: int, basis: Sequence) -> list[tuple[int, .
         if sum(e) != d:
             raise DependentBasis(f"basis monomial {e} does not have degree {d}")
         exps.append(e)
-    D = F.degree()
-    target = monomials_of_degree(F.vars, D - d)
-    index = {m: i for i, m in enumerate(target)}
-    space = _RowSpace(len(target))
-    for e in exps:
-        img = apply_operator(SparsePoly.monomial(F.vars, e), F)
-        if not img or not space.try_add(_coeff_row(img, target, index)):
-            raise DependentBasis(
-                "basis monomials are dependent in the algebra presented by F"
-            )
+    if fraction_rank(_images(F, d, exps)) != len(exps):
+        raise DependentBasis(
+            "basis monomials are dependent in the algebra presented by F"
+        )
     return exps
 
 
@@ -308,14 +283,7 @@ def hessian(F: SparsePoly, d: int, basis: Sequence) -> Matrix:
     """Symmetric matrix of second-layer derivatives over a degree-d basis."""
     exps = _validate_basis(F, d, basis)
     labels = [SparsePoly.monomial(F.vars, e) for e in exps]
-    entries = []
-    for ei in exps:
-        row = []
-        for ej in exps:
-            m = SparsePoly.monomial(F.vars, tuple(a + b for a, b in zip(ei, ej)))
-            row.append(apply_operator(m, F))
-        entries.append(row)
-    return Matrix(labels, list(labels), entries)
+    return Matrix(labels, list(labels), _pairing(F, exps, exps))
 
 
 def mixed_hessian(
@@ -335,15 +303,8 @@ def mixed_hessian(
         col_basis = view.bases[t]
     rows = _validate_basis(F, d, row_basis)
     cols = _validate_basis(F, t, col_basis)
-    entries = []
-    for ei in rows:
-        row = []
-        for ej in cols:
-            m = SparsePoly.monomial(F.vars, tuple(a + b for a, b in zip(ei, ej)))
-            row.append(apply_operator(m, F))
-        entries.append(row)
     return Matrix(
         [SparsePoly.monomial(F.vars, e) for e in rows],
         [SparsePoly.monomial(F.vars, e) for e in cols],
-        entries,
+        _pairing(F, rows, cols),
     )

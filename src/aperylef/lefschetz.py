@@ -33,6 +33,7 @@ from .algebra import (
 from .errors import (
     DegreeTooSmall,
     InternalFault,
+    InvalidSeed,
     InvalidStep,
     NotApplicable,
     NotCI,
@@ -55,11 +56,12 @@ WITNESS_ATTEMPTS = 25
 
 
 def root_seed() -> int:
-    """Root random seed, taken from the APERY_SEED environment variable."""
+    """Root random seed, taken from the APERY_SEED environment variable (0 if unset)."""
+    value = os.environ.get("APERY_SEED", "0")
     try:
-        return int(os.environ.get("APERY_SEED", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        raise InvalidSeed(f"APERY_SEED={value!r} is not an integer") from None
 
 
 def derive_seed(root: int, key: str) -> int:
@@ -502,7 +504,8 @@ def ci_quotient_plan(gamma: Sequence[int], D: int) -> dict:
     E = D - g2 + N - 1
     chain_length = N - g2 - 1
     b_degrees = (N,) + rest
-    assert Fraction(E, 2) < N
+    if not Fraction(E, 2) < N:
+        raise InternalFault(f"the tall box fails the degree criterion: E/2 = {Fraction(E, 2)} >= N = {N}")
     steps = []
     for j in range(chain_length):
         degs = (N - j,) + rest

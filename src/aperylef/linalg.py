@@ -1,9 +1,13 @@
 """Exact linear algebra over rationals and polynomial entries.
 
-Symbolic ranks and determinants use fraction-free (Bareiss) elimination:
-every intermediate entry is a minor of the input matrix, so the division by
-the previous pivot is exact and entries stay polynomial.  Rational matrices
-take a plain Gaussian path.
+There is one elimination per job.  `_echelon` is the Gaussian elimination
+over the rationals: its forward pass gives ranks and pivot columns, and its
+reduced pass gives the reduced row echelon form behind nullspaces.
+`_bareiss` is the fraction-free (Bareiss 1968) elimination with full
+pivoting behind symbolic ranks and determinants: every intermediate entry is
+a minor of the input matrix, so the division by the previous pivot is exact
+and entries stay polynomial, and the last pivot is the determinant up to the
+sign of the row and column swaps.
 
 The generic rank of a symbolic matrix is its rank over the field of rational
 functions in the entry variables, which equals the maximum rank over all
@@ -86,56 +90,50 @@ def _lift_rows(entries) -> tuple[tuple[str, ...], list[list[SparsePoly]] | None,
     return variables, rows, None
 
 
-def fraction_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals by ordinary Gaussian elimination."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, nrows):
-            if m[r][col]:
-                factor = m[r][col] / pv
-                for c in range(col, ncols):
-                    m[r][c] -= factor * m[row][c]
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
+def _echelon(rows: Sequence[Sequence[Fraction]], reduced: bool) -> tuple[list[list[Fraction]], list[int]]:
+    """Gaussian elimination: an echelon form of rows and its pivot columns.
 
-
-def fraction_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    m = [list(map(Fraction, row)) for row in rows]
+    The forward pass clears each pivot column below the pivot, which is all a
+    rank or a pivot set needs.  With reduced, every pivot row is scaled to a
+    leading 1 and the column is cleared above as well (the reduced form).
+    The pivot row is zero left of its pivot column, so the row updates start
+    at that column.
+    """
+    # entries that are Fractions already are kept: rebuilding one costs about
+    # as much as an elimination step on it
+    m = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
     if not m or not m[0]:
         return m, pivots
     nrows, ncols = len(m), len(m[0])
-    row = 0
     for col in range(ncols):
+        row = len(pivots)
         pivot = next((r for r in range(row, nrows) if m[r][col]), None)
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(nrows):
+        if reduced:
+            pv = m[row][col]
+            m[row] = [x / pv for x in m[row]]
+        for r in range(0 if reduced else row + 1, nrows):
             if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+                factor = m[r][col] / m[row][col]
+                for c in range(col, ncols):
+                    m[r][c] -= factor * m[row][c]
         pivots.append(col)
-        row += 1
-        if row == nrows:
+        if len(pivots) == nrows:
             break
     return m, pivots
+
+
+def pivot_columns(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+    """Columns that are not combinations of the columns left of them."""
+    return _echelon(rows, reduced=False)[1]
+
+
+def fraction_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over the rationals by ordinary Gaussian elimination."""
+    return len(pivot_columns(rows))
 
 
 def fraction_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -146,7 +144,7 @@ def fraction_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[l
     """
     if not rows:
         return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
-    rref, pivots = fraction_rref(rows)
+    rref, pivots = _echelon(rows, reduced=True)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -160,29 +158,31 @@ def fraction_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[l
     return basis
 
 
-def poly_rank(rows: list[list[SparsePoly]]) -> int:
-    """Rank over the rational function field, by fraction-free elimination."""
+def _bareiss(rows: list[list[SparsePoly]]) -> tuple[int, int, SparsePoly | None]:
+    """Fraction-free elimination with full pivoting: (rank, sign, last pivot).
+
+    The pivot is the first nonzero entry of the trailing block in row-major
+    order.  The sign flips on every row swap and on every column swap; for a
+    square matrix of full rank, sign * last pivot is the determinant.
+    """
     m = [list(row) for row in rows]
     if not m or not m[0]:
-        return 0
+        return 0, 1, None
     nrows, ncols = len(m), len(m[0])
-    rank = 0
+    sign = 1
     prev = None
     for k in range(min(nrows, ncols)):
-        pr = pc = None
-        for r in range(k, nrows):
-            for c in range(k, ncols):
-                if m[r][c]:
-                    pr, pc = r, c
-                    break
-            if pr is not None:
-                break
-        if pr is None:
-            break
-        m[k], m[pr] = m[pr], m[k]
+        found = next(((r, c) for r in range(k, nrows) for c in range(k, ncols) if m[r][c]), None)
+        if found is None:
+            return k, sign, prev
+        pr, pc = found
+        if pr != k:
+            m[k], m[pr] = m[pr], m[k]
+            sign = -sign
         if pc != k:
             for row in m:
                 row[k], row[pc] = row[pc], row[k]
+            sign = -sign
         pivot = m[k][k]
         for r in range(k + 1, nrows):
             for c in range(k + 1, ncols):
@@ -190,36 +190,21 @@ def poly_rank(rows: list[list[SparsePoly]]) -> int:
                 if prev is not None:
                     e = exact_div(e, prev)
                 m[r][c] = e
-            m[r][k] = SparsePoly(pivot.vars)
         prev = pivot
-        rank += 1
-    return rank
+    return min(nrows, ncols), sign, prev
+
+
+def poly_rank(rows: list[list[SparsePoly]]) -> int:
+    """Rank over the rational function field, by fraction-free elimination."""
+    return _bareiss(rows)[0]
 
 
 def poly_det(rows: list[list[SparsePoly]]) -> SparsePoly:
-    """Exact determinant by Bareiss elimination with row pivoting."""
-    n = len(rows)
-    m = [list(row) for row in rows]
-    variables = m[0][0].vars
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot_row is None:
-            return SparsePoly(variables)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                e = pivot * m[r][c] - m[r][k] * m[k][c]
-                if prev is not None:
-                    e = exact_div(e, prev)
-                m[r][c] = e
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det * sign if sign < 0 else det
+    """Exact determinant of a square matrix by Bareiss elimination."""
+    rank, sign, last = _bareiss(rows)
+    if rank < len(rows):
+        return SparsePoly(rows[0][0].vars)
+    return last * sign if sign < 0 else last
 
 
 @dataclass
@@ -252,10 +237,6 @@ class Matrix:
 
     def is_symbolic(self) -> bool:
         return bool(self.variables())
-
-    def transpose(self) -> "Matrix":
-        ent = [[self.entries[r][c] for r in range(self.nrows)] for c in range(self.ncols)]
-        return Matrix(list(self.col_labels), list(self.row_labels), ent)
 
     def is_symmetric(self) -> bool:
         if not self.is_square:

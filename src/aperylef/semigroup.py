@@ -21,7 +21,13 @@ from functools import cached_property, reduce
 from itertools import product as iter_product
 from typing import Optional, Sequence
 
-from .errors import EmptyInput, GcdNotOne, InternalFault, NotInSemigroup
+from .errors import EmptyInput, GcdNotOne, InternalFault, NotInSemigroup, SizeLimit
+
+# Search nodes that the maximal representations of one Apery table may visit,
+# summed over its elements: ten times the largest table in the tests (about
+# 7.0 million nodes, for <250, 251, 252, 253>).  A search that reaches the cap
+# takes about 5 s on a 2-core Intel Xeon host.
+MAX_REPS_NODES = 70_000_000
 
 
 @dataclass(frozen=True)
@@ -78,24 +84,45 @@ class NumericalSemigroup:
 
     def representations(self, s: int) -> list[Representation]:
         """Every representation of s, sorted lexicographically descending."""
+        return self._walk(s, math.inf)[0]
+
+    def _walk(self, s: int, budget: float) -> tuple[list[Representation], int]:
+        """The representations of s and the number of search nodes visited.
+
+        The search fixes one exponent per level, so a node is a prefix of
+        exponents and the last exponent is forced.  A node's children are
+        counted before they are visited, and the search raises SizeLimit
+        before it visits more than budget nodes.
+        """
         if not self.contains(s):
             raise NotInSemigroup(f"{s} is not in the semigroup")
         gens = self.generators
-        n = len(gens)
+        last = gens[-1]
         out: list[Representation] = []
+        nodes = 1
 
         def recurse(idx: int, remaining: int, acc: tuple[int, ...]):
-            if idx == n - 1:
-                q, r = divmod(remaining, gens[idx])
-                if r == 0:
-                    out.append(Representation.make(acc + (q,), gens))
+            nonlocal nodes
+            if idx == len(gens) - 1:
+                if remaining % last == 0:
+                    out.append(Representation.make(acc + (remaining // last,), gens))
                 return
             g = gens[idx]
-            for lam in range(remaining // g, -1, -1):
-                recurse(idx + 1, remaining - lam * g, acc + (lam,))
+            nodes += remaining // g + 1
+            if nodes > budget:
+                raise SizeLimit(f"representations of {s} need more than {budget} search nodes")
+            if idx < len(gens) - 2:
+                for lam in range(remaining // g, -1, -1):
+                    recurse(idx + 1, remaining - lam * g, acc + (lam,))
+                return
+            # the children are the leaves, visited without a call each; the
+            # rest left for the last generator grows as lam goes down
+            hits = [rest for rest in range(remaining % g, remaining + 1, g) if rest % last == 0]
+            for rest in hits:
+                out.append(Representation.make(acc + ((remaining - rest) // g, rest // last), gens))
 
         recurse(0, s, ())
-        return out
+        return out, nodes
 
     def maximal_representations(self, s: int) -> list[Representation]:
         """Representations achieving ord(s), lex-descending (lex-max first)."""
@@ -196,7 +223,18 @@ class AperyTable:
     @cached_property
     def max_reps(self) -> tuple[tuple[Representation, ...], ...]:
         S = self.semigroup
-        reps = tuple(tuple(S.maximal_representations(e)) for e in self.elements)
+        budget, rows = MAX_REPS_NODES, []
+        for e, order in zip(self.elements, self.orders):
+            try:
+                found, nodes = S._walk(e, budget)
+            except SizeLimit:
+                raise SizeLimit(
+                    f"the maximal representations of the apery set of {S.generators} "
+                    f"need more than {MAX_REPS_NODES} search nodes"
+                ) from None
+            budget -= nodes
+            rows.append(tuple(r for r in found if r.total_degree == order))
+        reps = tuple(rows)
         if any(r.exponents[0] for row in reps for r in row):
             raise InternalFault("a maximal representation of an apery element uses g_1")
         return reps

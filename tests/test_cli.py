@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import subprocess
@@ -77,6 +78,33 @@ def test_internal_fault_exit_code(monkeypatch):
     assert code == 5
     assert err.startswith("internal error: ")
     assert not issubclass(InternalFault, ValueError)
+
+
+def test_no_assert_statements_in_the_package():
+    # invariants are explicit InternalFault checks, which python -O keeps
+    package = Path(SRC) / "aperylef"
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements on lines {lines}"
+
+
+def test_apery_size_limit_exit_code():
+    # 99999 apery elements whose representation search runs to about 5e9 nodes
+    code, out, err = run_cli(["apery", "--gens", "99999,100000"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("limit exceeded: ")
+
+
+def test_invalid_apery_seed_is_an_input_error(monkeypatch):
+    monkeypatch.setenv("APERY_SEED", "abc")
+    code, out, err = run_cli(["analyze", "--gens", "8,10,11,12"])
+    assert code == 2
+    assert out == ""
+    assert "'abc'" in err and err.startswith("input error: ")
 
 
 def test_from_dual_cubic_counterexample():

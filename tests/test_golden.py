@@ -2,9 +2,11 @@
 
 Records are byte-identical for a fixed seed; these cases cover both routes,
 CI and codimension-3 sweeps with their chains and conjecture harness, a
-certified SLP failure, the degenerate notes, dual forms and a transfer
-chain.  A change that alters a record on purpose updates its digest here and
-says why in CHANGES.md.
+certified SLP failure, the degenerate notes, dual forms, a transfer
+chain, the Hessian of a dual generator in both formats, an Apery table with
+its maximal representations and a codimension-3 classification.  A change
+that alters a record on purpose updates its digest here and says why in
+CHANGES.md.
 """
 
 import contextlib
@@ -48,6 +50,22 @@ GOLDEN = {
     "quotient-chain-poly": (
         ["quotient-chain", "--poly", "a^2*x*z + a*b*y*z + 1/2*b^2*z^2", "--steps", "z"],
         "b0473607a3a74a09e819a66feff655fe3b516a8223ad3f01a4c7bfc341f398c0",
+    ),
+    "hessian-json": (
+        ["hessian", "--gens", "16,18,21,27", "--d", "2", "--format", "json"],
+        "793094ac347e1fd740b33fdc90eb5551c632e5d1f8de7aa141c5e6a530c4bb92",
+    ),
+    "hessian-text": (
+        ["hessian", "--gens", "16,18,21,27", "--d", "2", "--format", "text"],
+        "17197525b7a15118f44cbcd7f66ec942742cc661f0fb8e1718a78a7691ed8d07",
+    ),
+    "apery-16-18-21-27": (
+        ["apery", "--gens", "16,18,21,27"],
+        "e992f55b6e558701b110b641ad0f36dfb8a57f2eeab99cdcf646fa85d31dd825",
+    ),
+    "classify-codim3": (
+        ["classify", "--gens", "102,177,192,202"],
+        "9b4439a9bfcedb83b2a893a4085aa207fb5cfa59e7c540780921f4c21945dda4",
     ),
 }
 

@@ -19,6 +19,7 @@ from aperylef import (
     build_algebra,
     match_annihilator_scale,
     mixed_hessian,
+    monomials_of_degree,
     parse_polynomial,
     polynomial_determinant,
 )
@@ -165,6 +166,41 @@ def test_view_matches_apery_hilbert(corpus):
         if checked >= 20:
             break
     assert checked >= 10
+
+
+def oracle_greedy_basis(F, d):
+    """The degree-d monomials, in graded-lex descending order, whose image
+    under F is independent of the images of the monomials chosen before it;
+    each image is reduced against the chosen ones, one row at a time."""
+    target = monomials_of_degree(F.vars, F.degree() - d)
+    chosen, rows, pivots = [], [], []
+    for m in monomials_of_degree(F.vars, d):
+        img = apply_operator(mono(F.vars, m), F)
+        vec = [img.terms.get(t, Fraction(0)) for t in target]
+        for r, p in zip(rows, pivots):
+            if vec[p]:
+                factor = vec[p] / r[p]
+                vec = [a - factor * b for a, b in zip(vec, r)]
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is not None:
+            chosen.append(m)
+            rows.append(vec)
+            pivots.append(pivot)
+    return tuple(chosen)
+
+
+def test_view_bases_match_greedy_oracle(corpus):
+    forms = [F_16, CUBIC_5VAR, QUARTIC_5VAR, parse_polynomial("x^3")]
+    for S in corpus:
+        table = S.apery_table()
+        if table.m_pure_verdict():
+            forms.append(dual_socle_generator(table))
+    assert len(forms) > 4
+    for F in forms:
+        view = dual_algebra_view(F)
+        for d in range(F.degree() + 1):
+            assert view.bases[d] == oracle_greedy_basis(F, d), (str(F), d)
+            assert catalecticant_rank(F, d) == len(view.bases[d]), (str(F), d)
 
 
 def test_view_rejects_bad_input():

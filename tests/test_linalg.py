@@ -34,6 +34,8 @@ def test_generic_rank_rational_entries():
 def test_determinant_examples():
     m = matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
     assert polynomial_determinant(m) == Fraction(-1)
+    # the only pivot of the first step needs a column swap
+    assert polynomial_determinant(matrix([[0, 1], [1, 0]])) == Fraction(-1)
     a2, a3 = sym("a2"), sym("a3")
     d = polynomial_determinant(matrix([[a2, a3], [a3, a2]]))
     assert d == a2 * a2 - a3 * a3
@@ -63,6 +65,9 @@ def test_fraction_nullspace_reduced_form():
         [Fraction(0), Fraction(0), Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(-1), Fraction(0), Fraction(1)],
     ]
+    # the second pivot is cleared from the row above it
+    rows = [[Fraction(1), Fraction(1), Fraction(1)], [Fraction(0), Fraction(1), Fraction(2)]]
+    assert fraction_nullspace(rows, 3) == [[Fraction(1), Fraction(-2), Fraction(1)]]
 
 
 def test_probabilistic_fallback_flags_large_symbolic_matrices():
@@ -83,17 +88,29 @@ def test_specialize():
     assert fraction_rank(s.entries) == 1
 
 
-@given(st.integers(1, 4), st.data())
+def poly_entry(data):
+    """c0 + c1*a2 + c2*a3 with small integer coefficients; a third are zero,
+    so the elimination meets zero pivots and swaps rows and columns."""
+    if data.draw(st.integers(0, 2)) == 0:
+        return SparsePoly.zero(("a2", "a3"))
+    c0, c1, c2 = (data.draw(st.integers(-2, 2)) for _ in range(3))
+    return SparsePoly.constant(("a2", "a3"), c0) + sym("a2") * c1 + sym("a3") * c2
+
+
+@given(st.integers(1, 4), st.booleans(), st.data())
 @settings(max_examples=40, deadline=None)
-def test_bareiss_det_matches_cofactor_expansion(n, data):
-    entries = [
-        [Fraction(data.draw(st.integers(-6, 6))) for _ in range(n)] for _ in range(n)
-    ]
+def test_bareiss_det_matches_cofactor_expansion(n, symbolic, data):
+    if symbolic:
+        entries = [[poly_entry(data) for _ in range(n)] for _ in range(n)]
+    else:
+        entries = [
+            [Fraction(data.draw(st.integers(-6, 6))) for _ in range(n)] for _ in range(n)
+        ]
 
     def cofactor_det(rows):
         if len(rows) == 1:
             return rows[0][0]
-        total = Fraction(0)
+        total = rows[0][0] * 0  # the zero of the entries' kind
         for j in range(len(rows)):
             minor = [r[:j] + r[j + 1:] for r in rows[1:]]
             total += (-1) ** j * rows[0][j] * cofactor_det(minor)
@@ -103,4 +120,6 @@ def test_bareiss_det_matches_cofactor_expansion(n, data):
     got = polynomial_determinant(matrix(entries))
     assert got == expected
     # rank deficiency iff det vanishes for square matrices
-    assert (fraction_rank(entries) < n) == (expected == 0)
+    assert (generic_rank(matrix(entries)) < n) == (expected == 0)
+    if not symbolic:
+        assert (fraction_rank(entries) < n) == (expected == 0)
