@@ -2,7 +2,9 @@
 
 Records are byte-identical for a fixed seed; these cases cover both routes,
 CI and codimension-3 sweeps with their chains and conjecture harness, a
-certified SLP failure, the degenerate notes, dual forms, a transfer
+certified SLP failure, two Gorenstein semigroup algebras with certified
+failures (WLP and SLP on h = (1, 5, 5, 1), SLP alone on the other), the
+degenerate notes, dual forms, a transfer
 chain, the Hessian of a dual generator in both formats, an Apery table with
 its maximal representations and a codimension-3 classification.  A change
 that alters a record on purpose updates its digest here and says why in
@@ -26,6 +28,14 @@ GOLDEN = {
     "analyze-nongorenstein": (
         ["analyze", "--gens", "60,66,71,77,83", "--method", "both"],
         "21540eab002eeed2cd863e9303f1f14c0a67614c41e34bc6ad3d84049c05d747",
+    ),
+    "analyze-gorenstein-fails": (
+        ["analyze", "--gens", "12,13,15,16,18,21", "--method", "both"],
+        "3259b5f41bc45175a207199d7f02ed5502c41761355e71c0ba374afdc1ef0c29",
+    ),
+    "analyze-gorenstein-slp-fails": (
+        ["analyze", "--gens", "18,20,21,28,29,30", "--method", "both"],
+        "46a5d0f00afaa21c7aa622eb96b0793b92df81a44e23df1bd4afd49c15fc294b",
     ),
     "analyze-field": (
         ["analyze", "--gens", "1", "--method", "both"],
