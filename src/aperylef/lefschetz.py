@@ -1,12 +1,17 @@
 """Weak and Strong Lefschetz decision procedures.
 
 Two independent exact routes decide the properties.  The rank route forms
-multiplication maps by a generic linear form (symbolic coefficients) and
-certifies their generic ranks by fraction-free elimination; an apery or box
-algebra supplies the maps through its product table, an algebra presented by
-a dual polynomial supplies them through the perfect pairing.  The Hessian
-route reads the same verdicts off determinants and ranks of Hessian matrices
-of the dual polynomial.
+multiplication maps by a generic linear form (symbolic coefficients); an
+apery or box algebra supplies the maps through its product table, an algebra
+presented by a dual polynomial supplies them through the perfect pairing.
+The Hessian route reads the same verdicts off determinants and ranks of
+Hessian matrices of the dual polynomial.
+
+Both routes rank evaluate-first: every matrix is ranked exactly at the first
+witness point, and full rank there is full generic rank, since no
+specialization raises the rank.  Only a matrix deficient at that point is
+eliminated fraction-free (Bareiss), which tells a deficient point from a
+deficient map and certifies the latter.
 
 Verdicts: "holds" always carries a rational witness re-verified exactly;
 "fails" always carries a symbolic generic-rank deficiency; "inconclusive"
@@ -45,7 +50,7 @@ from .inverse_system import (
     hessian,
     mixed_hessian,
 )
-from .linalg import Matrix, rank_info
+from .linalg import Matrix, is_probed, rank_info
 from .polynomial import SparsePoly
 from .semigroup import FrameData, NumericalSemigroup
 
@@ -126,25 +131,43 @@ def _decide(
     (non-probabilistic) deficiency; anything else is "inconclusive".  The
     matrix entries are polynomials in ``symbols`` (default ``obj.symbols()``),
     one per variable of ``obj``.
+
+    Ranks are evaluated first.  The maps that rank_info probes (symbolic maps
+    above its elimination cap) are ranked first, in check order, because only
+    they draw from the rng; the next draw is then the first witness draw, and
+    every other map is ranked at that point.  Full rank at one point is full
+    generic rank; a map deficient there is ranked by rank_info's fraction-free
+    elimination, which certifies a failure.  The rng is read in the same order
+    as when every map is eliminated before the witness search, so evaluating
+    first changes no evidence and no witness.
     """
     rng = random.Random(0 if seed is None else seed)
+    checks = [(head, matrix, min(matrix.nrows, matrix.ncols)) for head, matrix in checks]
+    ranks = [rank_info(matrix, rng) if is_probed(matrix) else None for _, matrix, _ in checks]
+    if symbols is None:
+        symbols = obj.symbols()
+    first = _draw(obj.variables, rng) if checks else []
+    assignment = dict(zip(symbols, first))
+    at_first = {}  # check index -> rank at the first draw
     evidence = []
-    targets = []
-    for head, matrix in checks:
-        required = min(matrix.nrows, matrix.ncols)
-        rank, prob = rank_info(matrix, rng)
+    for i, (head, matrix, required) in enumerate(checks):
+        if ranks[i] is None:
+            at_first[i] = rank_info(matrix.specialize(assignment))[0]
+            ranks[i] = (required, False) if at_first[i] == required else rank_info(matrix, rng)
+        rank, prob = ranks[i]
         entry = dict(head, required_rank=required, generic_rank=rank, maximal=rank == required)
         if method == "hessian":
             entry["singular"] = rank != required
         entry["probabilistic"] = prob
         evidence.append(entry)
-        targets.append((matrix, required))
     witness = None
     if all(e["maximal"] for e in evidence):
         verdict = "holds"
-        if symbols is None:
-            symbols = obj.symbols()
-        witness = _draw_witness(obj.variables, targets, rng, symbols, point_filter) if targets else {}
+        witness = {}
+        if checks:
+            targets = [(matrix, required) for _, matrix, required in checks]
+            witness = _draw_witness(obj.variables, targets, rng, symbols, point_filter,
+                                    (first, at_first))
     elif any(not (e["maximal"] or e["probabilistic"]) for e in evidence):
         verdict = "fails"
     else:
@@ -164,28 +187,36 @@ def _decide(
     )
 
 
+def _draw(names: Sequence[str], rng) -> list[int]:
+    """One witness draw: a random integer per name, in order."""
+    return [rng.randint(1, WITNESS_RANGE) for _ in names]
+
+
 def _draw_witness(
     names: Sequence[str],
     checks: list[tuple[Matrix, int]],
     rng,
     symbols: Sequence[str],
-    point_filter=None,
+    point_filter,
+    first: tuple[list[int], dict],
 ) -> dict:
     """Random integer point, keyed by names, re-verified exactly on every check.
 
     One draw per name, in order; the matrices are specialized with the same
-    values read as ``symbols``.  A draw the point filter rejects still counts
-    as an attempt.
+    values read as ``symbols``.  ``first`` is the first draw, already taken,
+    with the ranks known at it by check index; the other checks are ranked
+    there only if the point filter passes it.  A draw the point filter
+    rejects still counts as an attempt.
     """
-    for _ in range(WITNESS_ATTEMPTS):
-        draw = [rng.randint(1, WITNESS_RANGE) for _ in names]
+    for attempt in range(WITNESS_ATTEMPTS):
+        draw, known = first if attempt == 0 else (_draw(names, rng), {})
         point = dict(zip(names, draw))
         if point_filter is not None and not point_filter(point):
             continue
         assignment = dict(zip(symbols, draw))
         if all(
-            rank_info(matrix.specialize(assignment))[0] == required
-            for matrix, required in checks
+            (known[i] if i in known else rank_info(matrix.specialize(assignment))[0]) == required
+            for i, (matrix, required) in enumerate(checks)
         ):
             return point
     raise InternalFault("failed to find a witness despite generic maximal ranks")

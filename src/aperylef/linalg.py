@@ -274,6 +274,12 @@ class Matrix:
         return "\n".join(lines)
 
 
+def is_probed(matrix: Matrix) -> bool:
+    """True when rank_info probes the matrix at random points: symbolic and
+    above SYMBOLIC_RANK_LIMIT."""
+    return max(matrix.nrows, matrix.ncols) > SYMBOLIC_RANK_LIMIT and matrix.is_symbolic()
+
+
 def rank_info(matrix: Matrix, rng: random.Random | None = None) -> tuple[int, bool]:
     """(rank, probabilistic flag) for a labeled matrix.
 

@@ -24,9 +24,9 @@ from typing import Optional, Sequence
 from .errors import EmptyInput, GcdNotOne, InternalFault, NotInSemigroup, SizeLimit
 
 # Search nodes that the maximal representations of one Apery table may visit,
-# summed over its elements: ten times the largest table in the tests (about
-# 7.0 million nodes, for <250, 251, 252, 253>).  A search that reaches the cap
-# takes about 5 s on a 2-core Intel Xeon host.
+# summed over its elements: 220 times the largest table in the tests (317,975
+# nodes, for <250, 251, 252, 253>).  A search that reaches the cap takes about
+# 6 s on a 2-core Intel Xeon host.
 MAX_REPS_NODES = 70_000_000
 
 
@@ -86,11 +86,12 @@ class NumericalSemigroup:
         """Every representation of s, sorted lexicographically descending."""
         return self._walk(s, math.inf)[0]
 
-    def _walk(self, s: int, budget: float) -> tuple[list[Representation], int]:
+    def _walk(self, s: int, budget: float, first: int = 0) -> tuple[list[Representation], int]:
         """The representations of s and the number of search nodes visited.
 
         The search fixes one exponent per level, so a node is a prefix of
-        exponents and the last exponent is forced.  A node's children are
+        exponents and the last exponent is forced; the exponents of the
+        generators before index ``first`` are 0.  A node's children are
         counted before they are visited, and the search raises SizeLimit
         before it visits more than budget nodes.
         """
@@ -121,7 +122,7 @@ class NumericalSemigroup:
             for rest in hits:
                 out.append(Representation.make(acc + ((remaining - rest) // g, rest // last), gens))
 
-        recurse(0, s, ())
+        recurse(first, s, (0,) * first)
         return out, nodes
 
     def maximal_representations(self, s: int) -> list[Representation]:
@@ -223,10 +224,13 @@ class AperyTable:
     @cached_property
     def max_reps(self) -> tuple[tuple[Representation, ...], ...]:
         S = self.semigroup
+        # w - g_1 is not in S for an apery element w, so no representation
+        # of w uses g_1 (unless g_1 is the only generator)
+        first = min(1, len(S.generators) - 1)
         budget, rows = MAX_REPS_NODES, []
         for e, order in zip(self.elements, self.orders):
             try:
-                found, nodes = S._walk(e, budget)
+                found, nodes = S._walk(e, budget, first)
             except SizeLimit:
                 raise SizeLimit(
                     f"the maximal representations of the apery set of {S.generators} "
@@ -234,10 +238,9 @@ class AperyTable:
                 ) from None
             budget -= nodes
             rows.append(tuple(r for r in found if r.total_degree == order))
-        reps = tuple(rows)
-        if any(r.exponents[0] for row in reps for r in row):
-            raise InternalFault("a maximal representation of an apery element uses g_1")
-        return reps
+            if not rows[-1]:
+                raise InternalFault(f"apery element {e} has no representation of its order without g_1")
+        return tuple(rows)
 
     def order_of(self) -> dict[int, int]:
         return dict(zip(self.elements, self.orders))

@@ -92,8 +92,9 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_apery_size_limit_exit_code():
-    # 99999 apery elements whose representation search runs to about 5e9 nodes
-    code, out, err = run_cli(["apery", "--gens", "99999,100000"])
+    # 30000 apery elements whose representations over g_2, g_3 need about
+    # 2.25e8 search nodes (about N^2/4 for <N, N+1, N+2>), 3.2 times the cap
+    code, out, err = run_cli(["apery", "--gens", "30000,30001,30002"])
     assert code == 4
     assert out == ""
     assert err.startswith("limit exceeded: ")
