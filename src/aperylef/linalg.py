@@ -293,7 +293,7 @@ def rank_info(matrix: Matrix, rng: random.Random | None = None) -> tuple[int, bo
     variables, poly_rows, frac_rows = _lift_rows(matrix.entries)
     if frac_rows is not None:
         return fraction_rank(frac_rows), False
-    if max(matrix.nrows, matrix.ncols) <= SYMBOLIC_RANK_LIMIT:
+    if not is_probed(matrix):
         return poly_rank(poly_rows), False
     rng = rng or random.Random(0)
     best = 0
