@@ -3,8 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from aperylef import lefschetz, linalg
-
 from aperylef import (
     DegreeTooSmall,
     LinearForm,
@@ -34,6 +32,7 @@ from aperylef import (
     wlp_by_hessian,
     wlp_by_ranks,
 )
+from aperylef import lefschetz, linalg
 from aperylef.errors import InternalFault
 from aperylef.lefschetz import INCONCLUSIVE_STEP, TRANSFERRED, LefschetzReport
 
