@@ -1,8 +1,7 @@
 """Alternating parent/change pairs of perfbench runs, summarized per metric.
 
     python3 scripts/bench_pairs.py --base REV --out BENCH.json \
-        [--workload NAME ...] [--pairs 10] [--first-seed 1000] [--seconds 15] \
-        [--tmpdir DIR]
+        [--first-seed 1000] [--tmpdir DIR]
 
 The change side is the checkout this script lives in, as it is on disk; the
 base side is REV exported with ``git archive`` into a temporary directory
@@ -10,12 +9,14 @@ base side is REV exported with ``git archive`` into a temporary directory
 Before every run the ``__pycache__`` directories of both trees are removed,
 so neither side imports bytecode the other side does not have.
 
-Pair i runs ``perfbench/run.py --seed (first-seed + i) --seconds S --trace 0``
-on both trees, base first on even i and change first on odd i.  The output
-holds, per workload and end-to-end metric of BENCHMARK.json, every run's
-value, the median and quartiles of each side, the relative change of the
-medians, the pairs the change wins and loses (ties count for neither), and
-whether the medians differ by more than the base side's interquartile range.
+Every workload of BENCHMARK.json gets PAIRS pairs.  Pair i runs
+``perfbench/run.py --seed (first-seed + i) --seconds S --trace 0`` on both
+trees, base first on even i and change first on odd i, where S is the
+benchmark's own ``run_seconds``.  The output holds, per workload and
+end-to-end metric of BENCHMARK.json, every run's value, the median and
+quartiles of each side, the relative change of the medians, the pairs the
+change wins and loses (ties count for neither), and whether the medians
+differ by more than the base side's interquartile range.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+SECONDS = BENCH["run_seconds"]
+PAIRS = 10
 
 
 def export(rev: str, dest: Path) -> str:
@@ -53,10 +57,10 @@ def clear_bytecode(tree: Path) -> None:
         shutil.rmtree(cache, ignore_errors=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One untraced perfbench run; the summary object it prints last."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -109,18 +113,12 @@ def host() -> dict:
 
 
 def main(argv=None) -> int:
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="commit to compare the checkout against")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workload", action="append", choices=names)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1000)
-    parser.add_argument("--seconds", type=float, default=bench.get("run_seconds", 15))
     parser.add_argument("--tmpdir", type=Path)
     args = parser.parse_args(argv)
-    workloads = args.workload or names
 
     with tempfile.TemporaryDirectory(dir=args.tmpdir) as tmp:
         base_tree = Path(tmp) / "base"
@@ -132,21 +130,21 @@ def main(argv=None) -> int:
             "change": "working tree of " + subprocess.run(
                 ["git", "describe", "--always", "--dirty"], cwd=ROOT,
                 capture_output=True, text=True).stdout.strip(),
-            "seconds": args.seconds,
-            "pairs": args.pairs,
+            "seconds": SECONDS,
+            "pairs": PAIRS,
             "host": host(),
             "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "workloads": {},
         }
-        for workload in workloads:
+        for workload in (w["name"] for w in BENCH["workloads"]):
             runs = {"base": [], "change": []}
-            seeds = [args.first_seed + i for i in range(args.pairs)]
+            seeds = [args.first_seed + i for i in range(PAIRS)]
             for i, seed in enumerate(seeds):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
                     clear_bytecode(base_tree)
                     clear_bytecode(ROOT)
-                    runs[side].append(run_once(trees[side], workload, seed, args.seconds))
+                    runs[side].append(run_once(trees[side], workload, seed))
                     print(f"{workload} seed {seed} {side}: "
                           f"{runs[side][-1]['metrics']['records_per_s']['value']:.3f} records/s",
                           file=sys.stderr, flush=True)
@@ -160,7 +158,7 @@ def main(argv=None) -> int:
                         [r["metrics"][m["name"]]["value"] for r in runs["base"]],
                         [r["metrics"][m["name"]]["value"] for r in runs["change"]],
                     )
-                    for m in bench["end_to_end"]
+                    for m in BENCH["end_to_end"]
                 },
             }
             args.out.write_text(json.dumps(out, indent=1) + "\n")
