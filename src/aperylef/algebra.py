@@ -6,10 +6,17 @@ that lands in the apery set with additive orders, else zero.  A box algebra
 has exponent-tuple labels inside a bounded box, multiplication adds
 exponents, optionally rewrites one pure power into a fixed mixed monomial,
 and truncates anything leaving the box.
+
+A colon quotient A/(0:x) is spanned by the labels of A outside the ideal
+(0:x), so its multiplication maps are A's maps on its own rows and columns;
+only an algebra that is not a quotient builds its maps from the product
+table.  Each algebra builds a map once, and an Apery table gives one algebra
+while anything holds it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
@@ -57,6 +64,8 @@ class GradedAlgebra:
         for d, labels in enumerate(self.basis):
             for lab in labels:
                 self._degree[lab] = d
+        self._maps: dict[tuple[int, int], Matrix] = {}
+        self._gorenstein: Optional[dict] = None
 
     # -- structure ----------------------------------------------------------
 
@@ -109,14 +118,16 @@ class GradedAlgebra:
 
     def gorenstein_info(self) -> dict:
         """Hilbert symmetry and socle dimension, reported separately."""
-        h = self.hilbert()
-        symmetric = h == h[::-1]
-        socle = self.socle_labels()
-        return {
-            "hilbert_symmetric": symmetric,
-            "socle_dimension": len(socle),
-            "is_gorenstein": symmetric and len(socle) == 1,
-        }
+        if self._gorenstein is None:
+            h = self.hilbert()
+            symmetric = h == h[::-1]
+            socle = self.socle_labels()
+            self._gorenstein = {
+                "hilbert_symmetric": symmetric,
+                "socle_dimension": len(socle),
+                "is_gorenstein": symmetric and len(socle) == 1,
+            }
+        return dict(self._gorenstein)
 
     def is_gorenstein(self) -> bool:
         return self.gorenstein_info()["is_gorenstein"]
@@ -124,8 +135,20 @@ class GradedAlgebra:
     # -- the protocol the Lefschetz routes share with DualAlgebraView ---------
 
     def map_matrix(self, d: int, power: int) -> Matrix:
-        """Multiplication by the generic linear form^power, degree d to d+power."""
-        return multiplication_matrix(self, LinearForm.symbolic(self), d, power)
+        """Multiplication by the generic linear form^power, degree d to d+power.
+
+        Built once per (d, power) and shared by every caller, who must not
+        change it: a colon quotient slices its parent's map, any other
+        algebra runs multiplication_matrix.
+        """
+        key = (d, power)
+        if key not in self._maps:
+            parent = self.meta.get("parent")
+            if parent is None:
+                self._maps[key] = multiplication_matrix(self, LinearForm.symbolic(self), d, power)
+            else:
+                self._maps[key] = _sliced_map(self, parent, d, power)
+        return self._maps[key]
 
     def colon_step(self, variable: str) -> Optional["GradedAlgebra"]:
         """Quotient by the annihilator of one variable; None for the zero ring."""
@@ -137,7 +160,21 @@ class GradedAlgebra:
 
 
 def build_algebra(table: AperyTable) -> GradedAlgebra:
-    """The graded algebra whose basis is the apery set graded by order."""
+    """The graded algebra whose basis is the apery set graded by order.
+
+    While anything holds the table's algebra, the table gives that algebra
+    again, with the maps it has built.  The table keeps only a weak
+    reference: the table and its semigroup refer to each other, so a strong
+    one would keep every map alive until the cycle collector runs.
+    """
+    alg = table._algebra() if table._algebra is not None else None
+    if alg is None:
+        alg = _apery_algebra(table)
+        table._algebra = weakref.ref(alg)
+    return alg
+
+
+def _apery_algebra(table: AperyTable) -> GradedAlgebra:
     order_of = table.order_of()
     top = max(table.orders)
     basis = [sorted(table.elements_of_order(d)) for d in range(top + 1)]
@@ -291,12 +328,7 @@ class LinearForm:
 
 def multiplication_matrix(alg: GradedAlgebra, L: LinearForm, d: int, power: int = 1) -> Matrix:
     """Matrix of multiplication by L^power from degree d to degree d+power."""
-    if power < 1:
-        raise DegreeOutOfRange("power must be >= 1")
-    if d < 0 or d + power > alg.top_degree:
-        raise DegreeOutOfRange(
-            f"map from degree {d} by power {power} leaves 0..{alg.top_degree}"
-        )
+    _check_map_degrees(alg, d, power)
     if len(L.coefficients) != len(alg.variables):
         raise ValueError("linear form arity does not match the algebra")
     symbols = L.symbol_names()
@@ -325,6 +357,51 @@ def multiplication_matrix(alg: GradedAlgebra, L: LinearForm, d: int, power: int 
             vec = {lab: c for lab, c in nxt.items() if c}
         for lab, coeff in vec.items():
             entries[row_index[lab]][j] = coeff
+    return Matrix(rows, cols, entries)
+
+
+def _check_map_degrees(alg: GradedAlgebra, d: int, power: int) -> None:
+    if power < 1:
+        raise DegreeOutOfRange("power must be >= 1")
+    if d < 0 or d + power > alg.top_degree:
+        raise DegreeOutOfRange(
+            f"map from degree {d} by power {power} leaves 0..{alg.top_degree}"
+        )
+
+
+def _sliced_map(quotient: GradedAlgebra, parent: GradedAlgebra, d: int, power: int) -> Matrix:
+    """The quotient's map: the parent's map on the quotient's labels.
+
+    The quotient is spanned by the parent's labels outside an ideal and its
+    product is the parent's with that ideal sent to zero, so the rows and
+    columns it keeps hold its own entries.  Entries are restated over the
+    quotient's symbols, one per surviving variable; a killed variable lies in
+    the ideal, so its symbol cannot appear in a surviving row.
+    """
+    _check_map_degrees(quotient, d, power)
+    full = parent.map_matrix(d, power)
+    rows = list(quotient.basis[d + power])
+    cols = list(quotient.basis[d])
+    row_at = {lab: i for i, lab in enumerate(full.row_labels)}
+    col_at = {lab: j for j, lab in enumerate(full.col_labels)}
+    kept = [parent.var_labels.index(lab) for lab in quotient.var_labels]
+    killed = [i for i in range(len(parent.var_labels)) if i not in kept]
+    symbols = quotient.symbols()
+
+    def restate(entry: SparsePoly) -> SparsePoly:
+        if not killed:
+            return entry  # the quotient's symbols are the parent's
+        if any(exps[i] for exps in entry.terms for i in killed):
+            raise InternalFault(
+                f"the map from degree {d} by power {power} of a colon quotient "
+                "involves the symbol of a killed variable"
+            )
+        return SparsePoly(symbols, {tuple(exps[i] for i in kept): c for exps, c in entry.terms.items()})
+
+    entries = []
+    for lab in rows:
+        full_row = full.entries[row_at[lab]]
+        entries.append([restate(full_row[col_at[c]]) for c in cols])
     return Matrix(rows, cols, entries)
 
 

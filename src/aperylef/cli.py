@@ -126,8 +126,8 @@ def analyze_record(
     F = None
     if m_pure:
         F = dual_socle_generator(table)
-        if F.degree() >= 1:
-            view = dual_algebra_view(F)
+        if method != "ranks" and F.degree() >= 1:
+            view = dual_algebra_view(F)  # only the Hessian route reads it
         dual_text = str(F)
 
     if method == "hessian" and not m_pure:

@@ -7,11 +7,14 @@ presented by a dual polynomial supplies them through the perfect pairing.
 The Hessian route reads the same verdicts off determinants and ranks of
 Hessian matrices of the dual polynomial.
 
-Both routes rank evaluate-first: every matrix is ranked exactly at the first
-witness point, and full rank there is full generic rank, since no
-specialization raises the rank.  Only a matrix deficient at that point is
-eliminated fraction-free (Bareiss), which tells a deficient point from a
-deficient map and certifies the latter.
+Both routes rank evaluate-first: every matrix is ranked at the first witness
+point, and full rank there is full generic rank, since no specialization
+raises the rank.  The rank at a point is linalg.point_rank, the rank over Q,
+taken modulo 2^61 - 1 unless that is deficient.  Only a matrix deficient at
+that point is eliminated fraction-free (Bareiss), which tells a deficient
+point from a deficient map and certifies the latter.  The maps of an
+algebra are built once and shared by its reports; a colon quotient's maps
+are slices of its parent's.
 
 Verdicts: "holds" always carries a rational witness re-verified exactly;
 "fails" always carries a symbolic generic-rank deficiency; "inconclusive"
@@ -50,7 +53,7 @@ from .inverse_system import (
     hessian,
     mixed_hessian,
 )
-from .linalg import Matrix, is_probed, rank_info
+from .linalg import Matrix, is_probed, point_rank, rank_info
 from .polynomial import SparsePoly
 from .semigroup import FrameData, NumericalSemigroup
 
@@ -135,9 +138,9 @@ def _decide(
     Ranks are evaluated first.  The maps that rank_info probes (symbolic maps
     above its elimination cap) are ranked first, in check order, because only
     they draw from the rng; the next draw is then the first witness draw, and
-    every other map is ranked at that point.  Full rank at one point is full
-    generic rank; a map deficient there is ranked by rank_info's fraction-free
-    elimination, which certifies a failure.  The rng is read in the same order
+    every other map is ranked at that point by point_rank.  Full rank at one
+    point is full generic rank; a map deficient there is ranked by
+    rank_info's fraction-free elimination, which certifies a failure.  The rng is read in the same order
     as when every map is eliminated before the witness search, so evaluating
     first changes no evidence and no witness.
     """
@@ -152,7 +155,7 @@ def _decide(
     evidence = []
     for i, (head, matrix, required) in enumerate(checks):
         if ranks[i] is None:
-            at_first[i] = rank_info(matrix.specialize(assignment))[0]
+            at_first[i] = point_rank(matrix, assignment)
             ranks[i] = (required, False) if at_first[i] == required else rank_info(matrix, rng)
         rank, prob = ranks[i]
         entry = dict(head, required_rank=required, generic_rank=rank, maximal=rank == required)
@@ -202,8 +205,8 @@ def _draw_witness(
 ) -> dict:
     """Random integer point, keyed by names, re-verified exactly on every check.
 
-    One draw per name, in order; the matrices are specialized with the same
-    values read as ``symbols``.  ``first`` is the first draw, already taken,
+    One draw per name, in order; the matrices are ranked at the same values
+    read as ``symbols``.  ``first`` is the first draw, already taken,
     with the ranks known at it by check index; the other checks are ranked
     there only if the point filter passes it.  A draw the point filter
     rejects still counts as an attempt.
@@ -215,7 +218,7 @@ def _draw_witness(
             continue
         assignment = dict(zip(symbols, draw))
         if all(
-            (known[i] if i in known else rank_info(matrix.specialize(assignment))[0]) == required
+            (known[i] if i in known else point_rank(matrix, assignment)) == required
             for i, (matrix, required) in enumerate(checks)
         ):
             return point

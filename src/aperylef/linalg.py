@@ -14,6 +14,12 @@ functions in the entry variables, which equals the maximum rank over all
 specializations.  Matrices above SYMBOLIC_RANK_LIMIT fall back to repeated
 random integer specialization; that result is a certified lower bound only
 and is flagged as probabilistic.
+
+`point_rank` is the rank over Q of a matrix at one point.  It evaluates the
+entries modulo the prime POINT_PRIME = 2^61 - 1 straight from their terms and
+eliminates there: a nonzero minor mod p is a nonzero minor over Q, so a full
+rank mod p is the full rank over Q.  Only a rank deficient mod p, or a
+denominator that p divides, is ranked exactly on the specialized matrix.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ SYMBOLIC_RANK_LIMIT = 64
 DETERMINANT_SIZE_LIMIT = 12
 PROBE_DRAWS = 5
 PROBE_RANGE = 10_000
+POINT_PRIME = (1 << 61) - 1
 
 
 def exact_div(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -299,8 +306,92 @@ def rank_info(matrix: Matrix, rng: random.Random | None = None) -> tuple[int, bo
     best = 0
     for _ in range(PROBE_DRAWS):
         point = {v: Fraction(rng.randint(1, PROBE_RANGE)) for v in variables}
-        best = max(best, fraction_rank(matrix.specialize(point).entries))
+        best = max(best, point_rank(matrix, point))
     return best, True
+
+
+def _mod_p(x) -> int:
+    """An int or a Fraction modulo POINT_PRIME; ZeroDivisionError when the
+    prime divides its denominator."""
+    den = x.denominator
+    if den == 1:
+        return x.numerator % POINT_PRIME
+    if not den % POINT_PRIME:
+        raise ZeroDivisionError("the denominator vanishes modulo the point prime")
+    return x.numerator * pow(den, -1, POINT_PRIME) % POINT_PRIME
+
+
+def _rows_mod_p(entries, assignment) -> list[list[int]]:
+    """The entries at the point, modulo POINT_PRIME, read off their terms.
+
+    The residues of the point's values and of each monomial are kept per
+    variable tuple, so a monomial shared by many entries is raised once.
+    """
+    p = POINT_PRIME
+    by_vars: dict = {}  # variable tuple -> (value residues, monomial residues)
+
+    def residue(e) -> int:
+        if not isinstance(e, SparsePoly):
+            return _mod_p(e)
+        known = by_vars.get(e.vars)
+        if known is None:
+            known = by_vars[e.vars] = ([_mod_p(assignment[v]) for v in e.vars], {})
+        values, monomials = known
+        total = 0
+        for exps, c in e.terms.items():
+            mono = monomials.get(exps)
+            if mono is None:
+                mono = 1
+                for v, k in zip(values, exps):
+                    if k:
+                        mono = mono * pow(v, k, p) % p
+                monomials[exps] = mono
+            total += _mod_p(c) * mono
+        return total % p
+
+    return [[residue(e) for e in row] for row in entries]
+
+
+def _rank_mod_p(m: list[list[int]]) -> int:
+    """Rank over the field of integers modulo POINT_PRIME, by Gaussian
+    elimination in place."""
+    p = POINT_PRIME
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank][col:]
+        inv = pow(top[0], -1, p)
+        for r in range(rank + 1, nrows):
+            x = m[r][col]
+            if x:
+                f = x * inv % p
+                m[r][col:] = [(a - f * b) % p for a, b in zip(m[r][col:], top)]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def point_rank(matrix: Matrix, assignment) -> int:
+    """Rank over Q of the matrix with every symbol set to its value in assignment.
+
+    The rank is taken modulo POINT_PRIME first; a full rank there is the full
+    rank over Q.  A deficient rank mod p, or an entry whose denominator the
+    prime divides, is ranked exactly: specialize, then fraction_rank.
+    """
+    full = min(matrix.nrows, matrix.ncols)
+    if full == 0:
+        return 0
+    try:
+        if _rank_mod_p(_rows_mod_p(matrix.entries, assignment)) == full:
+            return full
+    except ZeroDivisionError:
+        pass
+    return fraction_rank(matrix.specialize(assignment).entries)
 
 
 def generic_rank(matrix: Matrix, rng: random.Random | None = None) -> int:

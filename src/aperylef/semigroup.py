@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import product as iter_product
@@ -220,6 +221,8 @@ class AperyTable:
     socle_degree: int
     frobenius: int
     _m_pure: Optional[MPureVerdict] = field(default=None, repr=False)
+    # a weak reference to the table's graded algebra (algebra.build_algebra)
+    _algebra: Optional[weakref.ref] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def max_reps(self) -> tuple[tuple[Representation, ...], ...]:

@@ -1,9 +1,13 @@
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from aperylef import algebra as algebra_module
 from aperylef import (
     DegreeOutOfRange,
+    GradedAlgebra,
+    InternalFault,
     LinearForm,
     NotApplicable,
     SizeLimit,
@@ -181,6 +185,113 @@ def test_colon_subspace_is_an_ideal(corpus):
             padded = list(Q.hilbert()) + [0] * (A.top_degree + 1 - len(Q.hilbert()))
             for d in range(A.top_degree + 1):
                 assert len(sub.labels_by_degree[d]) + padded[d] == A.hilbert()[d]
+
+
+# -- maps of colon quotients -------------------------------------------------------
+
+# the benchmark's named instances, and <16,18,21,27>, whose codimension-3
+# chain has C = 2 steps, so its second step is a quotient of a quotient
+NAMED_INSTANCES = (
+    (120, 216, 291, 328), (102, 177, 192, 202), (60, 66, 71, 77, 83), (16, 18, 21, 27),
+)
+
+
+def slice_cases(corpus):
+    """Colon quotients whose maps are slices of their parents' maps.
+
+    The single-variable colon quotients of the apery algebras of the m-pure
+    corpus members and of the named instances (those of the conjecture
+    harness), and for every codimension-3 structured one the quotient of the
+    gamma box by the C-th power of z and the chain of C single z-steps (each
+    step a quotient of the one before).
+    """
+    semigroups = [S for S in corpus if S.apery_table().m_pure_verdict()]
+    semigroups += [create_semigroup(list(g)) for g in NAMED_INSTANCES]
+    for S in semigroups:
+        A = build_algebra(S.apery_table())
+        for var in A.variables:
+            Q = A.colon_step(var)
+            if Q is not None:
+                yield Q
+        frame = S.frame()
+        if len(S.generators) != 4 or frame.is_ci() or not S.apery_table().m_pure_verdict():
+            continue
+        C = codim3_defining_ideal(S).data["C"]
+        G = build_gamma_algebra(frame)
+        yield colon_by_power(G, "z", C)[1]
+        step = G
+        for _ in range(C):
+            step = step.colon_step("z")
+            if step is None:
+                break
+            yield step
+
+
+def test_quotient_maps_are_slices_of_the_parent_maps(corpus, monkeypatch):
+    built = []
+    original = algebra_module.multiplication_matrix
+
+    def recording(alg, L, d, power=1):
+        built.append(alg.kind)
+        return original(alg, L, d, power)
+
+    monkeypatch.setattr(algebra_module, "multiplication_matrix", recording)
+    quotients = dropping = chained = maps = 0
+    for Q in slice_cases(corpus):
+        parent = Q.meta["parent"]
+        quotients += 1
+        dropping += len(Q.variables) < len(parent.variables)
+        chained += parent.kind == "quotient"
+        D = Q.top_degree
+        # the WLP maps the routes rank on quotients, the power-2 maps and the
+        # narrow-sense SLP maps; checking every power costs about 4 s more
+        for d in range(D):
+            for power in sorted({1, 2, D - 2 * d}):
+                if power < 1 or d + power > D:
+                    continue
+                got = Q.map_matrix(d, power)
+                fresh = multiplication_matrix(Q, LinearForm.symbolic(Q), d, power)
+                assert got.row_labels == fresh.row_labels
+                assert got.col_labels == fresh.col_labels
+                assert got.entries == fresh.entries
+                maps += 1
+    assert "quotient" not in built  # a quotient never builds a map itself
+    assert quotients > 100 and maps > 2000
+    assert dropping and chained
+
+
+def test_sliced_map_rejects_the_symbol_of_a_killed_variable():
+    """y kills itself but not y*z, which a non-associative table allows: the
+    parent's map then puts y's symbol in a row the quotient keeps."""
+    table = {("y", "z"): "s", ("s", "y"): "u"}
+
+    def product(a, b):
+        if a == "1":
+            return b
+        if b == "1":
+            return a
+        return table.get((a, b)) or table.get((b, a))
+
+    alg = GradedAlgebra(
+        variables=("y", "z"), display_vars=("y", "z"),
+        basis=[["1"], ["y", "z"], ["s"], ["u"]], var_labels=["y", "z"],
+        product_fn=product, display={}, kind="box",
+    )
+    _, Q = colon_by_power(alg, "y", 1)
+    assert Q.variables == ("z",) and Q.hilbert() == (1, 1, 1)
+    with pytest.raises(InternalFault):
+        Q.map_matrix(1, 1)
+
+
+def test_one_algebra_per_table_while_it_is_held():
+    table = create_semigroup([8, 10, 11, 12]).apery_table()
+    A = build_algebra(table)
+    assert build_algebra(table) is A
+    assert A.map_matrix(1, 1) is A.map_matrix(1, 1)
+    ref = weakref.ref(A)
+    del A
+    assert ref() is None  # the table holds its algebra only weakly
+    assert build_algebra(table).hilbert() == (1, 3, 3, 1)
 
 
 # -- defining ideals ----------------------------------------------------------------

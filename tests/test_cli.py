@@ -1,8 +1,10 @@
 import ast
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,42 @@ def test_analyze_non_gorenstein_skips_hessian():
     assert record["m_pure_symmetric"] is False
     assert record["wlp"]["hessian"]["verdict"] == "skipped"
     assert record["wlp"]["ranks"]["verdict"] in ("holds", "fails")
+
+
+@pytest.mark.parametrize("gens", [(16, 18, 21, 27), (8, 10, 11, 12), (60, 66, 71, 77, 83)])
+def test_analyze_record_releases_its_algebra(gens, monkeypatch):
+    """No reference cycle keeps a record's algebra, or the maps it memoizes,
+    alive after the record: the Apery table refers to it only weakly."""
+    import aperylef.cli as cli
+
+    refs = []
+    build = cli.build_algebra
+
+    def recording(table):
+        alg = build(table)
+        refs.append(weakref.ref(alg))
+        return alg
+
+    monkeypatch.setattr(cli, "build_algebra", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        analyze_record(gens, method="both", seed_root=0)
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_ranks_route_builds_no_dual_view(monkeypatch):
+    import aperylef.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ranks route read a dual view")
+
+    monkeypatch.setattr(cli, "dual_algebra_view", refuse)
+    record = analyze_record((16, 18, 21, 27), method="ranks", seed_root=0)
+    assert record["dual_generator"] == "y^4*w + y^2*z^3"
+    assert record["wlp"]["ranks"]["verdict"] == "holds"
 
 
 def test_analyze_reduces_generators():

@@ -9,11 +9,16 @@ chain, the Hessian of a dual generator in both formats, an Apery table with
 its maximal representations and a codimension-3 classification.  A change
 that alters a record on purpose updates its digest here and says why in
 CHANGES.md.
+
+The records of the golden sweep also meet theorem oracles: known results
+the verdicts must agree with, whatever the digests say.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -80,11 +85,65 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_record_digest(name):
-    argv, digest = GOLDEN[name]
+@functools.lru_cache(maxsize=None)
+def output(name: str) -> str:
+    """The output of a golden case at seed 0, run once per session."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["--seed", "0"] + argv)
+        code = main(["--seed", "0"] + GOLDEN[name][0])
     assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_record_digest(name):
+    assert hashlib.sha256(output(name).encode()).hexdigest() == GOLDEN[name][1]
+
+
+# -- theorem oracles over the golden sweep's records --------------------------------
+
+
+def sweep_records(keep):
+    records = [json.loads(line) for line in output("sweep").splitlines()]
+    chosen = [r for r in records if keep(r)]
+    assert chosen, "the oracle covers no record of the golden sweep"
+    return chosen
+
+
+def verdicts(report_pair):
+    """The verdicts of the routes that ran: ranks, and hessian unless skipped."""
+    return [r["verdict"] for r in report_pair.values() if r["verdict"] != "skipped"]
+
+
+def test_three_generators_have_slp():
+    """Three generators give codimension 2, where every Artinian algebra has
+    the SLP in characteristic zero (Harima-Migliore-Nagel-Watanabe 2003)."""
+    for r in sweep_records(lambda r: len(r["generators"]) == 3):
+        assert verdicts(r["slp"]) == ["holds", "holds"], r["generators"]
+
+
+def test_monomial_complete_intersections_have_slp():
+    """A monomial complete intersection has the SLP (Stanley 1980)."""
+    for r in sweep_records(lambda r: r["classification"] == "monomial-CI"):
+        assert set(verdicts(r["slp"])) == {"holds"}, r["generators"]
+
+
+def test_codimension_3_complete_intersections_have_wlp():
+    """Complete intersections of codimension 3 have the WLP
+    (Harima-Migliore-Nagel-Watanabe 2003)."""
+    def codim3_ci(r):
+        return len(r["generators"]) == 4 and r["classification"] in ("CI", "monomial-CI")
+
+    for r in sweep_records(codim3_ci):
+        assert set(verdicts(r["wlp"])) == {"holds"}, r["generators"]
+
+
+def test_established_quotient_chain_implies_ranks_wlp():
+    """A chain establishes the WLP only from a base that has it, and the
+    algebra it ends at is identified with the record's apery algebra, so the
+    ranks route must find the WLP there too."""
+    def established(r):
+        return (r["quotient_chain"] or {}).get("wlp_established")
+
+    for r in sweep_records(established):
+        assert r["wlp"]["ranks"]["verdict"] == "holds", r["generators"]

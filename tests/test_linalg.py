@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from aperylef import Matrix, SparsePoly, generic_rank, polynomial_determinant, rank_info
 from aperylef.errors import NotSquare, SizeLimit
-from aperylef.linalg import exact_div, fraction_nullspace, fraction_rank
+from aperylef.linalg import POINT_PRIME, exact_div, fraction_nullspace, fraction_rank, point_rank
 
 
 def sym(name, variables=("a2", "a3")):
@@ -123,3 +123,39 @@ def test_bareiss_det_matches_cofactor_expansion(n, symbolic, data):
     assert (generic_rank(matrix(entries)) < n) == (expected == 0)
     if not symbolic:
         assert (fraction_rank(entries) < n) == (expected == 0)
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_point_rank_is_the_rank_of_the_specialized_matrix(nrows, ncols, data):
+    entries = [[poly_entry(data) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and data.draw(st.booleans()):
+        # a repeated row or column makes the matrix deficient at every point
+        if data.draw(st.booleans()):
+            entries[-1] = list(entries[0])
+        elif ncols > 1:
+            for row in entries:
+                row[-1] = row[0]
+    # values and coefficients from a small range, so points are often deficient
+    point = {
+        "a2": Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3))),
+        "a3": data.draw(st.integers(-3, 3)),
+    }
+    m = matrix(entries)
+    assert point_rank(m, point) == fraction_rank(m.specialize(point).entries)
+
+
+def test_point_rank_falls_back_to_the_exact_rank():
+    a2, a3 = sym("a2"), sym("a3")
+    # deficient mod p, full over Q: an entry equal to the prime
+    assert point_rank(matrix([[a2]]), {"a2": POINT_PRIME, "a3": 1}) == 1
+    assert point_rank(matrix([[a2, a3], [a3, a3]]), {"a2": POINT_PRIME + 1, "a3": 1}) == 2
+    # a coefficient whose denominator the prime divides
+    scaled = a2 * Fraction(1, POINT_PRIME)
+    assert point_rank(matrix([[scaled, a3], [a3, a2]]), {"a2": 1, "a3": 1}) == 2
+    # rank 1 over Q (determinant 1 - 1), but rank 2 if 1/p were read as 0
+    assert point_rank(matrix([[scaled, a3], [a3, a2 * POINT_PRIME]]), {"a2": 1, "a3": 1}) == 1
+    # a value whose denominator the prime divides
+    assert point_rank(matrix([[a2, 1], [1, a3]]), {"a2": Fraction(1, POINT_PRIME), "a3": 1}) == 2
+    assert point_rank(matrix([[a2]]), {"a2": 0, "a3": 0}) == 0
+    assert point_rank(Matrix([], [0, 1], []), {}) == 0
