@@ -140,9 +140,9 @@ def _decide(
     they draw from the rng; the next draw is then the first witness draw, and
     every other map is ranked at that point by point_rank.  Full rank at one
     point is full generic rank; a map deficient there is ranked by
-    rank_info's fraction-free elimination, which certifies a failure.  The rng is read in the same order
-    as when every map is eliminated before the witness search, so evaluating
-    first changes no evidence and no witness.
+    rank_info's fraction-free elimination, which certifies a failure.  The
+    rng is read in the same order as when every map is eliminated before the
+    witness search, so evaluating first changes no evidence and no witness.
     """
     rng = random.Random(0 if seed is None else seed)
     checks = [(head, matrix, min(matrix.nrows, matrix.ncols)) for head, matrix in checks]

@@ -387,10 +387,11 @@ def point_rank(matrix: Matrix, assignment) -> int:
     if full == 0:
         return 0
     try:
-        if _rank_mod_p(_rows_mod_p(matrix.entries, assignment)) == full:
-            return full
-    except ZeroDivisionError:
-        pass
+        rows = _rows_mod_p(matrix.entries, assignment)
+    except ZeroDivisionError:  # a denominator the prime divides
+        rows = None
+    if rows is not None and _rank_mod_p(rows) == full:
+        return full
     return fraction_rank(matrix.specialize(assignment).entries)
 
 
