@@ -84,9 +84,6 @@ class GradedAlgebra:
     def hilbert(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.basis)
 
-    def degree_of(self, label) -> int:
-        return self._degree[label]
-
     def product(self, a, b):
         """Product of two basis labels: a label of the sum degree, or None."""
         if a not in self._degree or b not in self._degree:
@@ -151,7 +148,13 @@ class GradedAlgebra:
         return self._maps[key]
 
     def colon_step(self, variable: str) -> Optional["GradedAlgebra"]:
-        """Quotient by the annihilator of one variable; None for the zero ring."""
+        """Quotient by the annihilator of one variable; None for the zero ring.
+
+        A variable an earlier colon step killed is zero here, so its
+        annihilator is the whole algebra.
+        """
+        if variable not in self.variables:
+            return None
         _, quotient = colon_by_power(self, variable, 1)
         return quotient if quotient.dimension else None
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -96,18 +96,7 @@ class LefschetzReport:
         return self.verdict == "holds"
 
     def to_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "verdict": self.verdict,
-            "method": self.method,
-            "witness": self.witness,
-            "evidence": self.evidence,
-            "gorenstein": self.gorenstein,
-            "socle_degree": self.socle_degree,
-            "k": self.k,
-            "probabilistic": self.probabilistic,
-            "notes": self.notes,
-        }
+        return _jsonable(self)
 
 
 def _hilbert(obj: AlgebraLike) -> tuple[int, ...]:
@@ -356,21 +345,7 @@ class ChainStep:
     direct_report: Optional[LefschetzReport] = None
 
     def to_dict(self) -> dict:
-        return {
-            "variable": self.variable,
-            "power": self.power,
-            "socle_before": self.socle_before,
-            "parity": self.parity,
-            "hilbert_before": list(self.hilbert_before),
-            "hilbert_after": list(self.hilbert_after),
-            "codim_before": self.codim_before,
-            "codim_after": self.codim_after,
-            "codim_equal": self.codim_equal,
-            "parity_hypothesis": self.parity_hypothesis,
-            "middle_dims": list(self.middle_dims) if self.middle_dims else None,
-            "conclusion": self.conclusion,
-            "direct_report": self.direct_report.to_dict() if self.direct_report else None,
-        }
+        return _jsonable(self)
 
 
 @dataclass
@@ -383,25 +358,24 @@ class QuotientChainReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "base_report": self.base_report.to_dict() if self.base_report else None,
-            "steps": [s.to_dict() for s in self.steps],
-            "final_hilbert": list(self.final_hilbert),
-            "wlp_established": self.wlp_established,
-            "extras": _jsonable(self.extras),
-        }
+        return _jsonable(self)
 
 
 def _jsonable(value):
+    """A JSON-ready copy: dataclasses become dicts in field order, tuples
+    lists and Fractions their text."""
+    # most values are scalars; testing them first keeps the other checks,
+    # the Fraction one an ABC check, off the common path
+    if isinstance(value, (str, int)) or value is None:
+        return value
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, LefschetzReport):
-        return value.to_dict()
     return value
 
 
@@ -696,11 +670,7 @@ class ConjectureReport:
     all_wlp: bool
 
     def to_dict(self) -> dict:
-        return {
-            "quotients": _jsonable(self.quotients),
-            "counterexamples": _jsonable(self.counterexamples),
-            "all_wlp": self.all_wlp,
-        }
+        return _jsonable(self)
 
 
 def conjecture_check(S: NumericalSemigroup, seed: Optional[int] = None) -> ConjectureReport:

@@ -10,6 +10,12 @@ the largest total degree of a representation of s as a sum of generators.
 Ap comes from Dijkstra over the residues mod g_1, with edges r -> r + g of
 weight g (Nijenhuis 1979); every w - g in S of an Apery element w is another
 Apery element, so the orders of the Apery set cost O(n*g_1).
+
+A maximal representation (one of total degree ord(s)) less one generator g is
+one of s - g, where ord(s - g) = ord(s) - 1, and g added to any of those gives
+one of s.  So the maximal representations come from a memoized walk down the
+same recurrence, at a cost in proportion to how many there are;
+MAXIMAL_REPS_LIMIT caps how many one semigroup builds.
 """
 
 from __future__ import annotations
@@ -24,11 +30,11 @@ from typing import Optional, Sequence
 
 from .errors import EmptyInput, GcdNotOne, InternalFault, NotInSemigroup, SizeLimit
 
-# Search nodes that the maximal representations of one Apery table may visit,
-# summed over its elements: 220 times the largest table in the tests (317,975
-# nodes, for <250, 251, 252, 253>).  A search that reaches the cap takes about
-# 6 s on a 2-core Intel Xeon host.
-MAX_REPS_NODES = 70_000_000
+# Maximal representations one semigroup may build, summed over every value
+# the walk memoizes.  The most in the tests is 30,000, one per Apery element
+# of <30000, 30001, 30002>.  Reaching the cap takes about 5 s and 180 MB on a
+# 2-core Intel Xeon host (<1000, 1501, 1502, ..., 1520>).
+MAXIMAL_REPS_LIMIT = 500_000
 
 
 @dataclass(frozen=True)
@@ -38,12 +44,6 @@ class Representation:
     exponents: tuple[int, ...]
     value: int
     total_degree: int
-
-    @classmethod
-    def make(cls, exponents: Sequence[int], generators: Sequence[int]) -> "Representation":
-        exponents = tuple(int(x) for x in exponents)
-        value = sum(l * g for l, g in zip(exponents, generators))
-        return cls(exponents, value, sum(exponents))
 
 
 class NumericalSemigroup:
@@ -59,6 +59,9 @@ class NumericalSemigroup:
         self.multiplicity = self.generators[0]
         self._apery = apery
         self._orders = {0: 0}
+        # exponent tuples of the maximal representations, lex-descending
+        self._max_reps = {0: ((0,) * len(self.generators),)}
+        self._reps_built = 1
         self.frobenius = max(apery) - self.multiplicity
         self._apery_table: Optional[AperyTable] = None
         self._frame: Optional[FrameData] = None
@@ -85,51 +88,48 @@ class NumericalSemigroup:
 
     def representations(self, s: int) -> list[Representation]:
         """Every representation of s, sorted lexicographically descending."""
-        return self._walk(s, math.inf)[0]
-
-    def _walk(self, s: int, budget: float, first: int = 0) -> tuple[list[Representation], int]:
-        """The representations of s and the number of search nodes visited.
-
-        The search fixes one exponent per level, so a node is a prefix of
-        exponents and the last exponent is forced; the exponents of the
-        generators before index ``first`` are 0.  A node's children are
-        counted before they are visited, and the search raises SizeLimit
-        before it visits more than budget nodes.
-        """
         if not self.contains(s):
             raise NotInSemigroup(f"{s} is not in the semigroup")
         gens = self.generators
-        last = gens[-1]
         out: list[Representation] = []
-        nodes = 1
 
         def recurse(idx: int, remaining: int, acc: tuple[int, ...]):
-            nonlocal nodes
-            if idx == len(gens) - 1:
-                if remaining % last == 0:
-                    out.append(Representation.make(acc + (remaining // last,), gens))
-                return
             g = gens[idx]
-            nodes += remaining // g + 1
-            if nodes > budget:
-                raise SizeLimit(f"representations of {s} need more than {budget} search nodes")
-            if idx < len(gens) - 2:
-                for lam in range(remaining // g, -1, -1):
-                    recurse(idx + 1, remaining - lam * g, acc + (lam,))
+            if idx == len(gens) - 1:
+                if remaining % g == 0:
+                    exponents = acc + (remaining // g,)
+                    out.append(Representation(exponents, s, sum(exponents)))
                 return
-            # the children are the leaves, visited without a call each; the
-            # rest left for the last generator grows as lam goes down
-            hits = [rest for rest in range(remaining % g, remaining + 1, g) if rest % last == 0]
-            for rest in hits:
-                out.append(Representation.make(acc + ((remaining - rest) // g, rest // last), gens))
+            for lam in range(remaining // g, -1, -1):
+                recurse(idx + 1, remaining - lam * g, acc + (lam,))
 
-        recurse(first, s, (0,) * first)
-        return out, nodes
+        recurse(0, s, ())
+        return out
 
     def maximal_representations(self, s: int) -> list[Representation]:
         """Representations achieving ord(s), lex-descending (lex-max first)."""
-        target = self.order(s)
-        return [r for r in self.representations(s) if r.total_degree == target]
+        self.order(s)  # every member below s now has its order memoized
+        orders, memo, gens = self._orders, self._max_reps, self.generators
+        stack = [s]
+        while stack:
+            t = stack[-1]
+            if t in memo:
+                stack.pop()
+                continue
+            below = [(i, t - g) for i, g in enumerate(gens) if orders.get(t - g) == orders[t] - 1]
+            missing = [u for _, u in below if u not in memo]
+            if missing:
+                stack += missing
+                continue
+            stack.pop()
+            reps = {e[:i] + (e[i] + 1,) + e[i + 1:] for i, u in below for e in memo[u]}
+            self._reps_built += len(reps)
+            if self._reps_built > MAXIMAL_REPS_LIMIT:
+                raise SizeLimit(
+                    f"{self!r} needs more than {MAXIMAL_REPS_LIMIT} maximal representations"
+                )
+            memo[t] = tuple(sorted(reps, reverse=True))
+        return [Representation(e, s, orders[s]) for e in memo[s]]
 
     def apery_table(self) -> "AperyTable":
         if self._apery_table is None:
@@ -227,23 +227,13 @@ class AperyTable:
     @cached_property
     def max_reps(self) -> tuple[tuple[Representation, ...], ...]:
         S = self.semigroup
+        rows = tuple(tuple(S.maximal_representations(e)) for e in self.elements)
         # w - g_1 is not in S for an apery element w, so no representation
-        # of w uses g_1 (unless g_1 is the only generator)
-        first = min(1, len(S.generators) - 1)
-        budget, rows = MAX_REPS_NODES, []
-        for e, order in zip(self.elements, self.orders):
-            try:
-                found, nodes = S._walk(e, budget, first)
-            except SizeLimit:
-                raise SizeLimit(
-                    f"the maximal representations of the apery set of {S.generators} "
-                    f"need more than {MAX_REPS_NODES} search nodes"
-                ) from None
-            budget -= nodes
-            rows.append(tuple(r for r in found if r.total_degree == order))
-            if not rows[-1]:
-                raise InternalFault(f"apery element {e} has no representation of its order without g_1")
-        return tuple(rows)
+        # of w uses g_1
+        for e, row in zip(self.elements, rows):
+            if any(r.exponents[0] for r in row):
+                raise InternalFault(f"a maximal representation of apery element {e} uses g_1")
+        return rows
 
     def order_of(self) -> dict[int, int]:
         return dict(zip(self.elements, self.orders))

@@ -129,13 +129,24 @@ def test_no_assert_statements_in_the_package():
         assert not lines, f"{path.name} has assert statements on lines {lines}"
 
 
-def test_apery_size_limit_exit_code():
-    # 30000 apery elements whose representations over g_2, g_3 need about
-    # 2.25e8 search nodes (about N^2/4 for <N, N+1, N+2>), 3.2 times the cap
-    code, out, err = run_cli(["apery", "--gens", "30000,30001,30002"])
-    assert code == 4
-    assert out == ""
-    assert err.startswith("limit exceeded: ")
+def test_apery_of_30000_30001_30002():
+    # orders reach 15,000: the walk for the maximal representations is iterative
+    code, out, _ = run_cli(["apery", "--gens", "30000,30001,30002"])
+    assert code == 0
+    record = json.loads(out)
+    assert len(record["max_representations"]) == 30000
+    assert record["max_representations"][-1] == [[0, 1, 14999]]
+
+
+def test_apery_size_limit_exit_code(monkeypatch):
+    # <16, 18, 21, 27> builds 19 maximal representations, for its Apery
+    # table and for its frame
+    monkeypatch.setattr("aperylef.semigroup.MAXIMAL_REPS_LIMIT", 10)
+    for command in ("apery", "classify"):
+        code, out, err = run_cli([command, "--gens", "16,18,21,27"])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("limit exceeded: ")
 
 
 def test_invalid_apery_seed_is_an_input_error(monkeypatch):

@@ -4,11 +4,11 @@ Records are byte-identical for a fixed seed; these cases cover both routes,
 CI and codimension-3 sweeps with their chains and conjecture harness, a
 certified SLP failure, two Gorenstein semigroup algebras with certified
 failures (WLP and SLP on h = (1, 5, 5, 1), SLP alone on the other), the
-degenerate notes, dual forms, a transfer
-chain, the Hessian of a dual generator in both formats, an Apery table with
-its maximal representations and a codimension-3 classification.  A change
-that alters a record on purpose updates its digest here and says why in
-CHANGES.md.
+degenerate notes, dual forms, a transfer chain, the Hessian of a dual
+generator in both formats, an Apery table with its maximal representations, a
+codimension-3 classification, and an Apery table and a frame whose maximal
+representations lie at orders above 300.  A change that alters a record on
+purpose updates its digest here and says why in CHANGES.md.
 
 The records of the golden sweep also meet theorem oracles: known results
 the verdicts must agree with, whatever the digests say.
@@ -81,6 +81,14 @@ GOLDEN = {
     "classify-codim3": (
         ["classify", "--gens", "102,177,192,202"],
         "9b4439a9bfcedb83b2a893a4085aa207fb5cfa59e7c540780921f4c21945dda4",
+    ),
+    "classify-1200-1201-1202": (
+        ["classify", "--gens", "1200,1201,1202"],
+        "a9337e8e862ef90f444d9bb7e18d50001ac9094c8932a74fd8ff05d08c368f12",
+    ),
+    "apery-1000-1001-1002-1003": (
+        ["apery", "--gens", "1000,1001,1002,1003"],
+        "81b6e28ff182d3ceaecc6598224c87b9e060b78edc01726fbc1fb03f59805e60",
     ),
 }
 

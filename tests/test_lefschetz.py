@@ -190,6 +190,21 @@ def test_transfer_even_case_on_monomial_box():
     assert chain.wlp_established
 
 
+def test_transfer_past_a_killed_variable_reaches_the_zero_ring():
+    # K[y,z]/(y^5, z^3): the second z-step kills z, so the third step's
+    # quotient is the zero ring, as on the dual generator y^4*z^2
+    chains = [
+        transfer_wlp(box_algebra(("y", "z"), (4, 2)), [("z", 3)], seed=11),
+        transfer_wlp(dual_algebra_view(parse_polynomial("y^4*z^2")), [("z", 3)], seed=11),
+    ]
+    for chain in chains:
+        assert [s.hilbert_after for s in chain.steps] == [(1, 2, 2, 2, 2, 1), (1, 1, 1, 1, 1), ()]
+        assert chain.steps[-1].codim_after == 0
+    graded, dual = chains
+    assert [s.conclusion for s in graded.steps] == [s.conclusion for s in dual.steps]
+    assert graded.wlp_established == dual.wlp_established is True
+
+
 def test_transfer_step_inconclusive_on_quartic_quotient():
     view = dual_algebra_view(QUARTIC_5VAR)
     chain = transfer_wlp(view, [("z", 1)], seed=11)

@@ -222,6 +222,15 @@ def test_max_apery_element_of_8_10_11_12_has_two_maximal_representations():
     assert sorted(exps) == sorted(oracle)
 
 
+def test_maximal_representations_are_the_representations_of_top_degree(corpus):
+    # the walk down the order recurrence finds every maximal representation
+    for S in corpus:
+        for s in range(S.frobenius + 2 * S.multiplicity + 1):
+            if S.contains(s):
+                top = [r for r in S.representations(s) if r.total_degree == S.order(s)]
+                assert S.maximal_representations(s) == top, (S.generators, s)
+
+
 # -- m-purity --------------------------------------------------------------------
 
 def test_m_pure_paper_instances():
@@ -265,6 +274,13 @@ def test_beta_gamma_paper_values():
     f3 = compute_beta_gamma(create_semigroup([16, 18, 21, 27]))
     assert f3.beta == (4, 3, 1) and f3.gamma == (4, 2, 1)
     assert f3.gamma_witness[2].exponents == (0, 2, 0, 1)  # 63 = 2*18 + 27
+
+
+def test_beta_gamma_of_2400_2401_2402():
+    frame = create_semigroup([2400, 2401, 2402]).frame()
+    assert frame.beta == frame.gamma == (1, 1199)
+    assert frame.rho == (0, 0) and frame.gamma_witness == {}
+    assert frame.is_monomial_ci()
 
 
 def test_beta_gamma_oracle_16_18_21_27():
