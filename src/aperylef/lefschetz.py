@@ -53,7 +53,7 @@ from .inverse_system import (
     hessian,
     mixed_hessian,
 )
-from .linalg import Matrix, is_probed, point_rank, rank_info
+from .linalg import Matrix, above_symbolic_cap, point_rank, rank_info
 from .polynomial import SparsePoly
 from .semigroup import FrameData, NumericalSemigroup
 
@@ -124,42 +124,60 @@ def _decide(
     matrix entries are polynomials in ``symbols`` (default ``obj.symbols()``),
     one per variable of ``obj``.
 
-    Ranks are evaluated first.  The maps that rank_info probes (symbolic maps
-    above its elimination cap) are ranked first, in check order, because only
-    they draw from the rng; the next draw is then the first witness draw, and
-    every other map is ranked at that point by point_rank.  Full rank at one
-    point is full generic rank; a map deficient there is ranked by
-    rank_info's fraction-free elimination, which certifies a failure.  The
-    rng is read in the same order as when every map is eliminated before the
-    witness search, so evaluating first changes no evidence and no witness.
+    One loop over the witness draws ranks, certifies and finds the witness.
+    Every map is ranked at the first draw by point_rank: full rank at one
+    point is full generic rank.  A map deficient there is ranked by
+    rank_info's fraction-free elimination, which certifies a failure and
+    ends the loop, unless it is above the symbolic cap: then it is ranked
+    again at each later draw until one gives it full rank, and if none does
+    it reports its best point rank as probabilistic.  The witness is the
+    first draw that the point filter passes with every map at full rank; a
+    draw the filter rejects still counts as an attempt.
     """
     rng = random.Random(0 if seed is None else seed)
     checks = [(head, matrix, min(matrix.nrows, matrix.ncols)) for head, matrix in checks]
-    ranks = [rank_info(matrix, rng) if is_probed(matrix) else None for _, matrix, _ in checks]
     if symbols is None:
         symbols = obj.symbols()
-    first = _draw(obj.variables, rng) if checks else []
-    assignment = dict(zip(symbols, first))
-    at_first = {}  # check index -> rank at the first draw
+    certified: dict[int, int] = {}  # check index -> generic rank
+    best = [0] * len(checks)  # best point rank of a map not yet certified
+    witness = None if checks else {}
+    for attempt in range(WITNESS_ATTEMPTS if checks else 0):
+        draw = [rng.randint(1, WITNESS_RANGE) for _ in obj.variables]
+        point = dict(zip(obj.variables, draw))
+        assignment = dict(zip(symbols, draw))
+        usable = point_filter is None or point_filter(point)
+        full = True  # every map ranked at this draw has full rank
+        for i, (_, matrix, required) in enumerate(checks):
+            if attempt and i in certified and not (usable and full):
+                continue  # a certified map matters here only for the witness
+            rank = point_rank(matrix, assignment)
+            if rank == required:
+                certified[i] = rank
+                continue
+            full = False
+            if i in certified:
+                continue
+            if above_symbolic_cap(matrix):
+                best[i] = max(best[i], rank)
+            else:
+                certified[i] = rank_info(matrix)[0]
+        if usable and full:
+            witness = point
+            break
+        if any(rank < checks[i][2] for i, rank in certified.items()):
+            break  # a certified deficiency
     evidence = []
-    for i, (head, matrix, required) in enumerate(checks):
-        if ranks[i] is None:
-            at_first[i] = point_rank(matrix, assignment)
-            ranks[i] = (required, False) if at_first[i] == required else rank_info(matrix, rng)
-        rank, prob = ranks[i]
+    for i, (head, _, required) in enumerate(checks):
+        rank = certified.get(i, best[i])
         entry = dict(head, required_rank=required, generic_rank=rank, maximal=rank == required)
         if method == "hessian":
             entry["singular"] = rank != required
-        entry["probabilistic"] = prob
+        entry["probabilistic"] = i not in certified
         evidence.append(entry)
-    witness = None
     if all(e["maximal"] for e in evidence):
+        if witness is None:
+            raise InternalFault("failed to find a witness despite generic maximal ranks")
         verdict = "holds"
-        witness = {}
-        if checks:
-            targets = [(matrix, required) for _, matrix, required in checks]
-            witness = _draw_witness(obj.variables, targets, rng, symbols, point_filter,
-                                    (first, at_first))
     elif any(not (e["maximal"] or e["probabilistic"]) for e in evidence):
         verdict = "fails"
     else:
@@ -177,41 +195,6 @@ def _decide(
         probabilistic=any(e["probabilistic"] for e in evidence),
         notes=notes,
     )
-
-
-def _draw(names: Sequence[str], rng) -> list[int]:
-    """One witness draw: a random integer per name, in order."""
-    return [rng.randint(1, WITNESS_RANGE) for _ in names]
-
-
-def _draw_witness(
-    names: Sequence[str],
-    checks: list[tuple[Matrix, int]],
-    rng,
-    symbols: Sequence[str],
-    point_filter,
-    first: tuple[list[int], dict],
-) -> dict:
-    """Random integer point, keyed by names, re-verified exactly on every check.
-
-    One draw per name, in order; the matrices are ranked at the same values
-    read as ``symbols``.  ``first`` is the first draw, already taken,
-    with the ranks known at it by check index; the other checks are ranked
-    there only if the point filter passes it.  A draw the point filter
-    rejects still counts as an attempt.
-    """
-    for attempt in range(WITNESS_ATTEMPTS):
-        draw, known = first if attempt == 0 else (_draw(names, rng), {})
-        point = dict(zip(names, draw))
-        if point_filter is not None and not point_filter(point):
-            continue
-        assignment = dict(zip(symbols, draw))
-        if all(
-            (known[i] if i in known else point_rank(matrix, assignment)) == required
-            for i, (matrix, required) in enumerate(checks)
-        ):
-            return point
-    raise InternalFault("failed to find a witness despite generic maximal ranks")
 
 
 NO_MAPS = "no multiplication maps in degree range"

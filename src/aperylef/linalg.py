@@ -11,9 +11,10 @@ sign of the row and column swaps.
 
 The generic rank of a symbolic matrix is its rank over the field of rational
 functions in the entry variables, which equals the maximum rank over all
-specializations.  Matrices above SYMBOLIC_RANK_LIMIT fall back to repeated
-random integer specialization; that result is a certified lower bound only
-and is flagged as probabilistic.
+specializations.  Fraction-free elimination certifies it for symbolic
+matrices up to SYMBOLIC_RANK_LIMIT; above the cap (above_symbolic_cap)
+rank_info raises SizeLimit, and only a point of full rank can certify such a
+matrix.
 
 `point_rank` is the rank over Q of a matrix at one point.  It evaluates the
 entries modulo the prime POINT_PRIME = 2^61 - 1 straight from their terms and
@@ -24,7 +25,6 @@ denominator that p divides, is ranked exactly on the specialized matrix.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,8 +34,6 @@ from .polynomial import SparsePoly
 
 SYMBOLIC_RANK_LIMIT = 64
 DETERMINANT_SIZE_LIMIT = 12
-PROBE_DRAWS = 5
-PROBE_RANGE = 10_000
 POINT_PRIME = (1 << 61) - 1
 
 
@@ -281,33 +279,30 @@ class Matrix:
         return "\n".join(lines)
 
 
-def is_probed(matrix: Matrix) -> bool:
-    """True when rank_info probes the matrix at random points: symbolic and
-    above SYMBOLIC_RANK_LIMIT."""
+def above_symbolic_cap(matrix: Matrix) -> bool:
+    """True when the matrix is symbolic and above SYMBOLIC_RANK_LIMIT, where
+    fraction-free elimination is refused."""
     return max(matrix.nrows, matrix.ncols) > SYMBOLIC_RANK_LIMIT and matrix.is_symbolic()
 
 
-def rank_info(matrix: Matrix, rng: random.Random | None = None) -> tuple[int, bool]:
+def rank_info(matrix: Matrix) -> tuple[int, bool]:
     """(rank, probabilistic flag) for a labeled matrix.
 
-    Rational matrices are eliminated exactly at any size.  Symbolic matrices
-    up to SYMBOLIC_RANK_LIMIT get certified fraction-free elimination; larger
-    ones are probed with PROBE_DRAWS random integer specializations and the
-    result is flagged probabilistic (a lower bound on the generic rank).
+    Rational matrices are eliminated exactly at any size, symbolic ones by
+    certified fraction-free elimination up to SYMBOLIC_RANK_LIMIT; a symbolic
+    matrix above the cap raises SizeLimit.  Every rank returned is exact, so
+    the flag is False; the pair stays for the callers that unpack it.
     """
     if matrix.nrows == 0 or matrix.ncols == 0:
         return 0, False
-    variables, poly_rows, frac_rows = _lift_rows(matrix.entries)
+    if above_symbolic_cap(matrix):
+        raise SizeLimit(
+            f"symbolic rank of a {matrix.nrows}x{matrix.ncols} matrix exceeds cap {SYMBOLIC_RANK_LIMIT}"
+        )
+    _, poly_rows, frac_rows = _lift_rows(matrix.entries)
     if frac_rows is not None:
         return fraction_rank(frac_rows), False
-    if not is_probed(matrix):
-        return poly_rank(poly_rows), False
-    rng = rng or random.Random(0)
-    best = 0
-    for _ in range(PROBE_DRAWS):
-        point = {v: Fraction(rng.randint(1, PROBE_RANGE)) for v in variables}
-        best = max(best, point_rank(matrix, point))
-    return best, True
+    return poly_rank(poly_rows), False
 
 
 def _mod_p(x) -> int:
@@ -395,9 +390,9 @@ def point_rank(matrix: Matrix, assignment) -> int:
     return fraction_rank(matrix.specialize(assignment).entries)
 
 
-def generic_rank(matrix: Matrix, rng: random.Random | None = None) -> int:
+def generic_rank(matrix: Matrix) -> int:
     """Rank over the rational function field of the entries' variables."""
-    rank, _ = rank_info(matrix, rng)
+    rank, _ = rank_info(matrix)
     return rank
 
 

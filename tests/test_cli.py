@@ -110,9 +110,10 @@ def test_exit_codes():
 
 
 def test_internal_fault_exit_code(monkeypatch):
-    # No witness draws: a generic-rank "holds" finds no witness, a library fault.
-    monkeypatch.setattr("aperylef.lefschetz.WITNESS_ATTEMPTS", 0)
-    code, _, err = run_cli(["analyze", "--gens", "8,10,11,12"])
+    # An elimination that claims full rank for a map deficient at every point:
+    # a generic-rank "holds" finds no witness, a library fault.
+    monkeypatch.setattr("aperylef.lefschetz.rank_info", lambda m: (min(m.nrows, m.ncols), False))
+    code, _, err = run_cli(["analyze", "--gens", "60,66,71,77,83"])
     assert code == 5
     assert err.startswith("internal error: ")
     assert not issubclass(InternalFault, ValueError)

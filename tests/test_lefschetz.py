@@ -413,15 +413,23 @@ def test_transfer_conclusions_are_sound():
 
 # -- the evaluate-first verdict core against a plain reference -----------------
 
+def exact_rank(matrix):
+    """The generic rank by fraction-free elimination at any size."""
+    _, poly_rows, frac_rows = linalg._lift_rows(matrix.entries)
+    return linalg.fraction_rank(frac_rows) if frac_rows is not None else linalg.poly_rank(poly_rows)
+
+
 def reference_decide(property_name, method, obj, checks, seed, notes, symbols=None, point_filter=None):
     """The verdict core without evaluation first: every map is ranked by
-    rank_info (fraction-free elimination, or the probe above the symbolic
-    cap), then witness points are drawn and every map is ranked at each."""
+    fraction-free elimination, then witness points are drawn and every map is
+    ranked at each.  A deficient map above the symbolic cap reads
+    probabilistic, since no point can certify it."""
     rng = random.Random(0 if seed is None else seed)
     evidence, targets = [], []
     for head, matrix in checks:
         required = min(matrix.nrows, matrix.ncols)
-        rank, prob = rank_info(matrix, rng)
+        rank = exact_rank(matrix)
+        prob = rank < required and linalg.above_symbolic_cap(matrix)
         entry = dict(head, required_rank=required, generic_rank=rank, maximal=rank == required)
         if method == "hessian":
             entry["singular"] = rank != required
@@ -495,7 +503,8 @@ def all_reports(algebras, seed):
 @pytest.mark.parametrize("mode", ["default", "tiny witness range", "tiny symbolic cap"])
 def test_evaluate_first_matches_reference_core(m_pure_algebras, monkeypatch, seed, mode):
     # a witness range of 2 makes many first points deficient, so maps go back
-    # to elimination; a symbolic cap of 2 sends most maps down the probe path
+    # to elimination; a symbolic cap of 2 puts most maps above the cap, where
+    # only a later draw of full rank can certify them
     if mode == "tiny witness range":
         monkeypatch.setattr(lefschetz, "WITNESS_RANGE", 2)
     elif mode == "tiny symbolic cap":
@@ -504,3 +513,38 @@ def test_evaluate_first_matches_reference_core(m_pure_algebras, monkeypatch, see
     got = all_reports(m_pure_algebras, seed)
     monkeypatch.setattr(lefschetz, "_decide", reference_decide)
     assert got == all_reports(m_pure_algebras, seed)
+
+
+# -- maps above the symbolic cap: certified by a point of full rank, or not at all --
+
+
+def big_diagonal(entry, zero_rows=0):
+    """A (cap + 1)-square symbolic matrix with ``entry`` on the diagonal and
+    its last ``zero_rows`` rows zero."""
+    n = linalg.SYMBOLIC_RANK_LIMIT + 1
+    zero = entry * 0
+    rows = [[entry if i == j and i < n - zero_rows else zero for j in range(n)] for i in range(n)]
+    return linalg.Matrix(list(range(n)), list(range(n)), rows)
+
+
+def test_a_map_above_the_cap_is_certified_by_a_later_draw():
+    A = algebra_of([8, 10, 11, 12])
+    seed = 7
+    first = random.Random(seed).randint(1, lefschetz.WITNESS_RANGE)  # a2 at the first draw
+    a2 = parse_polynomial("a2", A.symbols())
+    matrix = big_diagonal(a2 - first)  # rank 0 at the first draw, full elsewhere
+    report = lefschetz._decide("WLP", "ranks", A, [({"check": "big"}, matrix)], seed, "")
+    assert report.verdict == "holds" and not report.probabilistic
+    assert report.evidence[0]["generic_rank"] == matrix.nrows
+    assert not report.evidence[0]["probabilistic"]
+    assert report.witness["y"] != first
+
+
+def test_a_map_above_the_cap_deficient_at_every_draw_is_inconclusive():
+    A = algebra_of([8, 10, 11, 12])
+    matrix = big_diagonal(parse_polynomial("a2", A.symbols()), zero_rows=1)
+    report = lefschetz._decide("WLP", "ranks", A, [({"check": "big"}, matrix)], 7, "")
+    assert report.verdict == "inconclusive" and report.probabilistic
+    assert report.witness is None
+    assert report.evidence[0]["generic_rank"] == matrix.nrows - 1
+    assert report.evidence[0]["probabilistic"]

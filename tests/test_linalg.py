@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from aperylef import Matrix, SparsePoly, generic_rank, polynomial_determinant, rank_info
 from aperylef.errors import NotSquare, SizeLimit
-from aperylef.linalg import POINT_PRIME, exact_div, fraction_nullspace, fraction_rank, point_rank
+from aperylef.linalg import POINT_PRIME, SYMBOLIC_RANK_LIMIT, exact_div, fraction_nullspace, fraction_rank, point_rank
 
 
 def sym(name, variables=("a2", "a3")):
@@ -70,15 +70,16 @@ def test_fraction_nullspace_reduced_form():
     assert fraction_nullspace(rows, 3) == [[Fraction(1), Fraction(-2), Fraction(1)]]
 
 
-def test_probabilistic_fallback_flags_large_symbolic_matrices():
-    n = 65
+def test_rank_info_refuses_large_symbolic_matrices():
+    n = SYMBOLIC_RANK_LIMIT + 1
     variables = ("t",)
     t = SparsePoly.variable(variables, "t")
     zero = SparsePoly.zero(variables)
     entries = [[t if i == j else zero for j in range(n)] for i in range(n)]
-    rank, probabilistic = rank_info(matrix(entries))
-    assert probabilistic
-    assert rank == n
+    with pytest.raises(SizeLimit):
+        rank_info(matrix(entries))
+    # rational matrices are ranked exactly at any size
+    assert rank_info(matrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])) == (n, False)
 
 
 def test_specialize():
