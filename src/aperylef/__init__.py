@@ -15,6 +15,8 @@ from .errors import (
     EmptyInput,
     GcdNotOne,
     InternalFault,
+    InvalidDualGenerator,
+    InvalidGenerator,
     InvalidSeed,
     InvalidStep,
     NotApplicable,

@@ -4,7 +4,8 @@ Records are self-contained JSON documents (schema_version 1) that can be
 regenerated byte-identically from the generator tuple and the root seed
 (APERY_SEED).  Timings are opt-in so default output stays deterministic.
 Exit codes: 0 success, 2 input error, 3 inapplicable analysis, 4 internal
-limit exceeded, 5 internal fault (a broken invariant of the library).
+limit exceeded, 5 internal fault (a broken invariant of the library, or a
+ValueError that no input check turned into an input error).
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .errors import (
     EmptyInput,
     GcdNotOne,
     InternalFault,
+    InvalidDualGenerator,
+    InvalidGenerator,
     InvalidSeed,
     InvalidStep,
     NotApplicable,
@@ -234,8 +237,6 @@ def analyze_record(
 def from_dual_record(poly_text: str, seed_root: Optional[int] = None) -> dict:
     """Hessian-based analysis of an algebra presented by a dual polynomial."""
     F = parse_polynomial(poly_text)
-    if not F or not F.is_homogeneous() or F.degree() < 1:
-        raise PolyParseError("dual polynomial must be nonzero, homogeneous, degree >= 1")
     view = dual_algebra_view(F, require_positive_degree=True)
     seed = _seed(seed_root, F)
     wlp_h = wlp_by_hessian(F, view, seed=seed)
@@ -585,7 +586,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "sweep":
             return sweep(args)
         return 0
-    except (EmptyInput, GcdNotOne, InvalidSeed, InvalidStep, PolyParseError, ValueError) as exc:
+    except (EmptyInput, GcdNotOne, InvalidDualGenerator, InvalidGenerator, InvalidSeed, InvalidStep,
+            PolyParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (NotApplicable, NotCI, NotGorenstein) as exc:
@@ -594,7 +596,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SizeLimit as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return 4
-    except InternalFault as exc:
+    except (InternalFault, ValueError) as exc:
+        # a ValueError that no input check turned into an AperyError is a bug
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
     finally:

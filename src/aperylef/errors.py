@@ -13,6 +13,10 @@ class GcdNotOne(AperyError):
     """The generators do not generate a numerical semigroup (gcd != 1)."""
 
 
+class InvalidGenerator(AperyError):
+    """A generator is not a positive integer."""
+
+
 class NotInSemigroup(AperyError):
     """A value queried for order/representations is not a semigroup element."""
 
@@ -55,6 +59,11 @@ class DegreeTooSmall(AperyError):
 
 class PolyParseError(AperyError):
     """The polynomial text did not match the expected grammar."""
+
+
+class InvalidDualGenerator(AperyError):
+    """A polynomial that is zero, not homogeneous, or of degree 0 where a
+    positive degree is required presents no algebra."""
 
 
 class InvalidStep(AperyError):

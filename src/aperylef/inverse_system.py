@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DependentBasis, InternalFault, NotGorenstein
+from .errors import DependentBasis, InternalFault, InvalidDualGenerator, NotGorenstein
 from .linalg import Matrix, fraction_rank, pivot_columns
 from .polynomial import SparsePoly, monomials_of_degree
 from .semigroup import AperyTable
@@ -235,12 +235,12 @@ class DualAlgebraView:
 def dual_algebra_view(F: SparsePoly, require_positive_degree: bool = False) -> DualAlgebraView:
     """Select per-degree monomial bases for the algebra presented by F."""
     if not F:
-        raise ValueError("zero polynomial does not present an algebra")
+        raise InvalidDualGenerator("zero polynomial does not present an algebra")
     if not F.is_homogeneous():
-        raise ValueError("the dual generator must be homogeneous")
+        raise InvalidDualGenerator("the dual generator must be homogeneous")
     D = F.degree()
     if require_positive_degree and D < 1:
-        raise ValueError("the dual generator must have degree at least 1")
+        raise InvalidDualGenerator("the dual generator must have degree at least 1")
     bases = []
     for d in range(D + 1):
         # the greedy basis: each monomial whose image is independent of the

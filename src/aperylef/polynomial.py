@@ -295,7 +295,10 @@ def _tokenize(text: str):
             break
         pos = m.end()
         if m.lastgroup == "num":
-            tokens.append(("num", Fraction(m.group("num").replace(" ", ""))))
+            try:
+                tokens.append(("num", Fraction(m.group("num").replace(" ", ""))))
+            except ZeroDivisionError:
+                raise PolyParseError(f"zero denominator in {m.group('num')!r}") from None
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name")))
         else:

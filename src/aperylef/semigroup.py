@@ -28,7 +28,7 @@ from functools import cached_property, reduce
 from itertools import product as iter_product
 from typing import Optional, Sequence
 
-from .errors import EmptyInput, GcdNotOne, InternalFault, NotInSemigroup, SizeLimit
+from .errors import EmptyInput, GcdNotOne, InternalFault, InvalidGenerator, NotInSemigroup, SizeLimit
 
 # Maximal representations one semigroup may build, summed over every value
 # the walk memoizes.  The most in the tests is 30,000, one per Apery element
@@ -167,7 +167,7 @@ def create_semigroup(gens: Sequence[int]) -> NumericalSemigroup:
     if not gens:
         raise EmptyInput("at least one generator is required")
     if any((not isinstance(g, int)) or isinstance(g, bool) or g <= 0 for g in gens):
-        raise ValueError("generators must be positive integers")
+        raise InvalidGenerator("generators must be positive integers")
     uniq = sorted(set(gens))
     if reduce(math.gcd, uniq) != 1:
         raise GcdNotOne(f"gcd of {tuple(uniq)} is not 1")

@@ -107,6 +107,8 @@ def test_exit_codes():
     assert run_cli(["analyze", "--gens", "4,5,6,7", "--method", "hessian"])[0] == 3
     assert run_cli(["from-dual", "--poly", "x^2 + y^3"])[0] == 2
     assert run_cli(["from-dual", "--poly", "x^2 +"])[0] == 2
+    assert run_cli(["from-dual", "--poly", "1/0*x"])[0] == 2
+    assert run_cli(["quotient-chain", "--poly", "x^2 + y^3", "--steps", "x"])[0] == 2
 
 
 def test_internal_fault_exit_code(monkeypatch):
@@ -117,6 +119,18 @@ def test_internal_fault_exit_code(monkeypatch):
     assert code == 5
     assert err.startswith("internal error: ")
     assert not issubclass(InternalFault, ValueError)
+
+
+def test_internal_value_error_exit_code(monkeypatch):
+    # input is checked up front with AperyError subclasses, so a ValueError
+    # that reaches main is a fault of the library, not a user error
+    def broken(*args, **kwargs):
+        raise ValueError("an internal check failed")
+
+    monkeypatch.setattr("aperylef.cli.wlp_by_ranks", broken)
+    code, _, err = run_cli(["analyze", "--gens", "8,10,11,12"])
+    assert code == 5
+    assert err.startswith("internal error: ")
 
 
 def test_no_assert_statements_in_the_package():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from aperylef import (
     DependentBasis,
+    InvalidDualGenerator,
     NotGorenstein,
     SparsePoly,
     ann_contains,
@@ -204,10 +205,12 @@ def test_view_bases_match_greedy_oracle(corpus):
 
 
 def test_view_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidDualGenerator):
         dual_algebra_view(parse_polynomial("x^2 + y^3"))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidDualGenerator):
         dual_algebra_view(SparsePoly.zero(("x",)))
+    with pytest.raises(InvalidDualGenerator):
+        dual_algebra_view(parse_polynomial("3"), require_positive_degree=True)
 
 
 # -- hessians ----------------------------------------------------------------------

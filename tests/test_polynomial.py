@@ -28,7 +28,7 @@ def test_parse_collects_signs_and_coefficients():
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "y +", "y ** z", "y^", "y^1/2", "(y+z)", "3..4"):
+    for text in ("", "y +", "y ** z", "y^", "y^1/2", "(y+z)", "3..4", "1/0*y"):
         with pytest.raises(PolyParseError):
             parse_polynomial(text)
     with pytest.raises(PolyParseError):

@@ -5,6 +5,7 @@ import pytest
 from aperylef import (
     EmptyInput,
     GcdNotOne,
+    InvalidGenerator,
     NotInSemigroup,
     box_elements,
     compute_beta_gamma,
@@ -93,9 +94,9 @@ def test_create_errors():
         create_semigroup([])
     with pytest.raises(GcdNotOne):
         create_semigroup([4, 6])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidGenerator):
         create_semigroup([0, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidGenerator):
         create_semigroup([-2, 3])
 
 
