@@ -15,7 +15,8 @@ A maximal representation (one of total degree ord(s)) less one generator g is
 one of s - g, where ord(s - g) = ord(s) - 1, and g added to any of those gives
 one of s.  So the maximal representations come from a memoized walk down the
 same recurrence, at a cost in proportion to how many there are;
-MAXIMAL_REPS_LIMIT caps how many one semigroup builds.
+MAXIMAL_REPS_LIMIT caps how many one semigroup builds, and ORDERS_LIMIT caps
+the orders it holds.
 """
 
 from __future__ import annotations
@@ -35,6 +36,13 @@ from .errors import EmptyInput, GcdNotOne, InternalFault, InvalidGenerator, NotI
 # of <30000, 30001, 30002>.  Reaching the cap takes about 5 s and 180 MB on a
 # 2-core Intel Xeon host (<1000, 1501, 1502, ..., 1520>).
 MAXIMAL_REPS_LIMIT = 500_000
+
+# Values the order recurrence of one semigroup may hold, memoized or waiting
+# on the walk's stack.  The most in the tests is 99,999, for order(100_000) on
+# <2, 3>; an Apery table holds one per element.  On a 2-core Intel Xeon host
+# order(3_000_000) on <2, 3> reaches the cap in 0.7-1.1 s and 58 MB, and
+# orders asked 50,000 apart fill the memo to it in 2.7-4.7 s and 123 MB.
+ORDERS_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,8 @@ class NumericalSemigroup:
                 stack += [t] + missing
             else:
                 orders[t] = 1 + max(orders[u] for u in below)
+            if len(stack) + len(orders) > ORDERS_LIMIT:
+                raise SizeLimit(f"the orders of {self!r} up to {s} exceed cap {ORDERS_LIMIT}")
         return orders[s]
 
     def representations(self, s: int) -> list[Representation]:

@@ -7,11 +7,13 @@ from aperylef import (
     GcdNotOne,
     InvalidGenerator,
     NotInSemigroup,
+    SizeLimit,
     box_elements,
     compute_beta_gamma,
     create_semigroup,
     is_m_pure_symmetric,
 )
+from aperylef import semigroup
 
 
 # -- independent oracles used to freeze derived values -----------------------
@@ -177,6 +179,19 @@ def test_order_and_membership_far_past_the_apery_table():
     S = create_semigroup([16, 18, 21, 27])
     assert S.contains(10**9)
     assert not S.contains(S.frobenius)
+
+
+def test_order_size_limit(monkeypatch):
+    # one deep call, and orders asked in steps that each add a few values
+    monkeypatch.setattr(semigroup, "ORDERS_LIMIT", 100)
+    with pytest.raises(SizeLimit):
+        create_semigroup([2, 3]).order(1_000)
+    S = create_semigroup([2, 3])
+    assert S.order(90) == 45
+    with pytest.raises(SizeLimit):
+        for s in range(90, 1_000):
+            S.order(s)
+    assert S.order(90) == 45  # what the walk memoized before the cap stays
 
 
 def test_order_rejects_non_members():
