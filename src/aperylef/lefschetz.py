@@ -366,6 +366,17 @@ TRANSFERRED = "WLP transferred"
 INCONCLUSIVE_STEP = "inconclusive - fall back to direct check"
 
 
+def _parity_hypothesis(h: Sequence[int], D: int) -> tuple[Optional[tuple[int, int]], bool]:
+    """(middle dimensions, parity hypothesis) of a transfer step from an
+    algebra with Hilbert vector h and socle degree D: an even D >= 2 needs
+    its two middle dimensions h[D/2 - 1] and h[D/2] to match; any other D
+    passes, with no middle dimensions."""
+    k = D // 2
+    if D % 2 == 1 or k < 1:
+        return None, True
+    return (h[k - 1], h[k]), h[k - 1] == h[k]
+
+
 def transfer_wlp(
     G: AlgebraLike,
     steps: Sequence[tuple[str, int]],
@@ -406,21 +417,12 @@ def transfer_wlp(
             )
         h = _hilbert(current)
         D = current.top_degree
-        k = D // 2
         codim_before = current.codim
         quotient = current.colon_step(variable)
         qh = _hilbert(quotient) if quotient is not None else ()
         codim_after = quotient.codim if quotient is not None else 0
         codim_equal = codim_before == codim_after
-        if D % 2 == 1:
-            parity_ok = True
-            middle = None
-        elif k >= 1:
-            middle = (h[k - 1], h[k])
-            parity_ok = h[k - 1] == h[k]
-        else:
-            middle = None
-            parity_ok = True
+        middle, parity_ok = _parity_hypothesis(h, D)
         direct = None
         if have_wlp and codim_equal and parity_ok:
             conclusion = TRANSFERRED
@@ -502,12 +504,7 @@ def ci_quotient_plan(gamma: Sequence[int], D: int) -> dict:
         degs = (N - j,) + rest
         h = ci_hilbert(degs)
         Dj = sum(degs) - len(degs)
-        k = Dj // 2
-        if Dj % 2 == 1:
-            parity_ok, middle = True, None
-        else:
-            middle = (h[k - 1], h[k])
-            parity_ok = h[k - 1] == h[k]
+        middle, parity_ok = _parity_hypothesis(h, Dj)
         steps.append(
             {
                 "step": j,
