@@ -155,3 +155,33 @@ def test_established_quotient_chain_implies_ranks_wlp():
 
     for r in sweep_records(established):
         assert r["wlp"]["ranks"]["verdict"] == "holds", r["generators"]
+
+
+def degree_1_hessian(r):
+    """The degree-1 Hessian entry of a record's SLP Hessian evidence."""
+    entry = r["slp"]["hessian"]["evidence"][0]
+    assert entry["check"] == "hessian degree 1", r["generators"]
+    return entry
+
+
+def test_gordan_noether_degree_1_hessian_is_maximal():
+    """In at most 4 variables a form with vanishing Hessian is a cone
+    (Gordan-Noether 1876).  The dual generator of an algebra of codimension
+    at most 4 is a form in h1 = codim variables that is no cone, so its
+    degree-1 Hessian is nonsingular."""
+    def applies(r):
+        return len(r["generators"]) - 1 <= 4 and r["socle_degree"] >= 2
+
+    for r in sweep_records(applies):
+        assert degree_1_hessian(r)["maximal"], r["generators"]
+
+
+def test_maeno_watanabe_socle_degree_3():
+    """At socle degree 3 the WLP holds iff the degree-1 Hessian of the dual
+    generator is nonsingular (Maeno-Watanabe 2009).  The golden
+    12,13,15,16,18,21 record gives the failing direction."""
+    failing = json.loads(output("analyze-gorenstein-fails"))
+    assert failing["socle_degree"] == 3 and not degree_1_hessian(failing)["maximal"]
+    for r in sweep_records(lambda r: r["socle_degree"] == 3) + [failing]:
+        wlp = r["wlp"]["ranks"]["verdict"] == "holds"
+        assert wlp == degree_1_hessian(r)["maximal"], r["generators"]
