@@ -7,19 +7,21 @@ presented by a dual polynomial supplies them through the perfect pairing.
 The Hessian route reads the same verdicts off determinants and ranks of
 Hessian matrices of the dual polynomial.
 
-Both routes rank evaluate-first: every matrix is ranked at the first witness
-point, and full rank there is full generic rank, since no specialization
-raises the rank.  The rank at a point is linalg.point_rank, the rank over Q,
-taken modulo 2^61 - 1 unless that is deficient.  Only a matrix deficient at
-that point is eliminated fraction-free (Bareiss), which tells a deficient
-point from a deficient map and certifies the latter.  The maps of an
-algebra are built once and shared by its reports; a colon quotient's maps
-are slices of its parent's.
+Both routes rank evaluate-first, in one loop over the witness points: full
+rank at a point is full generic rank, since no specialization raises the
+rank.  The rank at a point is linalg.point_rank, the rank over Q, taken
+modulo 2^61 - 1 unless that is deficient.  Only a matrix deficient at the
+first point is eliminated fraction-free (Bareiss), which tells a deficient
+point from a deficient map and certifies the latter; a matrix above the
+symbolic cap is not eliminated but ranked again at the later points.  The
+maps of an algebra are built once and shared by its reports; a colon
+quotient's maps are slices of its parent's.
 
 Verdicts: "holds" always carries a rational witness re-verified exactly;
 "fails" always carries a symbolic generic-rank deficiency; "inconclusive"
-appears when only probabilistic rank bounds are available or when a quotient
-step's hypotheses cannot be checked.
+appears when a map above the symbolic cap is deficient at every witness
+point (its rank is then probabilistic) or when a quotient step's hypotheses
+cannot be checked.
 """
 
 from __future__ import annotations
