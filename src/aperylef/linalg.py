@@ -7,7 +7,16 @@ reduced pass gives the reduced row echelon form behind nullspaces.
 pivoting behind symbolic ranks and determinants: every intermediate entry is
 a minor of the input matrix, so the division by the previous pivot is exact
 and entries stay polynomial, and the last pivot is the determinant up to the
-sign of the row and column swaps.
+sign of the row and column swaps.  It runs on packed polynomials: each row
+is scaled by the LCM of its denominators, so coefficients are ints, and each
+monomial is one int whose fields hold the total degree and the exponents,
+sized from the minor degree bound with a guard bit, so monomials multiply
+by adding ints and compare in graded-lex order as ints.  Exact division is
+a leading-term loop (Monagan-Pearce 2007); an exponent that borrows into a
+guard bit, or a coefficient remainder, raises InternalFault, so nothing
+wraps silently.  Ranks are read off the elimination directly, and a
+determinant is unpacked to a SparsePoly over the caller's variables with
+the row scales divided out.
 
 The generic rank of a symbolic matrix is its rank over the field of rational
 functions in the entry variables, which equals the maximum rank over all
@@ -25,11 +34,13 @@ denominator that p divides, is ranked exactly on the specialized matrix.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotSquare, SizeLimit
+from .errors import InternalFault, NotSquare, SizeLimit
 from .polynomial import SparsePoly
 
 SYMBOLIC_RANK_LIMIT = 64
@@ -37,34 +48,13 @@ DETERMINANT_SIZE_LIMIT = 12
 POINT_PRIME = (1 << 61) - 1
 
 
-def exact_div(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    """Divide f by g assuming exact divisibility (true inside Bareiss)."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not f:
-        return SparsePoly(f.vars)
-    if g.is_constant():
-        c = g.constant_value()
-        return SparsePoly(f.vars, {e: cc / c for e, cc in f.terms.items()})
-    ge, gc = g.leading_term()
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    rem = f
-    while rem:
-        re_, rc = rem.leading_term()
-        qe = tuple(a - b for a, b in zip(re_, ge))
-        if any(x < 0 for x in qe):
-            raise ArithmeticError("inexact polynomial division")
-        qc = rc / gc
-        quotient[qe] = quotient.get(qe, Fraction(0)) + qc
-        rem = rem - SparsePoly.monomial(f.vars, qe, qc) * g
-    return SparsePoly(f.vars, quotient)
+def _lift_rows(entries) -> tuple[tuple[str, ...], list[list[Fraction]] | None]:
+    """The variables of the entries, and their rows as Fractions unless one
+    entry is symbolic.
 
-
-def _lift_rows(entries) -> tuple[tuple[str, ...], list[list[SparsePoly]] | None, list[list[Fraction]] | None]:
-    """Split into a pure-Fraction grid or a unified SparsePoly grid.
-
-    Variable order of the first polynomial entry is preserved so results
-    compare equal against polynomials built over the caller's tuple.
+    The variables are those of the SparsePoly entries in order of first
+    appearance, so a determinant compares equal against polynomials built
+    over the caller's tuple; they are () when no entry is symbolic.
     """
     names: list[str] = []
     symbolic = False
@@ -76,23 +66,13 @@ def _lift_rows(entries) -> tuple[tuple[str, ...], list[list[SparsePoly]] | None,
                 for v in e.vars:
                     if v not in names:
                         names.append(v)
-    if not symbolic:
-        rows = [
-            [e.constant_value() if isinstance(e, SparsePoly) else Fraction(e) for e in row]
-            for row in entries
-        ]
-        return (), None, rows
-    variables = tuple(names)
-    rows = []
-    for row in entries:
-        lifted = []
-        for e in row:
-            if isinstance(e, SparsePoly):
-                lifted.append(e.with_vars(variables))
-            else:
-                lifted.append(SparsePoly.constant(variables, e))
-        rows.append(lifted)
-    return variables, rows, None
+    if symbolic:
+        return tuple(names), None
+    rows = [
+        [e.constant_value() if isinstance(e, SparsePoly) else Fraction(e) for e in row]
+        for row in entries
+    ]
+    return (), rows
 
 
 def _echelon(rows: Sequence[Sequence[Fraction]], reduced: bool) -> tuple[list[list[Fraction]], list[int]]:
@@ -163,7 +143,119 @@ def fraction_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[l
     return basis
 
 
-def _bareiss(rows: list[list[SparsePoly]]) -> tuple[int, int, SparsePoly | None]:
+# -- fraction-free elimination on packed monomials ------------------------------
+#
+# A packed polynomial is a dict from a monomial packed into one int to a
+# nonzero int coefficient; see _pack_rows for the layout.
+
+
+def _pack_rows(entries, variables: tuple[str, ...]) -> tuple[list[list[dict[int, int]]], int, int]:
+    """The entries as packed polynomials over variables: (rows, scale, width).
+
+    Each row is multiplied by the LCM of its coefficient denominators, which
+    leaves the rank unchanged; scale is the product of the multipliers, so
+    the determinant of the rows is scale times that of the entries.  A
+    monomial packs into fields of width bits: its total degree in the top
+    field, then one field per variable, the first variable highest, so
+    comparing the ints compares monomials in graded-lex order.  Every entry
+    of the elimination is a minor, and a k x k minor of entries of degree at
+    most e has degree at most k*e; a field holds that bound plus one guard
+    bit, so a product of two minors adds its fields with no carry.
+    """
+    n = len(variables)
+    k = min(len(entries), len(entries[0]))
+    e = max((x.degree() for row in entries for x in row if isinstance(x, SparsePoly)), default=0)
+    width = (k * max(e, 0)).bit_length() + 1
+    shift = {v: (n - 1 - i) * width for i, v in enumerate(variables)}
+    top = n * width
+    rows, scale = [], 1
+    for row in entries:
+        polys = []
+        for x in row:
+            if isinstance(x, SparsePoly):
+                shifts = [shift[v] for v in x.vars]
+                polys.append({
+                    sum(exps) << top | sum(a << b for a, b in zip(exps, shifts)): c
+                    for exps, c in x.terms.items()
+                })
+            else:
+                c = Fraction(x)
+                polys.append({0: c} if c else {})
+        lcm = math.lcm(1, *(c.denominator for poly in polys for c in poly.values()))
+        rows.append([{m: c.numerator * (lcm // c.denominator) for m, c in poly.items()} for poly in polys])
+        scale *= lcm
+    return rows, scale, width
+
+
+def _guard(nvars: int, width: int) -> int:
+    """The top bit of every field of a packed monomial over nvars variables."""
+    return sum(1 << (i * width + width - 1) for i in range(nvars + 1))
+
+
+def _unpack(poly: dict[int, int], variables: tuple[str, ...], width: int, factor: Fraction) -> SparsePoly:
+    """factor times a packed polynomial, as a SparsePoly over variables."""
+    n = len(variables)
+    mask = (1 << width) - 1
+    return SparsePoly(variables, {
+        tuple(m >> ((n - 1 - i) * width) & mask for i in range(n)): c * factor
+        for m, c in poly.items()
+    })
+
+
+def _cross(a: dict[int, int], b: dict[int, int], c: dict[int, int], d: dict[int, int]) -> dict[int, int]:
+    """a*b - c*d on packed polynomials."""
+    out: dict[int, int] = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            out[m] = get(m, 0) + ca * cb
+    for mc, cc in c.items():
+        for md, cd in d.items():
+            m = mc + md
+            out[m] = get(m, 0) - cc * cd
+    return {m: x for m, x in out.items() if x}
+
+
+def _divide(f: dict[int, int], g: dict[int, int], guard: int) -> dict[int, int]:
+    """f / g on packed polynomials, where g divides f exactly.
+
+    The leading term of the remainder is divided by that of g, largest
+    first, until nothing remains (Monagan-Pearce 2007); a heap holds the
+    remainder's monomials.  A quotient monomial that borrows into a guard bit
+    (or below zero), or a coefficient remainder, means g does not divide f,
+    which Bareiss rules out: InternalFault.
+    """
+    lead = max(g)
+    lc = g[lead]
+    tail = [(m, c) for m, c in g.items() if m != lead]
+    rem = dict(f)
+    heap = [-m for m in rem]
+    heapq.heapify(heap)
+    quotient: dict[int, int] = {}
+    while heap:
+        m = -heapq.heappop(heap)
+        c = rem.pop(m, 0)
+        if not c:
+            continue  # cancelled after it was pushed
+        qm = m - lead
+        qc, r = divmod(c, lc)
+        if r or qm < 0 or qm & guard:
+            raise InternalFault("inexact division in fraction-free elimination")
+        quotient[qm] = qc
+        for tm, tc in tail:
+            x = qm + tm
+            v = rem.get(x, 0) - qc * tc
+            if not v:
+                rem.pop(x, None)
+            else:
+                if x not in rem:
+                    heapq.heappush(heap, -x)
+                rem[x] = v
+    return quotient
+
+
+def _bareiss(rows: list[list[dict[int, int]]], guard: int) -> tuple[int, int, dict[int, int] | None]:
     """Fraction-free elimination with full pivoting: (rank, sign, last pivot).
 
     The pivot is the first nonzero entry of the trailing block in row-major
@@ -188,28 +280,18 @@ def _bareiss(rows: list[list[SparsePoly]]) -> tuple[int, int, SparsePoly | None]
             for row in m:
                 row[k], row[pc] = row[pc], row[k]
             sign = -sign
-        pivot = m[k][k]
+        top = m[k]
+        pivot = top[k]
         for r in range(k + 1, nrows):
+            row = m[r]
+            lead = row[k]
             for c in range(k + 1, ncols):
-                e = pivot * m[r][c] - m[r][k] * m[k][c]
-                if prev is not None:
-                    e = exact_div(e, prev)
-                m[r][c] = e
+                e = _cross(pivot, row[c], lead, top[c])
+                if prev is not None and e:
+                    e = _divide(e, prev, guard)
+                row[c] = e
         prev = pivot
     return min(nrows, ncols), sign, prev
-
-
-def poly_rank(rows: list[list[SparsePoly]]) -> int:
-    """Rank over the rational function field, by fraction-free elimination."""
-    return _bareiss(rows)[0]
-
-
-def poly_det(rows: list[list[SparsePoly]]) -> SparsePoly:
-    """Exact determinant of a square matrix by Bareiss elimination."""
-    rank, sign, last = _bareiss(rows)
-    if rank < len(rows):
-        return SparsePoly(rows[0][0].vars)
-    return last * sign if sign < 0 else last
 
 
 @dataclass
@@ -299,10 +381,11 @@ def rank_info(matrix: Matrix) -> tuple[int, bool]:
         raise SizeLimit(
             f"symbolic rank of a {matrix.nrows}x{matrix.ncols} matrix exceeds cap {SYMBOLIC_RANK_LIMIT}"
         )
-    _, poly_rows, frac_rows = _lift_rows(matrix.entries)
+    variables, frac_rows = _lift_rows(matrix.entries)
     if frac_rows is not None:
         return fraction_rank(frac_rows), False
-    return poly_rank(poly_rows), False
+    rows, _, width = _pack_rows(matrix.entries, variables)
+    return _bareiss(rows, _guard(len(variables), width))[0], False
 
 
 def _mod_p(x) -> int:
@@ -405,8 +488,10 @@ def polynomial_determinant(matrix: Matrix):
         return Fraction(1)
     if n > DETERMINANT_SIZE_LIMIT:
         raise SizeLimit(f"determinant size {n} exceeds cap {DETERMINANT_SIZE_LIMIT}")
-    variables, poly_rows, frac_rows = _lift_rows(matrix.entries)
+    variables, frac_rows = _lift_rows(matrix.entries)
+    rows, scale, width = _pack_rows(matrix.entries if frac_rows is None else frac_rows, variables)
+    rank, sign, last = _bareiss(rows, _guard(len(variables), width))
+    det = last if rank == n else {}
     if frac_rows is not None:
-        lifted = [[SparsePoly.constant((), x) for x in row] for row in frac_rows]
-        return poly_det(lifted).constant_value()
-    return poly_det(poly_rows)
+        return Fraction(sign * det.get(0, 0), scale)
+    return _unpack(det, variables, width, Fraction(sign, scale))

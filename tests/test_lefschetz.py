@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aperylef import (
     DegreeTooSmall,
     LinearForm,
     NotApplicable,
     NotCI,
+    SparsePoly,
     box_algebra,
     build_algebra,
     build_gamma_algebra,
@@ -33,8 +36,10 @@ from aperylef import (
     wlp_by_ranks,
 )
 from aperylef import lefschetz, linalg
+from aperylef.cli import from_dual_record
 from aperylef.errors import InternalFault
 from aperylef.lefschetz import INCONCLUSIVE_STEP, TRANSFERRED, LefschetzReport
+from bareiss_oracle import exact_rank
 
 CUBIC_5VAR = parse_polynomial("a^2*x + a*b*y + b^2*z")
 QUARTIC_5VAR = parse_polynomial("a^2*x*z + a*b*y*z + 1/2*b^2*z^2")
@@ -411,13 +416,38 @@ def test_transfer_conclusions_are_sound():
             assert wlp_by_ranks(current, seed=11).verdict == "holds"
 
 
+def dual_form_text(data):
+    """A homogeneous form of degree 2 to 4 in 2 to 4 variables, or a Perazzo
+    form sum c_i a^(e-i) b^i x_i, whose Hessian vanishes (both fail the SLP)."""
+    def coefficient():
+        return Fraction(data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), data.draw(st.integers(1, 2)))
+
+    if data.draw(st.booleans()):
+        e = data.draw(st.integers(2, 3))
+        names = ("a", "b") + tuple(f"x{i}" for i in range(e + 1))
+        terms = {(e - i, i) + tuple(int(j == i) for j in range(e + 1)): coefficient() for i in range(e + 1)}
+        return str(SparsePoly(names, terms))
+    names = tuple("wxyz"[: data.draw(st.integers(2, 4))])
+    degree = data.draw(st.integers(2, 4))
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        exps = [0] * len(names)
+        for _ in range(degree):
+            exps[data.draw(st.integers(0, len(names) - 1))] += 1
+        terms[tuple(exps)] = coefficient()
+    return str(SparsePoly(names, terms))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_ranks_and_hessian_routes_agree_on_random_dual_forms(data):
+    text = dual_form_text(data)
+    record = from_dual_record(text, seed_root=0)
+    for prop in ("wlp", "slp"):
+        assert record[prop]["ranks"]["verdict"] == record[prop]["hessian"]["verdict"], (text, prop)
+
+
 # -- the evaluate-first verdict core against a plain reference -----------------
-
-def exact_rank(matrix):
-    """The generic rank by fraction-free elimination at any size."""
-    _, poly_rows, frac_rows = linalg._lift_rows(matrix.entries)
-    return linalg.fraction_rank(frac_rows) if frac_rows is not None else linalg.poly_rank(poly_rows)
-
 
 def reference_decide(property_name, method, obj, checks, seed, notes, symbols=None, point_filter=None):
     """The verdict core without evaluation first: every map is ranked by

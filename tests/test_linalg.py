@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aperylef import Matrix, SparsePoly, generic_rank, polynomial_determinant, rank_info
-from aperylef.errors import NotSquare, SizeLimit
-from aperylef.linalg import POINT_PRIME, SYMBOLIC_RANK_LIMIT, exact_div, fraction_nullspace, fraction_rank, point_rank
+from aperylef.errors import InternalFault, NotSquare, SizeLimit
+from aperylef.linalg import (
+    POINT_PRIME,
+    SYMBOLIC_RANK_LIMIT,
+    _divide,
+    _guard,
+    _pack_rows,
+    _unpack,
+    fraction_nullspace,
+    fraction_rank,
+    point_rank,
+)
+
+import bareiss_oracle
 
 
 def sym(name, variables=("a2", "a3")):
@@ -49,12 +62,32 @@ def test_determinant_errors():
         polynomial_determinant(big)
 
 
-def test_exact_division():
+def test_packed_exact_division():
     v = ("x", "y")
-    f = SparsePoly(v, {(2, 0): Fraction(1), (0, 2): Fraction(-1)})
-    g = SparsePoly(v, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
-    q = exact_div(f, g)
-    assert q * g == f
+    x, y = SparsePoly.variable(v, "x"), SparsePoly.variable(v, "y")
+    row = [x * x - y * y, x + y, x * x + y * y, x, x * 3]
+    ((f, g, inexact, one, three),), scale, width = _pack_rows([row], v)
+    assert scale == 1
+    guard = _guard(len(v), width)
+    assert _unpack(_divide(f, g, guard), v, width, Fraction(1)) == x - y
+    # x^2 + y^2 = (x - y)(x + y) + 2y^2: the monomial y^2 borrows from x's field
+    with pytest.raises(InternalFault):
+        _divide(inexact, g, guard)
+    # x / 3x: the coefficients leave a remainder
+    with pytest.raises(InternalFault):
+        _divide(one, three, guard)
+
+
+def test_packing_clears_row_denominators_and_orders_monomials_graded_lex():
+    v = ("x", "y")
+    x, y = SparsePoly.variable(v, "x"), SparsePoly.variable(v, "y")
+    rows, scale, width = _pack_rows([[x * Fraction(1, 2), y * Fraction(1, 3)], [Fraction(3, 4), x]], v)
+    assert scale == 6 * 4
+    assert [sorted(p.values()) for p in rows[0]] == [[3], [2]]
+    assert [sorted(p.values()) for p in rows[1]] == [[3], [4]]
+    polys = [x * x, x * y, y * y, x, y, SparsePoly.constant(v, 1)]  # graded-lex descending
+    packed = [next(iter(p)) for p in _pack_rows([polys], v)[0][0]]
+    assert packed == sorted(packed, reverse=True)
 
 
 def test_fraction_nullspace_reduced_form():
@@ -144,6 +177,41 @@ def test_point_rank_is_the_rank_of_the_specialized_matrix(nrows, ncols, data):
     }
     m = matrix(entries)
     assert point_rank(m, point) == fraction_rank(m.specialize(point).entries)
+
+
+def rational_poly_entry(data, variables=("a2", "a3", "a4")):
+    """Up to three terms of degree at most 2 with coefficients p/q; a third
+    of the entries are zero."""
+    if data.draw(st.integers(0, 2)) == 0:
+        return SparsePoly.zero(variables)
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        exps = [0] * len(variables)
+        for _ in range(data.draw(st.integers(0, 2))):
+            exps[data.draw(st.integers(0, len(variables) - 1))] += 1
+        terms[tuple(exps)] = Fraction(data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 3)))
+    return SparsePoly(variables, terms)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_bareiss_matches_the_sparse_poly_oracle(nrows, ncols, data):
+    entries = [[rational_poly_entry(data) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and data.draw(st.booleans()):
+        # a repeated row, scaled by a rational: deficient at every point
+        factor = Fraction(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+        entries[-1] = [e * factor for e in entries[0]]
+    m = matrix(entries)
+    rank = generic_rank(m)
+    assert rank == bareiss_oracle.exact_rank(m)
+    # no point has a larger rank, and a point drawn from a wide range reaches it
+    small = [{v: data.draw(st.integers(-2, 2)) for v in ("a2", "a3", "a4")} for _ in range(3)]
+    assert all(point_rank(m, p) <= rank for p in small)
+    rng = random.Random(nrows * 10 + ncols)
+    wide = [{v: rng.randint(1, 10**6) for v in ("a2", "a3", "a4")} for _ in range(3)]
+    assert any(point_rank(m, p) == rank for p in wide)
+    if nrows == ncols:
+        assert polynomial_determinant(m) == bareiss_oracle.determinant(m)
 
 
 def test_point_rank_falls_back_to_the_exact_rank():
