@@ -3,7 +3,9 @@
 Records are byte-identical for a fixed seed; these cases cover both routes,
 CI and codimension-3 sweeps with their chains and conjecture harness, a
 certified SLP failure, two Gorenstein semigroup algebras with certified
-failures (WLP and SLP on h = (1, 5, 5, 1), SLP alone on the other), the
+failures (WLP and SLP on h = (1, 5, 5, 1), SLP alone on the other), a
+sweep of codimension 5 whose eight certified WLP failures all have
+h = (1, 5, 5, 1), the
 degenerate notes, dual forms, a transfer chain, the Hessian of a dual
 generator in both formats, an Apery table with its maximal representations, a
 codimension-3 classification, and an Apery table and a frame whose maximal
@@ -29,6 +31,11 @@ GOLDEN = {
         ["sweep", "--mult", "2:10", "--count", "3:4", "--max-gen", "20",
          "--require-m-pure", "--method", "both"],
         "aa432032a90a024a85224d3f1cda641bf4f568e2fa4ead620040ee790ada4733",
+    ),
+    "sweep-codim5-failures": (
+        ["sweep", "--mult", "12:12", "--count", "6:6", "--max-gen", "24",
+         "--require-m-pure", "--method", "both"],
+        "fa134b0aaba25c5bf735e322ed4c6561ee1520237b1505486373d2241fc32af4",
     ),
     "analyze-nongorenstein": (
         ["analyze", "--gens", "60,66,71,77,83", "--method", "both"],
@@ -111,8 +118,8 @@ def test_golden_record_digest(name):
 # -- theorem oracles over the golden sweep's records --------------------------------
 
 
-def sweep_records(keep):
-    records = [json.loads(line) for line in output("sweep").splitlines()]
+def sweep_records(keep, name="sweep"):
+    records = [json.loads(line) for line in output(name).splitlines()]
     chosen = [r for r in records if keep(r)]
     assert chosen, "the oracle covers no record of the golden sweep"
     return chosen
@@ -178,10 +185,12 @@ def test_gordan_noether_degree_1_hessian_is_maximal():
 
 def test_maeno_watanabe_socle_degree_3():
     """At socle degree 3 the WLP holds iff the degree-1 Hessian of the dual
-    generator is nonsingular (Maeno-Watanabe 2009).  The golden
-    12,13,15,16,18,21 record gives the failing direction."""
+    generator is nonsingular (Maeno-Watanabe 2009).  The codimension-5 sweep
+    and the golden 12,13,15,16,18,21 record give the failing direction."""
     failing = json.loads(output("analyze-gorenstein-fails"))
     assert failing["socle_degree"] == 3 and not degree_1_hessian(failing)["maximal"]
-    for r in sweep_records(lambda r: r["socle_degree"] == 3) + [failing]:
+    family = sweep_records(lambda r: r["socle_degree"] == 3, "sweep-codim5-failures")
+    assert sum(r["wlp"]["ranks"]["verdict"] == "fails" for r in family) == 8
+    for r in sweep_records(lambda r: r["socle_degree"] == 3) + family + [failing]:
         wlp = r["wlp"]["ranks"]["verdict"] == "holds"
         assert wlp == degree_1_hessian(r)["maximal"], r["generators"]
