@@ -14,15 +14,21 @@ decide the Lefschetz properties (Maeno-Watanabe 2009).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DependentBasis, InternalFault, InvalidDualGenerator, NotGorenstein
+from .errors import DependentBasis, InternalFault, InvalidDualGenerator, NotGorenstein, SizeLimit
 from .linalg import Matrix, fraction_rank, pivot_columns
 from .polynomial import SparsePoly, monomials_of_degree
 from .semigroup import AperyTable
 from .algebra import variable_names
+
+# The monomials of degree at most D that dual_algebra_view scans, once as
+# operators and once as targets; C(D + n, n) for a degree-D form in n
+# variables.
+DUAL_MONOMIALS_LIMIT = 1000
 
 __all__ = [
     "apply_operator",
@@ -241,6 +247,12 @@ def dual_algebra_view(F: SparsePoly, require_positive_degree: bool = False) -> D
     D = F.degree()
     if require_positive_degree and D < 1:
         raise InvalidDualGenerator("the dual generator must have degree at least 1")
+    scanned = math.comb(D + len(F.vars), len(F.vars))
+    if scanned > DUAL_MONOMIALS_LIMIT:
+        raise SizeLimit(
+            f"the dual view of a degree-{D} form in {len(F.vars)} variables scans {scanned} "
+            f"monomials, above the cap {DUAL_MONOMIALS_LIMIT}"
+        )
     bases = []
     for d in range(D + 1):
         # the greedy basis: each monomial whose image is independent of the

@@ -109,6 +109,8 @@ def test_exit_codes():
     assert run_cli(["from-dual", "--poly", "x^2 +"])[0] == 2
     assert run_cli(["from-dual", "--poly", "1/0*x"])[0] == 2
     assert run_cli(["quotient-chain", "--poly", "x^2 + y^3", "--steps", "x"])[0] == 2
+    # the dual view's monomial cap, raised before any work
+    assert run_cli(["from-dual", "--poly", "x^100000"])[0] == 4
 
 
 def test_internal_fault_exit_code(monkeypatch):
@@ -142,6 +144,23 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements on lines {lines}"
+
+
+def test_the_package_imports_only_the_standard_library():
+    # exact arithmetic stays on Python's own ints and Fractions: every import
+    # in the package is relative or names a standard library module
+    package = Path(SRC) / "aperylef"
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside = [n for n in names if n.partition(".")[0] not in sys.stdlib_module_names]
+            assert not outside, f"{path.name} line {node.lineno} imports {outside}"
 
 
 def test_apery_of_30000_30001_30002():

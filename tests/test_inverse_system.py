@@ -24,6 +24,8 @@ from aperylef import (
     parse_polynomial,
     polynomial_determinant,
 )
+from aperylef import inverse_system
+from aperylef.errors import SizeLimit
 
 YZW = ("y", "z", "w")
 F_16 = parse_polynomial("y^4*w + y^2*z^3", YZW)
@@ -211,6 +213,18 @@ def test_view_rejects_bad_input():
         dual_algebra_view(SparsePoly.zero(("x",)))
     with pytest.raises(InvalidDualGenerator):
         dual_algebra_view(parse_polynomial("3"), require_positive_degree=True)
+
+
+def test_view_size_limit(monkeypatch):
+    # a degree-D form in n variables scans the C(D + n, n) monomials of
+    # degree at most D
+    monkeypatch.setattr(inverse_system, "DUAL_MONOMIALS_LIMIT", 10)
+    assert dual_algebra_view(parse_polynomial("x^9")).hilbert == (1,) * 10
+    assert dual_algebra_view(parse_polynomial("x^2*y + y^3")).socle_degree == 3
+    with pytest.raises(SizeLimit):
+        dual_algebra_view(parse_polynomial("x^10"))
+    with pytest.raises(SizeLimit):
+        dual_algebra_view(parse_polynomial("x^4 + y^4"))
 
 
 # -- hessians ----------------------------------------------------------------------
