@@ -418,7 +418,8 @@ def test_transfer_conclusions_are_sound():
 
 def dual_form_text(data):
     """A homogeneous form of degree 2 to 4 in 2 to 4 variables, or a Perazzo
-    form sum c_i a^(e-i) b^i x_i, whose Hessian vanishes (both fail the SLP)."""
+    form sum c_i a^(e-i) b^i x_i, whose Hessian vanishes, so both routes
+    find the SLP failing."""
     def coefficient():
         return Fraction(data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), data.draw(st.integers(1, 2)))
 

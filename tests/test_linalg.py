@@ -81,7 +81,7 @@ def test_packed_exact_division():
 def test_packing_clears_row_denominators_and_orders_monomials_graded_lex():
     v = ("x", "y")
     x, y = SparsePoly.variable(v, "x"), SparsePoly.variable(v, "y")
-    rows, scale, width = _pack_rows([[x * Fraction(1, 2), y * Fraction(1, 3)], [Fraction(3, 4), x]], v)
+    rows, scale, _ = _pack_rows([[x * Fraction(1, 2), y * Fraction(1, 3)], [Fraction(3, 4), x]], v)
     assert scale == 6 * 4
     assert [sorted(p.values()) for p in rows[0]] == [[3], [2]]
     assert [sorted(p.values()) for p in rows[1]] == [[3], [4]]
