@@ -388,6 +388,33 @@ def test_sweep_writes_filters_and_resumes(tmp_path):
     assert len([l for l in final_lines if l.startswith('{"schema_version"')]) == len(lines)
 
 
+def test_sweep_resume_counts_records_of_an_unfiltered_sweep(tmp_path):
+    """A record written without --require-m-pure counts as resumed, not
+    filtered, when a wider m-pure sweep resumes over it, symmetric or not."""
+    out_path = tmp_path / "sweep.jsonl"
+    common = ["--seed", "0", "sweep", "--count", "3:3", "--method", "ranks",
+              "--out", str(out_path)]
+    code, _, err = run_cli(common + ["--mult", "5:6", "--max-gen", "11"])
+    assert code == 0
+    assert err == "sweep: wrote 18, filtered 0, resumed past 0\n"
+    code, _, err = run_cli(
+        common + ["--mult", "5:8", "--max-gen", "12", "--require-m-pure", "--resume"]
+    )
+    assert code == 0
+    assert err == "sweep: wrote 3, filtered 15, resumed past 18\n"
+    assert len(out_path.read_text().splitlines()) == 21
+
+
+@pytest.mark.parametrize("mult", ["0:3", "-2:3"])
+def test_sweep_rejects_a_nonpositive_multiplicity(mult, tmp_path):
+    code, _, err = run_cli(
+        ["sweep", f"--mult={mult}", "--count", "2:3", "--max-gen", "6",
+         "--out", str(tmp_path / "s.jsonl")]
+    )
+    assert code == 2
+    assert err == "input error: generators must be positive integers\n"
+
+
 def test_empty_sweep(tmp_path):
     out_path = tmp_path / "empty.jsonl"
     code, _, err = run_cli(

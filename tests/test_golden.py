@@ -5,10 +5,11 @@ CI and codimension-3 sweeps with their chains and conjecture harness, a
 certified SLP failure, two Gorenstein semigroup algebras with certified
 failures (WLP and SLP on h = (1, 5, 5, 1), SLP alone on the other), a
 sweep of codimension 5 whose eight certified WLP failures all have
-h = (1, 5, 5, 1), the
-degenerate notes, dual forms, a transfer chain, the Hessian of a dual
-generator in both formats, an Apery table with its maximal representations, a
-codimension-3 classification, and an Apery table and a frame whose maximal
+h = (1, 5, 5, 1), a wider m-pure sweep of codimensions 4 and 5 on the ranks
+route (290 records out of 18,629 minimal tuples), the degenerate notes,
+dual forms, a transfer chain, the Hessian of a dual generator in both
+formats, an Apery table with its maximal representations, a codimension-3
+classification, and an Apery table and a frame whose maximal
 representations lie at orders above 300.  A change that alters a record on
 purpose updates its digest here and says why in CHANGES.md.
 
@@ -36,6 +37,11 @@ GOLDEN = {
         ["sweep", "--mult", "12:12", "--count", "6:6", "--max-gen", "24",
          "--require-m-pure", "--method", "both"],
         "fa134b0aaba25c5bf735e322ed4c6561ee1520237b1505486373d2241fc32af4",
+    ),
+    "sweep-codim4-5-m-pure": (
+        ["sweep", "--mult", "12:14", "--count", "5:6", "--max-gen", "32",
+         "--require-m-pure"],
+        "3d32b813211495229994d11004d4a93f743a61c775a38060bc5915a0c59e5dca",
     ),
     "analyze-nongorenstein": (
         ["analyze", "--gens", "60,66,71,77,83", "--method", "both"],
