@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -50,7 +49,7 @@ from .lefschetz import (
     wlp_by_ranks,
 )
 from .polynomial import SparsePoly, parse_polynomial
-from .semigroup import NumericalSemigroup, box_elements, create_semigroup
+from .semigroup import NumericalSemigroup, box_elements, create_semigroup, minimal_tuples
 
 SCHEMA_VERSION = 1
 
@@ -364,21 +363,16 @@ def sweep(args) -> int:
             for count in range(clo, chi + 1):
                 if count < 2:
                     continue
-                pool = range(m + 1, args.max_gen + 1)
-                for rest in combinations(pool, count - 1):
-                    gens = (m,) + rest
-                    try:
-                        S = create_semigroup(list(gens))
-                    except (GcdNotOne, EmptyInput):
-                        continue
-                    if S.generators != gens:
-                        continue  # not a minimal generating tuple
-                    key = ",".join(map(str, S.generators))
+                for S in minimal_tuples(m, count, args.max_gen):
+                    gens = S.generators
+                    key = ",".join(map(str, gens))
                     if key in keys:
                         resumed += 1
                         continue
-                    table = S.apery_table()
-                    if args.require_m_pure and not table.m_pure_verdict():
+                    # an m-pure semigroup is symmetric, and symmetry needs no orders
+                    if args.require_m_pure and not (
+                        S.is_symmetric() and S.apery_table().m_pure_verdict()
+                    ):
                         skipped += 1
                         continue
                     if args.require_ci_or_codim3:

@@ -7,9 +7,12 @@ Frobenius number is max(Ap) - g_1, and the order of s is
     ord(s) = 1 + max(ord(s - g) : g generator, s - g in S),  ord(0) = 0,
 
 the largest total degree of a representation of s as a sum of generators.
-Ap comes from Dijkstra over the residues mod g_1, with edges r -> r + g of
-weight g (Nijenhuis 1979); every w - g in S of an Apery element w is another
-Apery element, so the orders of the Apery set cost O(n*g_1).
+Ap is built one generator at a time by the round-robin step (Boecker and
+Liptak 2007): adding g walks each of the gcd(g, g_1) cycles r -> r + g of the
+residues once, from the cycle's least entry, and relaxes every entry by g, so
+one step costs O(g_1).  A sweep carries the Apery list of a generator prefix
+down the tuple tree the same way.  Every w - g in S of an Apery element w is
+another Apery element, so the orders of the Apery set cost O(n*g_1).
 
 A maximal representation (one of total degree ord(s)) less one generator g is
 one of s - g, where ord(s - g) = ord(s) - 1, and g added to any of those gives
@@ -21,13 +24,12 @@ the orders it holds.
 
 from __future__ import annotations
 
-import heapq
 import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import product as iter_product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import EmptyInput, GcdNotOne, InternalFault, InvalidGenerator, NotInSemigroup, SizeLimit
 
@@ -76,6 +78,17 @@ class NumericalSemigroup:
 
     def contains(self, s: int) -> bool:
         return s >= 0 and s >= self._apery[s % self.multiplicity]
+
+    def is_symmetric(self) -> bool:
+        """Whether exactly one of s and F - s is in S for every integer s.
+
+        On the Apery list: w_max - w is an Apery element for every Apery
+        element w.  An m-pure semigroup is symmetric (Kunz 1970), so this
+        rejects most of a sweep before any order is computed.
+        """
+        ap, m = self._apery, self.multiplicity
+        top = self.frobenius + m
+        return all(ap[(top - w) % m] == top - w for w in ap)
 
     def order(self, s: int) -> int:
         """Largest total degree over all representations of s."""
@@ -156,19 +169,36 @@ class NumericalSemigroup:
         return f"NumericalSemigroup{self.generators}"
 
 
-def _apery_residues(gens: Sequence[int]) -> list[int]:
-    """Least element of <gens> in each residue class mod gens[0] (Dijkstra)."""
-    g1 = gens[0]
-    apery = [0] + [math.inf] * (g1 - 1)
-    heap = [(0, 0)]
-    while heap:
-        w, r = heapq.heappop(heap)
-        if w == apery[r]:
-            for v in (w + g for g in gens[1:]):
-                if v < apery[v % g1]:
-                    apery[v % g1] = v
-                    heapq.heappush(heap, (v, v % g1))
-    return apery
+def _with_generator(apery: list, g: int) -> list:
+    """The Apery list of <S, g> from the Apery list of S (round robin).
+
+    Entries are indexed by residue mod g_1 = len(apery); math.inf marks a
+    class S does not reach yet.  The residues split into gcd(g, g_1) cycles
+    r -> (r + g) mod g_1.  The least element of <S, g> in class r is the
+    least Ap[r - k*g] + k*g, and the chain of additions of g that reaches it
+    need not pass the cycle's least entry, since starting there costs no
+    more.  So one walk around each cycle from its least entry, keeping the
+    running value min(Ap[r], previous + g), gives every class.
+    """
+    g1 = len(apery)
+    out = list(apery)
+    d = math.gcd(g, g1)
+    step = g % g1
+    for p in range(d):
+        r = min(range(p, g1, d), key=out.__getitem__)
+        w = out[r]
+        if w == math.inf:
+            continue
+        for _ in range(g1 // d - 1):
+            r += step
+            if r >= g1:
+                r -= g1
+            w += g
+            if w < out[r]:
+                out[r] = w
+            else:
+                w = out[r]
+    return out
 
 
 def create_semigroup(gens: Sequence[int]) -> NumericalSemigroup:
@@ -181,18 +211,41 @@ def create_semigroup(gens: Sequence[int]) -> NumericalSemigroup:
     uniq = sorted(set(gens))
     if reduce(math.gcd, uniq) != 1:
         raise GcdNotOne(f"gcd of {tuple(uniq)} is not 1")
-    # Redundant generators do not change S, so the full set gives its Apery set.
-    apery = _apery_residues(uniq)
     g1 = uniq[0]
-    # g is a minimal generator iff it is not a sum of two nonzero elements.
-    minimal = tuple(
-        g for g in uniq
-        if not any(
-            s >= apery[s % g1] and g - s >= apery[(g - s) % g1]
-            for s in range(g1, g - g1 + 1)
-        )
-    )
-    return NumericalSemigroup(minimal, apery)
+    apery = [0] + [math.inf] * (g1 - 1)
+    minimal = [g1]
+    for g in uniq[1:]:
+        # g is a minimal generator iff the smaller generators do not reach it
+        if g < apery[g % g1]:
+            minimal.append(g)
+            apery = _with_generator(apery, g)
+    return NumericalSemigroup(tuple(minimal), apery)
+
+
+def minimal_tuples(m: int, count: int, top: int) -> Iterator[NumericalSemigroup]:
+    """The semigroups minimally generated by m < g_2 < ... < g_count <= top.
+
+    They come in the lexicographic order of their generator tuples, the order
+    of itertools.combinations.  The walk carries the Apery list of each
+    prefix, so a candidate already in the prefix's semigroup is dropped with
+    every tuple that extends it, and a tuple of gcd > 1 (an entry left
+    infinite) yields nothing.
+    """
+    if m < 1:
+        if max(0, top - m) >= count - 1:  # there is a tuple to reject
+            raise InvalidGenerator("generators must be positive integers")
+        return
+
+    def extend(gens: tuple[int, ...], apery: list, low: int):
+        if len(gens) == count:
+            if math.inf not in apery:
+                yield NumericalSemigroup(gens, apery)
+            return
+        for g in range(low, top - (count - len(gens)) + 2):
+            if g < apery[g % m]:
+                yield from extend(gens + (g,), _with_generator(apery, g), g + 1)
+
+    yield from extend((m,), [0] + [math.inf] * (m - 1), m + 1)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,67 @@
+"""The Dijkstra Apery kernel and the minimality scan, kept as a test oracle.
+
+This is how `aperylef.semigroup.create_semigroup` built a semigroup before it
+folded the round-robin step over the generators: Dijkstra over the residues
+mod g_1, with edges r -> r + g of weight g (Nijenhuis 1979), gives the Apery
+list of the whole generator set, and a scan keeps a generator exactly when it
+is not a sum of two nonzero elements.  `minimal_tuples` is the sweep's old
+filter: every tuple `itertools.combinations` lists, kept when it is its own
+minimal generating set.  Tests compare the kernel and the walk against them.
+"""
+
+import heapq
+import math
+from functools import reduce
+from itertools import combinations
+
+from aperylef import EmptyInput, GcdNotOne, InvalidGenerator
+
+
+def apery_residues(gens):
+    """Least element of <gens> in each residue class mod gens[0] (Dijkstra)."""
+    g1 = gens[0]
+    apery = [0] + [math.inf] * (g1 - 1)
+    heap = [(0, 0)]
+    while heap:
+        w, r = heapq.heappop(heap)
+        if w == apery[r]:
+            for v in (w + g for g in gens[1:]):
+                if v < apery[v % g1]:
+                    apery[v % g1] = v
+                    heapq.heappush(heap, (v, v % g1))
+    return apery
+
+
+def create(gens):
+    """(minimal generators, Apery list), with create_semigroup's input checks."""
+    gens = list(gens)
+    if not gens:
+        raise EmptyInput("at least one generator is required")
+    if any((not isinstance(g, int)) or isinstance(g, bool) or g <= 0 for g in gens):
+        raise InvalidGenerator("generators must be positive integers")
+    uniq = sorted(set(gens))
+    if reduce(math.gcd, uniq) != 1:
+        raise GcdNotOne(f"gcd of {tuple(uniq)} is not 1")
+    apery = apery_residues(uniq)
+    g1 = uniq[0]
+    minimal = tuple(
+        g for g in uniq
+        if not any(
+            s >= apery[s % g1] and g - s >= apery[(g - s) % g1]
+            for s in range(g1, g - g1 + 1)
+        )
+    )
+    return minimal, apery
+
+
+def minimal_tuples(m, count, top):
+    """The tuples (m, g_2, ..., g_count), g_count <= top, that minimally
+    generate a numerical semigroup, in the order combinations lists them."""
+    for rest in combinations(range(m + 1, top + 1), count - 1):
+        gens = (m,) + rest
+        try:
+            minimal, _ = create(gens)
+        except (GcdNotOne, EmptyInput):
+            continue
+        if minimal == gens:
+            yield gens

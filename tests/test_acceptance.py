@@ -6,10 +6,8 @@ The two sweep families use the documented generator cap (multiplicity + 12).
 """
 
 import time
-from itertools import combinations
 
 from aperylef import (
-    AperyError,
     build_algebra,
     build_gamma_algebra,
     brute_force_relations,
@@ -37,6 +35,7 @@ from aperylef import (
 from aperylef.cli import from_dual_record
 from aperylef.lefschetz import TRANSFERRED
 
+import semigroup_oracle
 from conftest import random_semigroup_corpus
 
 MAX_GEN_OFFSET = 12  # sweep family cap: generators <= multiplicity + 12
@@ -49,14 +48,8 @@ def ok(n, text):
 def sweep_family(mult_hi, counts, require_m_pure=True):
     for m in range(2, mult_hi + 1):
         for count in counts:
-            for rest in combinations(range(m + 1, m + MAX_GEN_OFFSET + 1), count - 1):
-                gens = (m,) + rest
-                try:
-                    S = create_semigroup(list(gens))
-                except AperyError:
-                    continue
-                if S.generators != gens:
-                    continue
+            for gens in semigroup_oracle.minimal_tuples(m, count, m + MAX_GEN_OFFSET):
+                S = create_semigroup(gens)
                 if require_m_pure and not S.apery_table().m_pure_verdict():
                     continue
                 yield S

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aperylef import (
+    AperyError,
     EmptyInput,
     GcdNotOne,
     InvalidGenerator,
@@ -14,6 +17,8 @@ from aperylef import (
     is_m_pure_symmetric,
 )
 from aperylef import semigroup
+
+import semigroup_oracle
 
 
 # -- independent oracles used to freeze derived values -----------------------
@@ -100,6 +105,46 @@ def test_create_errors():
         create_semigroup([0, 3])
     with pytest.raises(InvalidGenerator):
         create_semigroup([-2, 3])
+
+
+BAD_ENTRIES = (0, -3, True, False, 2.0)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_create_semigroup_matches_the_dijkstra_oracle(data):
+    # unsorted lists with duplicates, sums of entries (redundant generators),
+    # a common factor (gcd > 1) and now and then an entry that is no generator
+    factor = data.draw(st.sampled_from((1, 1, 1, 2, 3)))
+    gens = [factor * g for g in data.draw(st.lists(st.integers(1, 30), max_size=6))]
+    if gens:
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)), max_size=3))
+        gens += [a + b for a, b in pairs] + gens[: data.draw(st.integers(0, 2))]
+    gens += data.draw(st.lists(st.sampled_from(BAD_ENTRIES), max_size=1))
+    gens = data.draw(st.permutations(gens))
+    try:
+        expected = semigroup_oracle.create(gens)
+    except AperyError as exc:
+        with pytest.raises(type(exc)):
+            create_semigroup(gens)
+        return
+    S = create_semigroup(gens)
+    assert (S.generators, S._apery) == expected
+
+
+@given(st.integers(-2, 14), st.integers(1, 5), st.integers(0, 30))
+@settings(max_examples=60, deadline=None)
+def test_the_walk_lists_the_sweeps_minimal_tuples_in_order(m, count, top):
+    try:
+        expected = list(semigroup_oracle.minimal_tuples(m, count, top))
+    except InvalidGenerator:
+        with pytest.raises(InvalidGenerator):
+            list(semigroup.minimal_tuples(m, count, top))
+        return
+    walked = list(semigroup.minimal_tuples(m, count, top))
+    assert [S.generators for S in walked] == expected
+    for S in walked:
+        assert S._apery == semigroup_oracle.apery_residues(S.generators)
 
 
 # -- membership / frobenius ----------------------------------------------------
@@ -260,6 +305,24 @@ def test_m_pure_failure_with_witness():
     w = verdict.witness
     assert w.condition == "sum"
     assert {w.left, w.right} == {5, 6} and w.expected == 7
+
+
+def test_is_symmetric_is_the_definition(corpus):
+    # exactly one of s and F - s is in S, for every 0 <= s <= F
+    symmetric = 0
+    for S in corpus:
+        F = S.frobenius
+        expected = all(S.contains(s) != S.contains(F - s) for s in range(F + 1))
+        assert S.is_symmetric() == expected, S
+        symmetric += expected
+    assert 0 < symmetric < len(corpus)
+
+
+def test_m_pure_semigroups_are_symmetric(corpus):
+    # Kunz: the sweep rejects a semigroup that is not symmetric as not m-pure
+    pure = [S for S in corpus if is_m_pure_symmetric(S)]
+    assert pure
+    assert all(S.is_symmetric() for S in pure)
 
 
 def test_symmetric_hilbert_without_m_purity():
