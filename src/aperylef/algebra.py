@@ -23,7 +23,7 @@ from itertools import product as iter_product
 from typing import Callable, Optional, Sequence
 
 from .errors import DegreeOutOfRange, InternalFault, NotApplicable, SizeLimit
-from .linalg import Matrix, fraction_nullspace, fraction_rank
+from .linalg import Matrix, fraction_rank
 from .polynomial import SparsePoly, grlex_key, monomials_of_degree
 from .semigroup import AperyTable, FrameData, NumericalSemigroup
 
@@ -629,9 +629,12 @@ def brute_force_relations(alg: GradedAlgebra, max_degree: int) -> IdealDescripti
     """Degreewise kernels of the monomial evaluation map onto the algebra.
 
     For every degree d <= max_degree, abstract monomials in the degree-1
-    variables are multiplied out through the product table; the kernel of
-    that evaluation, in reduced echelon form over the graded-lex descending
-    monomial list, is returned as relation polynomials.
+    variables are multiplied out through the product table.  Each monomial
+    lands on one label or on zero, so the kernel has a basis read off
+    directly, in graded-lex descending order of its free monomial: a
+    monomial that lands on zero alone, and a monomial minus the first one
+    landing on the same label.  That is the kernel in reduced echelon form
+    over the graded-lex descending monomial list.
     """
     if alg.dimension > BRUTE_FORCE_DIM_LIMIT:
         raise SizeLimit(f"algebra dimension {alg.dimension} exceeds {BRUTE_FORCE_DIM_LIMIT}")
@@ -640,31 +643,20 @@ def brute_force_relations(alg: GradedAlgebra, max_degree: int) -> IdealDescripti
     gens: list[SparsePoly] = []
     degrees: list[int] = []
     for d in range(1, max_degree + 1):
-        monos = monomials_of_degree(names, d)
-        targets = alg.basis[d] if d <= alg.top_degree else ()
-        row_index = {lab: i for i, lab in enumerate(targets)}
-        columns = []
-        for exps in monos:
-            label = alg.basis[0][0]
-            dead = False
-            for vlab, e in zip(alg.var_labels, exps):
-                for _ in range(e):
-                    label = alg.product(label, vlab)
-                    if label is None:
-                        dead = True
-                        break
-                if dead:
-                    break
-            columns.append(None if dead else label)
-        rows = [
-            [Fraction(1 if columns[j] == lab else 0) for j in range(len(monos))]
-            for lab in targets
-        ]
-        kernel = fraction_nullspace(rows, len(monos))
         polys = []
-        for vec in kernel:
-            poly = SparsePoly(names, {m: c for m, c in zip(monos, vec) if c})
-            polys.append(poly)
+        first: dict = {}  # label -> the first monomial landing on it
+        for exps in monomials_of_degree(names, d):
+            label = alg.basis[0][0]
+            for vlab in (v for v, e in zip(alg.var_labels, exps) for _ in range(e)):
+                label = alg.product(label, vlab)
+                if label is None:
+                    break
+            if label is None:
+                polys.append(SparsePoly.monomial(names, exps))
+            elif label in first:
+                polys.append(SparsePoly(names, {first[label]: -1, exps: 1}))
+            else:
+                first[label] = exps
         by_degree[d] = polys
         gens.extend(polys)
         degrees.extend([d] * len(polys))

@@ -7,9 +7,16 @@ on F as coefficient rows: their rank is the catalecticant rank, the
 dimension of the degree-d component; their pivot columns, taken in
 graded-lex descending order, are the greedy monomial basis of a dual view;
 and a given basis is independent iff the rank equals its size.  `_pairing`
-applies the products of two monomial bases to F: the entries of Hessians,
-mixed Hessians and the pairing matrices of multiplication maps, whose ranks
-decide the Lefschetz properties (Maeno-Watanabe 2009).
+applies the products of two monomial bases to F, so its entries are
+polynomials in F's variables.
+
+A view reads every matrix off one pairing, `DualAlgebraView.pairing(i, j)`
+on its own bases.  By Maeno-Watanabe (2009) the map by the p-th power of a
+generic linear form from degree d has the rank of the pairing of degrees
+D-d-p and d, and the mixed Hessian of degrees (i, j) is the pairing of
+degrees i and j; a point of F's variables is the linear form with those
+coefficients.  The free functions `hessian` and `mixed_hessian` build the
+same pairing on bases a caller supplies, after checking them.
 """
 
 from __future__ import annotations
@@ -55,12 +62,11 @@ def apply_operator(p: SparsePoly, F: SparsePoly) -> SparsePoly:
     out: dict[tuple[int, ...], Fraction] = {}
     for a, ca in p.terms.items():
         for b, cb in F.terms.items():
-            if any(bi < ai for ai, bi in zip(a, b)):
+            # math.perm(bi, ai) is bi!/(bi-ai)!, and zero when ai > bi
+            factor = math.prod(map(math.perm, b, a))
+            if not factor:
                 continue
-            coeff = ca * cb
-            for ai, bi in zip(a, b):
-                for k in range(bi - ai + 1, bi + 1):
-                    coeff *= k
+            coeff = ca * cb * factor
             e = tuple(bi - ai for ai, bi in zip(a, b))
             acc = out.get(e, Fraction(0)) + coeff
             if acc:
@@ -192,33 +198,28 @@ class DualAlgebraView:
         return self.hilbert[1] if len(self.hilbert) > 1 else 0
 
     def symbols(self) -> tuple[str, ...]:
-        taken = set(self.variables)
-        out = []
-        for i, _ in enumerate(self.variables, start=1):
-            name = f"a{i}"
-            while name in taken:
-                name = "_" + name
-            out.append(name)
-            taken.add(name)
-        return tuple(out)
+        """The generic coefficient of the variable x is x itself: a pairing
+        entry is a polynomial in F's variables."""
+        return self.variables
+
+    def pairing(self, i: int, j: int) -> Matrix:
+        """Entries (m*m')(X)F for m in bases[i] (rows) and m' in bases[j]
+        (columns); rows and columns are labelled by exponent tuples."""
+        rows, cols = self.bases[i], self.bases[j]
+        return Matrix(list(rows), list(cols), _pairing(self.F, rows, cols))
 
     def pairing_matrix(self, d: int, power: int) -> Matrix:
         """Symbolic matrix with the rank of multiplication by a generic form.
 
         The target degree d+power pairs perfectly with degree D-d-power, so
-        the rank of the multiplication map equals the rank of the matrix
-        (row m, col m') -> (m*m')(X)F with the x variables renamed to the
-        generic coefficient symbols.  The overall factorial scalar is
-        dropped; only ranks are read off this matrix.
+        the rank of the multiplication map equals the rank of the pairing of
+        degrees D-d-power and d.  The overall factorial scalar is dropped;
+        only ranks are read off this matrix.
         """
         D = self.socle_degree
         if power < 1 or d < 0 or d + power > D:
             raise ValueError("map outside the graded range")
-        symbols = self.symbols()
-        rows = self.bases[D - d - power]
-        cols = self.bases[d]
-        entries = [[e.rename(symbols) for e in row] for row in _pairing(self.F, rows, cols)]
-        return Matrix(list(rows), list(cols), entries)
+        return self.pairing(D - d - power, d)
 
     # -- the protocol the Lefschetz routes share with GradedAlgebra -----------
 

@@ -5,7 +5,12 @@ multiplication maps by a generic linear form (symbolic coefficients); an
 apery or box algebra supplies the maps through its product table, an algebra
 presented by a dual polynomial supplies them through the perfect pairing.
 The Hessian route reads the same verdicts off determinants and ranks of
-Hessian matrices of the dual polynomial.
+Hessian matrices of the dual polynomial.  On a dual view both routes read
+one builder, the view's pairing of two of its bases: the map by the p-th
+power from degree d is the pairing of degrees D-d-p and d, and the
+(mixed) Hessian of degrees (i, j) is the pairing of degrees i and j, so
+every entry is a polynomial in the view's variables and a witness point
+assigns them directly.
 
 Both routes rank evaluate-first, in one loop over the witness points: full
 rank at a point is full generic rank, since no specialization raises the
@@ -49,12 +54,7 @@ from .errors import (
     NotCI,
     NotGorensteinAtStep,
 )
-from .inverse_system import (
-    DualAlgebraView,
-    dual_algebra_view,
-    hessian,
-    mixed_hessian,
-)
+from .inverse_system import DualAlgebraView, dual_algebra_view
 from .linalg import Matrix, above_symbolic_cap, point_rank, rank_info
 from .polynomial import SparsePoly
 from .semigroup import FrameData, NumericalSemigroup
@@ -114,7 +114,6 @@ def _decide(
     checks: Iterable[tuple[dict, Matrix]],
     seed: Optional[int],
     notes: str,
-    symbols: Optional[Sequence[str]] = None,
     point_filter=None,
 ) -> LefschetzReport:
     """The verdict core both routes share: generic ranks, verdict, witness.
@@ -123,8 +122,8 @@ def _decide(
     min(rows, cols).  "holds" needs every rank maximal and carries a witness
     point re-verified on every matrix; "fails" needs a certified
     (non-probabilistic) deficiency; anything else is "inconclusive".  The
-    matrix entries are polynomials in ``symbols`` (default ``obj.symbols()``),
-    one per variable of ``obj``.
+    matrix entries are polynomials in ``obj.symbols()``, one per variable of
+    ``obj``.
 
     One loop over the witness draws ranks, certifies and finds the witness.
     Every map is ranked at the first draw by point_rank: full rank at one
@@ -138,8 +137,7 @@ def _decide(
     """
     rng = random.Random(0 if seed is None else seed)
     checks = [(head, matrix, min(matrix.nrows, matrix.ncols)) for head, matrix in checks]
-    if symbols is None:
-        symbols = obj.symbols()
+    symbols = obj.symbols()
     certified: dict[int, int] = {}  # check index -> generic rank
     best = [0] * len(checks)  # best point rank of a map not yet certified
     witness = None if checks else {}
@@ -247,6 +245,15 @@ def slp_by_ranks(obj: AlgebraLike, seed: Optional[int] = None) -> LefschetzRepor
     return _decide("SLP", "ranks", obj, _rank_checks(obj, maps), seed, notes)
 
 
+def _view_of(F: SparsePoly, view: Optional[DualAlgebraView]) -> DualAlgebraView:
+    """The dual view of F: the one given, which must present F, or a new one."""
+    if view is None:
+        return dual_algebra_view(F)
+    if view.F != F:
+        raise ValueError(f"the dual view presents {view.F}, not {F}")
+    return view
+
+
 def wlp_by_hessian(
     F: SparsePoly,
     view: Optional[DualAlgebraView] = None,
@@ -258,8 +265,7 @@ def wlp_by_hessian(
     degree: the mixed Hessian pairing degrees k-1 and k must have maximal
     rank.  The witness point additionally has F(a) nonzero.
     """
-    if view is None:
-        view = dual_algebra_view(F)
+    view = _view_of(F, view)
     D = view.top_degree
     k = D // 2
     checks = []
@@ -268,13 +274,12 @@ def wlp_by_hessian(
         notes = "decisive Hessian per socle-degree parity"
         if D % 2 == 1:
             kind = f"hessian degree {k}"
-            matrix = hessian(F, k, view.bases[k])
+            matrix = view.pairing(k, k)
         else:
             kind = f"mixed hessian degrees ({k - 1}, {k})"
-            matrix = mixed_hessian(F, k - 1, k, view.bases[k - 1], view.bases[k], view=view)
+            matrix = view.pairing(k - 1, k)
         checks.append(({"check": kind, "rows": matrix.nrows, "cols": matrix.ncols}, matrix))
-    return _decide("WLP", "hessian", view, checks, seed, notes,
-                   symbols=F.vars, point_filter=F.evaluate)
+    return _decide("WLP", "hessian", view, checks, seed, notes, point_filter=F.evaluate)
 
 
 def slp_by_hessian(
@@ -283,14 +288,13 @@ def slp_by_hessian(
     seed: Optional[int] = None,
 ) -> LefschetzReport:
     """Strong Lefschetz: every Hessian up to the middle degree is nonsingular."""
-    if view is None:
-        view = dual_algebra_view(F)
+    view = _view_of(F, view)
     checks = []
     for d in range(1, view.top_degree // 2 + 1):
-        matrix = hessian(F, d, view.bases[d])
+        matrix = view.pairing(d, d)
         checks.append(({"check": f"hessian degree {d}", "size": matrix.nrows}, matrix))
     return _decide("SLP", "hessian", view, checks, seed, "hessians of degrees 1..k",
-                   symbols=F.vars, point_filter=F.evaluate)
+                   point_filter=F.evaluate)
 
 
 def ci_degree_criterion(degrees: Sequence[int]) -> bool:

@@ -1,8 +1,7 @@
 """Exact linear algebra over rationals and polynomial entries.
 
-There is one elimination per job.  `_echelon` is the Gaussian elimination
-over the rationals: its forward pass gives ranks and pivot columns, and its
-reduced pass gives the reduced row echelon form behind nullspaces.
+There is one elimination per job.  `pivot_columns` is the forward pass of
+Gaussian elimination over the rationals, behind ranks and greedy bases.
 `_bareiss` is the fraction-free (Bareiss 1968) elimination with full
 pivoting behind symbolic ranks and determinants: every intermediate entry is
 a minor of the input matrix, so the division by the previous pivot is exact
@@ -75,21 +74,19 @@ def _lift_rows(entries) -> tuple[tuple[str, ...], list[list[Fraction]] | None]:
     return (), rows
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]], reduced: bool) -> tuple[list[list[Fraction]], list[int]]:
-    """Gaussian elimination: an echelon form of rows and its pivot columns.
+def pivot_columns(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+    """Columns that are not combinations of the columns left of them.
 
-    The forward pass clears each pivot column below the pivot, which is all a
-    rank or a pivot set needs.  With reduced, every pivot row is scaled to a
-    leading 1 and the column is cleared above as well (the reduced form).
-    The pivot row is zero left of its pivot column, so the row updates start
-    at that column.
+    The forward pass of Gaussian elimination clears each pivot column below
+    the pivot.  The pivot row is zero left of its pivot column, so the row
+    updates start at that column.
     """
     # entries that are Fractions already are kept: rebuilding one costs about
     # as much as an elimination step on it
     m = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
     if not m or not m[0]:
-        return m, pivots
+        return pivots
     nrows, ncols = len(m), len(m[0])
     for col in range(ncols):
         row = len(pivots)
@@ -97,50 +94,20 @@ def _echelon(rows: Sequence[Sequence[Fraction]], reduced: bool) -> tuple[list[li
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        if reduced:
-            pv = m[row][col]
-            m[row] = [x / pv for x in m[row]]
-        for r in range(0 if reduced else row + 1, nrows):
-            if r != row and m[r][col]:
+        for r in range(row + 1, nrows):
+            if m[r][col]:
                 factor = m[r][col] / m[row][col]
                 for c in range(col, ncols):
                     m[r][c] -= factor * m[row][c]
         pivots.append(col)
         if len(pivots) == nrows:
             break
-    return m, pivots
-
-
-def pivot_columns(rows: Sequence[Sequence[Fraction]]) -> list[int]:
-    """Columns that are not combinations of the columns left of them."""
-    return _echelon(rows, reduced=False)[1]
+    return pivots
 
 
 def fraction_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank over the rationals by ordinary Gaussian elimination."""
     return len(pivot_columns(rows))
-
-
-def fraction_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Nullspace basis in reduced echelon form w.r.t. the column order.
-
-    Each vector has coefficient 1 at one free column and its support at that
-    column plus earlier pivot columns, which makes output reproducible.
-    """
-    if not rows:
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
-    rref, pivots = _echelon(rows, reduced=True)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][free]
-        basis.append(vec)
-    return basis
 
 
 # -- fraction-free elimination on packed monomials ------------------------------

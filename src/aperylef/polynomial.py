@@ -187,18 +187,6 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = SparsePoly.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- calculus and evaluation -------------------------------------------
 
     def partial(self, index: int) -> "SparsePoly":
@@ -229,13 +217,6 @@ class SparsePoly:
                     term *= val ** exp
             total += term
         return total
-
-    def rename(self, new_variables) -> "SparsePoly":
-        """Same terms over a new variable tuple of equal length."""
-        new_variables = tuple(new_variables)
-        if len(new_variables) != len(self.vars):
-            raise ValueError("rename requires the same number of variables")
-        return SparsePoly(new_variables, self.terms)
 
     def with_vars(self, variables) -> "SparsePoly":
         """Embed into a superset variable tuple, matching by name."""

@@ -1,8 +1,12 @@
+import math
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import nullspace_oracle
 from aperylef import algebra as algebra_module
 from aperylef import (
     DegreeOutOfRange,
@@ -375,6 +379,47 @@ def test_brute_force_matches_codim3_ideal():
         for t in ("y^5", "z^3 - y^2*w", "w^2", "z*w", "y^3*z")
     ]
     assert same_ideal_through_degree(ideal.generators, listed, ideal.variables, 6)
+
+
+def test_rref_nullspace_oracle_reduced_form():
+    basis = nullspace_oracle.rref_nullspace([[0, 1, 0, 1]], 4)
+    assert basis == [[1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 1]]
+    # the second pivot is cleared from the row above it
+    assert nullspace_oracle.rref_nullspace([[1, 1, 1], [0, 1, 2]], 3) == [[1, -2, 1]]
+
+
+@st.composite
+def small_algebras(draw):
+    """An Apery algebra of a few small generators, or a box algebra with an
+    optional degree-preserving pure-power rewrite."""
+    if draw(st.booleans()):
+        m = draw(st.integers(3, 7))
+        rest = draw(st.sets(st.integers(m + 1, 3 * m), min_size=1, max_size=3))
+        gens = [m] + sorted(rest)
+        assume(math.gcd(*gens) == 1)
+        return algebra_of(gens)
+    n = draw(st.integers(1, 3))
+    names = ("y", "z", "w")[:n]
+    bounds = [draw(st.integers(1, 3)) for _ in range(n)]
+    rewrite = None
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        repl = [0] * n
+        for _ in range(bounds[i] + 1):
+            repl[draw(st.sampled_from([j for j in range(n) if j != i]))] += 1
+        rewrite = (i, tuple(repl))
+    return box_algebra(names, bounds, rewrite=rewrite)
+
+
+@given(small_algebras())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_brute_force_kernel_matches_rref_nullspace(A):
+    # each monomial lands on one label or on zero, so the kernel read off the
+    # labels is the reduced-echelon nullspace of the evaluation matrix
+    top = A.top_degree
+    bf = brute_force_relations(A, top + 1)
+    for d in range(1, top + 2):
+        assert bf.data["by_degree"][d] == nullspace_oracle.relations(A, d), d
 
 
 def test_brute_force_size_limit():

@@ -123,6 +123,20 @@ def test_operator_application_is_multiplicative_and_linear(p, q):
     assert apply_operator(p + q, F_16) == apply_operator(p, F_16) + apply_operator(q, F_16)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_monomial_operator_is_iterated_partials(data):
+    exponents = st.tuples(*[st.integers(0, 12)] * 3)
+    coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    F = SparsePoly(YZW, data.draw(st.dictionaries(exponents, coefficients, max_size=5)))
+    a = data.draw(exponents)
+    expected = F
+    for i, k in enumerate(a):
+        for _ in range(k):
+            expected = expected.partial(i)
+    assert apply_operator(mono(YZW, a), F) == expected
+
+
 @given(st.integers(0, 2), st.integers(0, 2))
 @settings(max_examples=30, deadline=None)
 def test_operator_partials_commute(i, j):

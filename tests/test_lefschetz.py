@@ -24,6 +24,8 @@ from aperylef import (
     dual_algebra_view,
     dual_socle_generator,
     gamma_criterion,
+    hessian,
+    mixed_hessian,
     multiplication_matrix,
     parse_polynomial,
     quotient_condition_ci,
@@ -448,9 +450,34 @@ def test_ranks_and_hessian_routes_agree_on_random_dual_forms(data):
         assert record[prop]["ranks"]["verdict"] == record[prop]["hessian"]["verdict"], (text, prop)
 
 
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_view_pairing_is_the_hessian_and_the_map_pairing(data):
+    # the one pairing a view builds is the Hessian and mixed Hessian on its
+    # bases, and the pairing matrix of every multiplication map
+    F = parse_polynomial(dual_form_text(data))
+    view = dual_algebra_view(F)
+    D = view.socle_degree
+    for d in range(D + 1):
+        assert view.pairing(d, d).entries == hessian(F, d, view.bases[d]).entries
+    for k in range(1, D + 1):
+        assert view.pairing(k - 1, k).entries == mixed_hessian(F, k - 1, k, view=view).entries
+    for d in range(D):
+        for p in range(1, D - d + 1):
+            assert view.pairing_matrix(d, p) == view.pairing(D - d - p, d)
+
+
+def test_hessian_routes_refuse_a_view_of_another_form():
+    F = parse_polynomial("y^4*w + y^2*z^3")
+    view = dual_algebra_view(parse_polynomial("y^4*w + 2*y^2*z^3"))
+    for route in (wlp_by_hessian, slp_by_hessian):
+        with pytest.raises(ValueError):
+            route(F, view)
+
+
 # -- the evaluate-first verdict core against a plain reference -----------------
 
-def reference_decide(property_name, method, obj, checks, seed, notes, symbols=None, point_filter=None):
+def reference_decide(property_name, method, obj, checks, seed, notes, point_filter=None):
     """The verdict core without evaluation first: every map is ranked by
     fraction-free elimination, then witness points are drawn and every map is
     ranked at each.  A deficient map above the symbolic cap reads
@@ -470,8 +497,7 @@ def reference_decide(property_name, method, obj, checks, seed, notes, symbols=No
     witness = None
     if all(e["maximal"] for e in evidence):
         verdict = "holds"
-        symbols = obj.symbols() if symbols is None else symbols
-        witness = reference_witness(obj.variables, targets, rng, symbols, point_filter) if targets else {}
+        witness = reference_witness(obj.variables, targets, rng, obj.symbols(), point_filter) if targets else {}
     elif any(not (e["maximal"] or e["probabilistic"]) for e in evidence):
         verdict = "fails"
     else:

@@ -14,7 +14,6 @@ from aperylef.linalg import (
     _guard,
     _pack_rows,
     _unpack,
-    fraction_nullspace,
     fraction_rank,
     point_rank,
 )
@@ -88,19 +87,6 @@ def test_packing_clears_row_denominators_and_orders_monomials_graded_lex():
     polys = [x * x, x * y, y * y, x, y, SparsePoly.constant(v, 1)]  # graded-lex descending
     packed = [next(iter(p)) for p in _pack_rows([polys], v)[0][0]]
     assert packed == sorted(packed, reverse=True)
-
-
-def test_fraction_nullspace_reduced_form():
-    rows = [[Fraction(0), Fraction(1), Fraction(0), Fraction(1)]]
-    basis = fraction_nullspace(rows, 4)
-    assert basis == [
-        [Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(-1), Fraction(0), Fraction(1)],
-    ]
-    # the second pivot is cleared from the row above it
-    rows = [[Fraction(1), Fraction(1), Fraction(1)], [Fraction(0), Fraction(1), Fraction(2)]]
-    assert fraction_nullspace(rows, 3) == [[Fraction(1), Fraction(-2), Fraction(1)]]
 
 
 def test_rank_info_refuses_large_symbolic_matrices():
