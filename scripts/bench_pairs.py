@@ -14,9 +14,11 @@ Every workload of BENCHMARK.json gets PAIRS pairs.  Pair i runs
 trees, base first on even i and change first on odd i, where S is the
 benchmark's own ``run_seconds``.  The output holds, per workload and
 end-to-end metric of BENCHMARK.json, every run's value, the median and
-quartiles of each side, the relative change of the medians, the pairs the
-change wins and loses (ties count for neither), and whether the medians
-differ by more than the base side's interquartile range.
+quartiles of each side, the relative change of the medians, whether that
+change goes the worse way by more than the metric's bound (the benchmark's
+gate; null when the base median is 0), the pairs the change wins and loses
+(ties count for neither), and whether the medians differ by more than the
+base side's interquartile range.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ def summarize(metric: dict, base: list[float], head: list[float]) -> dict:
     h1, hm, h3 = quartiles(head)
     wins = sum((h > b) if higher else (h < b) for b, h in zip(base, head))
     losses = sum((h < b) if higher else (h > b) for b, h in zip(base, head))
+    relative = hm / bm - 1 if bm else None
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -93,7 +96,8 @@ def summarize(metric: dict, base: list[float], head: list[float]) -> dict:
         "change_median": hm,
         "change_q1": h1,
         "change_q3": h3,
-        "relative_change": hm / bm - 1 if bm else None,
+        "relative_change": relative,
+        "worse_than_bound": None if relative is None else (-relative if higher else relative) > metric["bound"],
         "wins": wins,
         "losses": losses,
         "ties": len(base) - wins - losses,

@@ -526,7 +526,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             view = dual_algebra_view(F)
             if not 0 <= args.d <= view.socle_degree:
                 raise NotApplicable(f"degree {args.d} outside 0..{view.socle_degree}")
-            matrix = hessian(F, args.d, view.bases[args.d])
+            matrix = hessian(F, args.d, view.bases[args.d], view=view)
             if args.format == "json":
                 record = {
                     "schema_version": SCHEMA_VERSION,

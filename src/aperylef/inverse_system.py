@@ -1,14 +1,17 @@
 """Macaulay-style inverse systems: dual generators, catalecticants, Hessians.
 
 A homogeneous polynomial F presents a graded Artinian Gorenstein algebra as
-differential operators modulo the annihilator of F.  Two builders serve
-everything else.  `_images` writes the images of degree-d monomial operators
-on F as coefficient rows: their rank is the catalecticant rank, the
-dimension of the degree-d component; their pivot columns, taken in
-graded-lex descending order, are the greedy monomial basis of a dual view;
-and a given basis is independent iff the rank equals its size.  `_pairing`
-applies the products of two monomial bases to F, so its entries are
-polynomials in F's variables.
+differential operators modulo the annihilator of F.  Everything reads one
+derivative table, the map a -> (x^a)(X)F over exponent tuples: a pairing
+entry (m*m')(X)F depends only on the product m*m', so each derivative is
+taken once.  A dual view builds the table for every |a| <= D, the monomials
+it scans anyway, and two builders read it.  `_images` writes the images of
+degree-d monomial operators as coefficient rows: their rank is the
+catalecticant rank, the dimension of the degree-d component; their pivot
+columns, taken in graded-lex descending order, are the greedy monomial
+basis of a dual view; and a given basis is independent iff the rank equals
+its size.  `_pairing` looks up the products of two monomial bases, so its
+entries are polynomials in F's variables.
 
 A view reads every matrix off one pairing, `DualAlgebraView.pairing(i, j)`
 on its own bases.  By Maeno-Watanabe (2009) the map by the p-th power of a
@@ -16,14 +19,17 @@ generic linear form from degree d has the rank of the pairing of degrees
 D-d-p and d, and the mixed Hessian of degrees (i, j) is the pairing of
 degrees i and j; a point of F's variables is the linear form with those
 coefficients.  The free functions `hessian` and `mixed_hessian` build the
-same pairing on bases a caller supplies, after checking them.
+same pairing on bases a caller supplies, after checking them, off the
+table of a view of F when given one and otherwise off a table of just the
+derivatives they need.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import DependentBasis, InternalFault, InvalidDualGenerator, NotGorenstein, SizeLimit
@@ -127,29 +133,37 @@ def dual_socle_generator(table: AperyTable) -> SparsePoly:
     return SparsePoly(names, terms)
 
 
-def _images(F: SparsePoly, d: int, monos: Sequence[tuple[int, ...]]) -> list[list[Fraction]]:
+def _derivatives(F: SparsePoly, exps) -> dict[tuple[int, ...], SparsePoly]:
+    """The table a -> (x^a)(X)F over the exponent tuples exps."""
+    return {a: apply_operator(SparsePoly.monomial(F.vars, a), F) for a in exps}
+
+
+def _images(F: SparsePoly, d: int, monos: Sequence[tuple[int, ...]], table: dict) -> list[list[Fraction]]:
     """Coefficient rows of the images of degree-d monomial operators on F.
 
-    Row i holds the coefficients of monos[i](X)F over the degree D-d
-    monomials in graded-lex descending order; a zero image is a zero row.
+    Row i holds the coefficients of monos[i](X)F, read off the derivative
+    table, over the degree D-d monomials in graded-lex descending order; a
+    zero image is a zero row.
     """
     target = monomials_of_degree(F.vars, F.degree() - d)
     index = {m: i for i, m in enumerate(target)}
     rows = []
     for m in monos:
         row = [Fraction(0)] * len(target)
-        for e, c in apply_operator(SparsePoly.monomial(F.vars, m), F).terms.items():
-            row[index[e]] = c
+        image = table.get(m)
+        if image:
+            for e, c in image.terms.items():
+                row[index[e]] = c
         rows.append(row)
     return rows
 
 
-def _pairing(F: SparsePoly, rows: Sequence, cols: Sequence) -> list[list[SparsePoly]]:
-    """Entries (r*c)(X)F for the exponent tuples r of rows and c of cols."""
-    def entry(r, c):
-        return apply_operator(SparsePoly.monomial(F.vars, tuple(a + b for a, b in zip(r, c))), F)
-
-    return [[entry(r, c) for c in cols] for r in rows]
+def _pairing(table: dict, variables: tuple[str, ...], rows: Sequence, cols: Sequence) -> list[list[SparsePoly]]:
+    """Entries (r*c)(X)F for the exponent tuples r of rows and c of cols,
+    looked up in a derivative table of F; a product missing from the table
+    has degree above F's and kills it."""
+    zero = SparsePoly.zero(variables)
+    return [[table.get(tuple(map(add, r, c)), zero) for c in cols] for r in rows]
 
 
 def catalecticant_rank(F: SparsePoly, d: int) -> int:
@@ -160,7 +174,8 @@ def catalecticant_rank(F: SparsePoly, d: int) -> int:
     """
     if d < 0 or d > F.degree():
         return 0
-    return fraction_rank(_images(F, d, monomials_of_degree(F.vars, d)))
+    monos = monomials_of_degree(F.vars, d)
+    return fraction_rank(_images(F, d, monos, _derivatives(F, monos)))
 
 
 @dataclass
@@ -170,7 +185,9 @@ class DualAlgebraView:
     bases[d] lists exponent tuples of degree-d monomials, greedily selected
     in graded-lex descending order so that their images under F are linearly
     independent; the basis sizes are the catalecticant ranks and form a
-    symmetric Hilbert vector.
+    symmetric Hilbert vector.  derivatives maps every exponent tuple a with
+    |a| <= D to (x^a)(X)F: the images behind the bases and every pairing
+    entry are read off it.
     """
 
     F: SparsePoly
@@ -178,6 +195,7 @@ class DualAlgebraView:
     bases: tuple[tuple[tuple[int, ...], ...], ...]
     hilbert: tuple[int, ...]
     socle_degree: int
+    derivatives: dict[tuple[int, ...], SparsePoly] = field(compare=False, repr=False)
 
     @property
     def top_degree(self) -> int:
@@ -206,7 +224,7 @@ class DualAlgebraView:
         """Entries (m*m')(X)F for m in bases[i] (rows) and m' in bases[j]
         (columns); rows and columns are labelled by exponent tuples."""
         rows, cols = self.bases[i], self.bases[j]
-        return Matrix(list(rows), list(cols), _pairing(self.F, rows, cols))
+        return Matrix(list(rows), list(cols), _pairing(self.derivatives, self.variables, rows, cols))
 
     def pairing_matrix(self, d: int, power: int) -> Matrix:
         """Symbolic matrix with the rank of multiplication by a generic form.
@@ -234,8 +252,7 @@ class DualAlgebraView:
         the annihilator of F, so the derivative presents the quotient.
         """
         idx = self.variables.index(variable)
-        exps = tuple(int(i == idx) for i in range(len(self.variables)))
-        derived = apply_operator(SparsePoly.monomial(self.variables, exps), self.F)
+        derived = self.derivatives.get(tuple(int(i == idx) for i in range(len(self.variables))))
         return dual_algebra_view(derived) if derived else None
 
 
@@ -255,11 +272,13 @@ def dual_algebra_view(F: SparsePoly, require_positive_degree: bool = False) -> D
             f"monomials, above the cap {DUAL_MONOMIALS_LIMIT}"
         )
     bases = []
+    derivatives = {}
     for d in range(D + 1):
         # the greedy basis: each monomial whose image is independent of the
         # images of the monomials before it in graded-lex descending order
         monos = monomials_of_degree(F.vars, d)
-        columns = list(zip(*_images(F, d, monos)))
+        derivatives.update(_derivatives(F, monos))
+        columns = list(zip(*_images(F, d, monos, derivatives)))
         bases.append(tuple(monos[i] for i in pivot_columns(columns)))
     hilbert = tuple(len(b) for b in bases)
     if hilbert != hilbert[::-1]:
@@ -270,10 +289,12 @@ def dual_algebra_view(F: SparsePoly, require_positive_degree: bool = False) -> D
         bases=tuple(bases),
         hilbert=hilbert,
         socle_degree=D,
+        derivatives=derivatives,
     )
 
 
 def _validate_basis(F: SparsePoly, d: int, basis: Sequence) -> list[tuple[int, ...]]:
+    """The exponent tuples of a basis of degree-d monomials in F's variables."""
     exps = []
     for b in basis:
         if isinstance(b, SparsePoly):
@@ -282,21 +303,45 @@ def _validate_basis(F: SparsePoly, d: int, basis: Sequence) -> list[tuple[int, .
             e = next(iter(b.terms))
         else:
             e = tuple(int(x) for x in b)
+        if len(e) != len(F.vars) or min(e, default=0) < 0:
+            raise DependentBasis(f"basis entry {e} is not an exponent tuple of {len(F.vars)} variables")
         if sum(e) != d:
             raise DependentBasis(f"basis monomial {e} does not have degree {d}")
         exps.append(e)
-    if fraction_rank(_images(F, d, exps)) != len(exps):
-        raise DependentBasis(
-            "basis monomials are dependent in the algebra presented by F"
-        )
     return exps
 
 
-def hessian(F: SparsePoly, d: int, basis: Sequence) -> Matrix:
-    """Symmetric matrix of second-layer derivatives over a degree-d basis."""
-    exps = _validate_basis(F, d, basis)
-    labels = [SparsePoly.monomial(F.vars, e) for e in exps]
-    return Matrix(labels, list(labels), _pairing(F, exps, exps))
+def _basis_pairing(
+    F: SparsePoly, view: DualAlgebraView | None, d: int, row_basis: Sequence, t: int, col_basis: Sequence
+) -> Matrix:
+    """The pairing of a degree-d basis (rows) against a degree-t basis
+    (columns), after checking that each is an independent set of monomials;
+    entries come off the view's derivative table, or off a table of just the
+    derivatives needed when no view is given."""
+    rows = _validate_basis(F, d, row_basis)
+    cols = _validate_basis(F, t, col_basis)
+    if view is None:
+        table = _derivatives(F, {*rows, *cols, *(tuple(map(add, r, c)) for r in rows for c in cols)})
+    elif view.F != F:
+        raise ValueError(f"the dual view presents {view.F}, not {F}")
+    else:
+        table = view.derivatives
+    for degree, exps in ((d, rows), (t, cols)):
+        if fraction_rank(_images(F, degree, exps, table)) != len(exps):
+            raise DependentBasis("basis monomials are dependent in the algebra presented by F")
+    return Matrix(
+        [SparsePoly.monomial(F.vars, e) for e in rows],
+        [SparsePoly.monomial(F.vars, e) for e in cols],
+        _pairing(table, F.vars, rows, cols),
+    )
+
+
+def hessian(F: SparsePoly, d: int, basis: Sequence, view: DualAlgebraView | None = None) -> Matrix:
+    """Symmetric matrix of second-layer derivatives over a degree-d basis.
+
+    A view given must present F; its derivative table is read.
+    """
+    return _basis_pairing(F, view, d, basis, d, basis)
 
 
 def mixed_hessian(
@@ -307,17 +352,15 @@ def mixed_hessian(
     col_basis: Sequence | None = None,
     view: DualAlgebraView | None = None,
 ) -> Matrix:
-    """Rectangular pairing of a degree-d basis against a degree-t basis."""
-    if view is None:
+    """Rectangular pairing of a degree-d basis against a degree-t basis.
+
+    A missing basis is the view's, and a view is built when one is missing
+    and none is given; a view given must present F.
+    """
+    if view is None and (row_basis is None or col_basis is None):
         view = dual_algebra_view(F)
     if row_basis is None:
         row_basis = view.bases[d]
     if col_basis is None:
         col_basis = view.bases[t]
-    rows = _validate_basis(F, d, row_basis)
-    cols = _validate_basis(F, t, col_basis)
-    return Matrix(
-        [SparsePoly.monomial(F.vars, e) for e in rows],
-        [SparsePoly.monomial(F.vars, e) for e in cols],
-        _pairing(F, rows, cols),
-    )
+    return _basis_pairing(F, view, d, row_basis, t, col_basis)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,9 @@ from aperylef import (
     polynomial_determinant,
 )
 from aperylef import inverse_system
+from aperylef.cli import from_dual_record
 from aperylef.errors import SizeLimit
+from dual_forms import dual_form_text
 
 YZW = ("y", "z", "w")
 F_16 = parse_polynomial("y^4*w + y^2*z^3", YZW)
@@ -229,6 +232,50 @@ def test_view_rejects_bad_input():
         dual_algebra_view(parse_polynomial("3"), require_positive_degree=True)
 
 
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_view_derivative_table_is_every_derivative_up_to_the_degree(data):
+    F = parse_polynomial(dual_form_text(data))
+    D, n = F.degree(), len(F.vars)
+    view = dual_algebra_view(F)
+    table = view.derivatives
+    assert len(table) == math.comb(D + n, n)
+    assert set(table) == {a for d in range(D + 1) for a in monomials_of_degree(F.vars, d)}
+    for a, image in table.items():
+        assert image == apply_operator(mono(F.vars, a), F), a
+    for i in range(D + 1):
+        for j in range(D + 1 - i):
+            oracle = [
+                [apply_operator(mono(F.vars, r) * mono(F.vars, c), F) for c in view.bases[j]]
+                for r in view.bases[i]
+            ]
+            assert view.pairing(i, j).entries == oracle, (i, j)
+    for k, name in enumerate(F.vars):
+        derived = apply_operator(mono(F.vars, tuple(int(i == k) for i in range(n))), F)
+        step = view.colon_step(name)
+        assert (step.F if step is not None else SparsePoly.zero(F.vars)) == derived
+    # the table does not enter a view's equality or repr
+    assert dual_algebra_view(F) == view
+    assert "derivatives" not in repr(view)
+
+
+def test_from_dual_record_takes_each_scanned_derivative_once(monkeypatch):
+    taken = []
+    apply = inverse_system.apply_operator
+
+    def counted(p, F):
+        taken.append(next(iter(p.terms)))
+        return apply(p, F)
+
+    monkeypatch.setattr(inverse_system, "apply_operator", counted)
+    for F in (F_16, CUBIC_5VAR, QUARTIC_5VAR, parse_polynomial("a^2*x0 + a*b*x1 + b^2*x2")):
+        taken.clear()
+        from_dual_record(str(F), seed_root=0)
+        D, n = F.degree(), len(F.vars)
+        assert len(taken) == math.comb(D + n, n), str(F)
+        assert sorted(taken) == sorted(a for d in range(D + 1) for a in monomials_of_degree(F.vars, d))
+
+
 def test_view_size_limit(monkeypatch):
     # a degree-D form in n variables scans the C(D + n, n) monomials of
     # degree at most D
@@ -311,6 +358,30 @@ def test_hessian_rejects_dependent_basis():
         hessian(F_16, 2, [(0, 0, 2), (0, 1, 1)])  # w^2 and z*w both annihilate F
     with pytest.raises(DependentBasis):
         hessian(F_16, 1, [(1, 0, 0), (1, 0, 0)])
+
+
+def test_hessian_rejects_malformed_exponent_tuples():
+    # a tuple of the wrong length or with a negative exponent is refused
+    # before any derivative is looked up
+    for basis in ([(1, 0)], [(1, 0, 0, 0)], [(2, -1, 0)], [(1, 0, 0), (2, 0, -1)]):
+        with pytest.raises(DependentBasis):
+            hessian(F_16, 1, basis)
+        with pytest.raises(DependentBasis):
+            hessian(F_16, 1, basis, view=dual_algebra_view(F_16))
+        with pytest.raises(DependentBasis):
+            mixed_hessian(F_16, 2, 1, BASIS2, basis)
+
+
+def test_hessians_read_the_view_of_their_form_and_refuse_another():
+    view = dual_algebra_view(F_16)
+    assert hessian(F_16, 2, BASIS2, view=view) == hessian(F_16, 2, BASIS2)
+    assert mixed_hessian(F_16, 2, 3, view=view) == mixed_hessian(F_16, 2, 3, view.bases[2], view.bases[3])
+    F = parse_polynomial("x^2*y + y^2*z + x*z^2")
+    other = dual_algebra_view(parse_polynomial("x^3 + y^3 + z^3"))
+    with pytest.raises(ValueError):
+        mixed_hessian(F, 1, 1, view=other)
+    with pytest.raises(ValueError):
+        hessian(F, 1, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], view=other)
 
 
 def test_mixed_hessian_coincides_with_hessian_on_diagonal():

@@ -42,6 +42,7 @@ from aperylef.cli import from_dual_record
 from aperylef.errors import InternalFault
 from aperylef.lefschetz import INCONCLUSIVE_STEP, TRANSFERRED, LefschetzReport
 from bareiss_oracle import exact_rank
+from dual_forms import dual_form_text
 
 CUBIC_5VAR = parse_polynomial("a^2*x + a*b*y + b^2*z")
 QUARTIC_5VAR = parse_polynomial("a^2*x*z + a*b*y*z + 1/2*b^2*z^2")
@@ -416,29 +417,6 @@ def test_transfer_conclusions_are_sound():
         _, current = colon_by_power(current, step.variable, 1)
         if step.conclusion == TRANSFERRED:
             assert wlp_by_ranks(current, seed=11).verdict == "holds"
-
-
-def dual_form_text(data):
-    """A homogeneous form of degree 2 to 4 in 2 to 4 variables, or a Perazzo
-    form sum c_i a^(e-i) b^i x_i, whose Hessian vanishes, so both routes
-    find the SLP failing."""
-    def coefficient():
-        return Fraction(data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), data.draw(st.integers(1, 2)))
-
-    if data.draw(st.booleans()):
-        e = data.draw(st.integers(2, 3))
-        names = ("a", "b") + tuple(f"x{i}" for i in range(e + 1))
-        terms = {(e - i, i) + tuple(int(j == i) for j in range(e + 1)): coefficient() for i in range(e + 1)}
-        return str(SparsePoly(names, terms))
-    names = tuple("wxyz"[: data.draw(st.integers(2, 4))])
-    degree = data.draw(st.integers(2, 4))
-    terms = {}
-    for _ in range(data.draw(st.integers(1, 4))):
-        exps = [0] * len(names)
-        for _ in range(degree):
-            exps[data.draw(st.integers(0, len(names) - 1))] += 1
-        terms[tuple(exps)] = coefficient()
-    return str(SparsePoly(names, terms))
 
 
 @given(st.data())
