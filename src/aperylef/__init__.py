@@ -35,8 +35,6 @@ from .semigroup import (
     FrameData,
     MPureVerdict,
     NumericalSemigroup,
-    Representation,
-    box_elements,
     compute_beta_gamma,
     create_semigroup,
     is_m_pure_symmetric,

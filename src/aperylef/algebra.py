@@ -8,10 +8,10 @@ exponents, optionally rewrites one pure power into a fixed mixed monomial,
 and truncates anything leaving the box.
 
 A colon quotient A/(0:x) is spanned by the labels of A outside the ideal
-(0:x), so its multiplication maps are A's maps on its own rows and columns;
-only an algebra that is not a quotient builds its maps from the product
-table.  Each algebra builds a map once, and an Apery table gives one algebra
-while anything holds it.
+(0:x) and keeps A as its parent, so its multiplication maps are A's maps on
+its own rows and columns; only an algebra without a parent builds its maps
+from the product table.  Each algebra builds a map once, and an Apery table
+gives one algebra while anything holds it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Optional, Sequence
 
-from .errors import DegreeOutOfRange, InternalFault, NotApplicable, SizeLimit
+from .errors import DegreeOutOfRange, InternalFault, InvalidStep, NotApplicable, SizeLimit
 from .linalg import Matrix, fraction_rank
 from .polynomial import SparsePoly, grlex_key, monomials_of_degree
 from .semigroup import AperyTable, FrameData, NumericalSemigroup
@@ -41,25 +41,21 @@ class GradedAlgebra:
     def __init__(
         self,
         variables: tuple[str, ...],
-        display_vars: tuple[str, ...],
         basis: list[list],
         var_labels: list,
         product_fn: Callable,
-        display: dict,
         kind: str,
-        meta: dict | None = None,
+        parent: Optional["GradedAlgebra"] = None,
     ):
         # Trim empty top degrees so top_degree is the real socle degree.
         while basis and not basis[-1]:
             basis = basis[:-1]
         self.variables = tuple(variables)
-        self.display_vars = tuple(display_vars)
         self.basis = tuple(tuple(b) for b in basis)
         self.var_labels = tuple(var_labels)
         self._product = product_fn
-        self.display = display
         self.kind = kind
-        self.meta = meta or {}
+        self.parent = parent  # the algebra a colon quotient was taken of
         self._degree = {}
         for d, labels in enumerate(self.basis):
             for lab in labels:
@@ -93,17 +89,6 @@ class GradedAlgebra:
     def symbols(self) -> tuple[str, ...]:
         """Symbolic coefficient names for a generic linear form, one per variable."""
         return tuple(f"a{i}" for i in range(2, len(self.variables) + 2))
-
-    def label_text(self, label) -> str:
-        exps = self.display.get(label)
-        if exps is None:
-            return str(label)
-        mono = "*".join(
-            v if e == 1 else f"{v}^{e}"
-            for v, e in zip(self.display_vars, exps)
-            if e
-        )
-        return mono or "1"
 
     def socle_labels(self) -> list:
         out = []
@@ -140,11 +125,10 @@ class GradedAlgebra:
         """
         key = (d, power)
         if key not in self._maps:
-            parent = self.meta.get("parent")
-            if parent is None:
+            if self.parent is None:
                 self._maps[key] = multiplication_matrix(self, LinearForm.symbolic(self), d, power)
             else:
-                self._maps[key] = _sliced_map(self, parent, d, power)
+                self._maps[key] = _sliced_map(self, self.parent, d, power)
         return self._maps[key]
 
     def colon_step(self, variable: str) -> Optional["GradedAlgebra"]:
@@ -182,12 +166,6 @@ def _apery_algebra(table: AperyTable) -> GradedAlgebra:
     top = max(table.orders)
     basis = [sorted(table.elements_of_order(d)) for d in range(top + 1)]
     degree1 = basis[1] if top >= 1 else []
-    codim = len(degree1)
-    names = variable_names(codim)
-    display = {
-        e: reps[0].exponents[1:]
-        for e, reps in zip(table.elements, table.max_reps)
-    }
     members = set(table.elements)
 
     def product_fn(a, b):
@@ -197,14 +175,11 @@ def _apery_algebra(table: AperyTable) -> GradedAlgebra:
         return None
 
     return GradedAlgebra(
-        variables=names,
-        display_vars=names,
+        variables=variable_names(len(degree1)),
         basis=basis,
         var_labels=degree1,
         product_fn=product_fn,
-        display=display,
         kind="apery",
-        meta={"table": table},
     )
 
 
@@ -213,7 +188,6 @@ def box_algebra(
     bounds: Sequence[int],
     rewrite: Optional[tuple[int, tuple[int, ...]]] = None,
     kind: str = "box",
-    meta: dict | None = None,
 ) -> GradedAlgebra:
     """Monomial box algebra with an optional single pure-power rewrite.
 
@@ -258,13 +232,10 @@ def box_algebra(
 
     return GradedAlgebra(
         variables=tuple(variables),
-        display_vars=tuple(variables),
         basis=basis,
         var_labels=var_labels,
         product_fn=product_fn,
-        display={lab: lab for lab in labels},
         kind=kind,
-        meta=meta,
     )
 
 
@@ -285,14 +256,11 @@ def build_gamma_algebra(frame: FrameData) -> GradedAlgebra:
     if frame.gamma[1] >= frame.beta[1]:
         raise NotApplicable("codimension-3 structure requires gamma < beta in the middle")
     witness = frame.gamma_witness[2]
-    mu2, mu4 = witness.exponents[1], witness.exponents[3]
-    names = variable_names(3)
     alg = box_algebra(
-        names,
+        variable_names(3),
         frame.gamma,
-        rewrite=(1, (mu2, 0, mu4)),
+        rewrite=(1, (witness[1], 0, witness[3])),
         kind="gamma",
-        meta={"frame": frame, "mu": (mu2, mu4)},
     )
     if alg.dimension != frame.box_gamma_points():
         raise InternalFault(f"the gamma algebra has dimension {alg.dimension}, not the box's point count")
@@ -424,23 +392,20 @@ class MonomialSubspace:
         return tuple(len(labels) for labels in self.labels_by_degree)
 
 
-def colon_by_power(alg: GradedAlgebra, var, c: int) -> tuple[MonomialSubspace, GradedAlgebra]:
-    """Annihilator of the c-th power of a degree-1 variable, and the quotient.
+def colon_by_power(alg: GradedAlgebra, variable: str, c: int) -> tuple[MonomialSubspace, GradedAlgebra]:
+    """Annihilator of the c-th power of a variable, and the quotient.
 
     The annihilator is spanned by the basis labels killed by c successive
     multiplications; the quotient keeps the complementary labels with the
-    induced table.
+    induced table.  A name that is not a variable of alg raises InvalidStep.
     """
     if c < 0:
         raise ValueError("colon power must be >= 0")
-    if isinstance(var, str):
-        vlabel = alg.var_labels[alg.variables.index(var)]
-    elif isinstance(var, int) and var < len(alg.var_labels):
-        vlabel = alg.var_labels[var]
-    else:
-        vlabel = var
-        if vlabel not in alg.var_labels:
-            raise ValueError(f"{var!r} is not a degree-1 variable of the algebra")
+    if variable not in alg.variables:
+        raise InvalidStep(
+            f"{variable!r} is not a variable of the algebra ({', '.join(alg.variables)})"
+        )
+    vlabel = alg.var_labels[alg.variables.index(variable)]
 
     def killed(label) -> bool:
         x = label
@@ -469,13 +434,11 @@ def colon_by_power(alg: GradedAlgebra, var, c: int) -> tuple[MonomialSubspace, G
 
     quotient = GradedAlgebra(
         variables=new_names,
-        display_vars=alg.display_vars,
         basis=new_basis,
         var_labels=surviving,
         product_fn=product_fn,
-        display=alg.display,
         kind="quotient",
-        meta={"parent": alg, "colon_variable": var, "colon_power": c},
+        parent=alg,
     )
     return MonomialSubspace(colon_by_deg), quotient
 
@@ -533,7 +496,7 @@ def ci_tilde_ideal(frame: FrameData) -> IdealDescription:
         p = SparsePoly.monomial(names, exps)
         if frame.rho[j]:
             witness = frame.gamma_witness[j + 1]
-            p = p - SparsePoly.monomial(names, witness.exponents[1:])
+            p = p - SparsePoly.monomial(names, witness[1:])
         polys.append(p)
         degrees.append(frame.gamma[j] + 1)
     g1 = frame.semigroup.multiplicity
@@ -576,7 +539,7 @@ def codim3_defining_ideal(S: NumericalSemigroup) -> IdealDescription:
     g2, g3, g4 = gens[1], gens[2], gens[3]
     gamma2, gamma3, gamma4 = frame.gamma
     witness = frame.gamma_witness[2]
-    mu2, mu4 = witness.exponents[1], witness.exponents[3]
+    mu2, mu4 = witness[1], witness[3]
     if not (1 <= mu2 <= gamma2 and 1 <= mu4 <= gamma4):
         raise InternalFault(f"exponents {(mu2, mu4)} of the double representation lie outside the gamma box")
     if mu2 + mu4 != gamma3 + 1:

@@ -49,7 +49,7 @@ from .lefschetz import (
     wlp_by_ranks,
 )
 from .polynomial import SparsePoly, parse_polynomial
-from .semigroup import NumericalSemigroup, box_elements, create_semigroup, minimal_tuples
+from .semigroup import AperyTable, NumericalSemigroup, create_semigroup, minimal_tuples
 
 SCHEMA_VERSION = 1
 
@@ -93,6 +93,11 @@ def _parse_steps(text: Optional[str]) -> list[tuple[str, int]]:
     return steps
 
 
+def _max_representations(table: AperyTable) -> list[list[list[int]]]:
+    """The maximal representations of each Apery element, as JSON lists."""
+    return [[list(r) for r in reps] for reps in table.max_reps]
+
+
 def classify(frame) -> str:
     if frame.is_monomial_ci():
         return "monomial-CI"
@@ -117,7 +122,7 @@ def analyze_record(
     seed = _seed(seed_root, S)
     table = S.apery_table()
     frame = S.frame()
-    _, _, boxes = box_elements(frame)
+    max_reps = _max_representations(table)  # a SizeLimit here comes before any rank
     A = build_algebra(table)
     ginfo = A.gorenstein_info()
     m_pure = table.m_pure_verdict()
@@ -196,9 +201,7 @@ def analyze_record(
         "apery": {
             "elements": list(table.elements),
             "orders": list(table.orders),
-            "max_representations": [
-                [list(r.exponents) for r in reps] for reps in table.max_reps
-            ],
+            "max_representations": max_reps,
         },
         "m_pure_symmetric": bool(m_pure),
         "m_pure_witness": None
@@ -216,11 +219,9 @@ def analyze_record(
             "beta": list(frame.beta),
             "gamma": list(frame.gamma),
             "rho": list(frame.rho),
-            "witnesses": {
-                str(i): list(r.exponents) for i, r in frame.gamma_witness.items()
-            },
-            "box_gamma_minus_apery": list(boxes.gamma_minus_apery),
-            "box_b_minus_apery": list(boxes.b_minus_apery),
+            "witnesses": {str(i): list(r) for i, r in frame.gamma_witness.items()},
+            "box_gamma_minus_apery": list(frame.gamma_minus_apery()),
+            "box_b_minus_apery": list(frame.b_minus_apery()),
         },
         "classification": classification,
         "dual_generator": dual_text,
@@ -434,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("from-dual", help="analyze the algebra presented by a polynomial")
     p.add_argument("--poly", required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None)
+    add_common(p, gens=False)
 
     p = sub.add_parser("apery", help="apery set, orders, maximal representations")
     add_common(p)
@@ -454,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", default=None)
     p.add_argument("--poly", default=None)
     p.add_argument("--steps", default=None, help="comma list of var or var:power")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None)
+    add_common(p, gens=False)
 
     p = sub.add_parser("conjecture", help="WLP of all single-variable colon quotients")
     add_common(p)
@@ -502,9 +501,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "socle_degree": table.socle_degree,
                 "elements": list(table.elements),
                 "orders": list(table.orders),
-                "max_representations": [
-                    [list(r.exponents) for r in reps] for reps in table.max_reps
-                ],
+                "max_representations": _max_representations(table),
                 "m_pure_symmetric": bool(table.m_pure_verdict()),
             }
             _emit(record, args.format, out)
@@ -542,7 +539,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "classify":
             S = create_semigroup(_parse_gens(args.gens))
             frame = S.frame()
-            _, _, boxes = box_elements(frame)
             tilde = ci_tilde_ideal(frame) if frame.gamma else None
             record = {
                 "schema_version": SCHEMA_VERSION,
@@ -551,7 +547,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "beta": list(frame.beta),
                 "gamma": list(frame.gamma),
                 "rho": list(frame.rho),
-                "box_gamma_minus_apery": list(boxes.gamma_minus_apery),
+                "box_gamma_minus_apery": list(frame.gamma_minus_apery()),
                 "tilde_generators": tilde.generator_texts() if tilde else [],
             }
             if record["classification"] == "codim3-structured":

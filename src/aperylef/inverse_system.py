@@ -129,7 +129,7 @@ def dual_socle_generator(table: AperyTable) -> SparsePoly:
         )
     codim = len(table.semigroup.generators) - 1
     names = variable_names(codim)
-    terms = {rep.exponents[1:]: Fraction(1) for rep in table.max_reps[-1]}
+    terms = {rep[1:]: Fraction(1) for rep in table.max_reps[-1]}
     return SparsePoly(names, terms)
 
 

@@ -14,8 +14,9 @@ one step costs O(g_1).  A sweep carries the Apery list of a generator prefix
 down the tuple tree the same way.  Every w - g in S of an Apery element w is
 another Apery element, so the orders of the Apery set cost O(n*g_1).
 
-A maximal representation (one of total degree ord(s)) less one generator g is
-one of s - g, where ord(s - g) = ord(s) - 1, and g added to any of those gives
+A representation of s is its exponent tuple over the generators.  A maximal
+representation (one of total degree ord(s)) less one generator g is one of
+s - g, where ord(s - g) = ord(s) - 1, and g added to any of those gives
 one of s.  So the maximal representations come from a memoized walk down the
 same recurrence, at a cost in proportion to how many there are;
 MAXIMAL_REPS_LIMIT caps how many one semigroup builds, and ORDERS_LIMIT caps
@@ -45,15 +46,6 @@ MAXIMAL_REPS_LIMIT = 500_000
 # order(3_000_000) on <2, 3> reaches the cap in 0.7-1.1 s and 58 MB, and
 # orders asked 50,000 apart fill the memo to it in 2.7-4.7 s and 123 MB.
 ORDERS_LIMIT = 1_000_000
-
-
-@dataclass(frozen=True)
-class Representation:
-    """One way to write a value as a nonnegative generator combination."""
-
-    exponents: tuple[int, ...]
-    value: int
-    total_degree: int
 
 
 class NumericalSemigroup:
@@ -109,19 +101,18 @@ class NumericalSemigroup:
                 raise SizeLimit(f"the orders of {self!r} up to {s} exceed cap {ORDERS_LIMIT}")
         return orders[s]
 
-    def representations(self, s: int) -> list[Representation]:
+    def representations(self, s: int) -> list[tuple[int, ...]]:
         """Every representation of s, sorted lexicographically descending."""
         if not self.contains(s):
             raise NotInSemigroup(f"{s} is not in the semigroup")
         gens = self.generators
-        out: list[Representation] = []
+        out: list[tuple[int, ...]] = []
 
         def recurse(idx: int, remaining: int, acc: tuple[int, ...]):
             g = gens[idx]
             if idx == len(gens) - 1:
                 if remaining % g == 0:
-                    exponents = acc + (remaining // g,)
-                    out.append(Representation(exponents, s, sum(exponents)))
+                    out.append(acc + (remaining // g,))
                 return
             for lam in range(remaining // g, -1, -1):
                 recurse(idx + 1, remaining - lam * g, acc + (lam,))
@@ -129,7 +120,7 @@ class NumericalSemigroup:
         recurse(0, s, ())
         return out
 
-    def maximal_representations(self, s: int) -> list[Representation]:
+    def maximal_representations(self, s: int) -> list[tuple[int, ...]]:
         """Representations achieving ord(s), lex-descending (lex-max first)."""
         self.order(s)  # every member below s now has its order memoized
         orders, memo, gens = self._orders, self._max_reps, self.generators
@@ -152,7 +143,7 @@ class NumericalSemigroup:
                     f"{self!r} needs more than {MAXIMAL_REPS_LIMIT} maximal representations"
                 )
             memo[t] = tuple(sorted(reps, reverse=True))
-        return [Representation(e, s, orders[s]) for e in memo[s]]
+        return list(memo[s])
 
     def apery_table(self) -> "AperyTable":
         if self._apery_table is None:
@@ -273,28 +264,27 @@ class AperyTable:
     """The apery set of S w.r.t. its multiplicity, with orders and maximal reps.
 
     elements are the least semigroup members of each residue class mod g_1,
-    sorted increasingly; orders[i] = ord(elements[i]); max_reps[i] lists every
-    maximal representation of elements[i] (all have first exponent 0), built
-    on first access.
+    sorted increasingly; orders[i] = ord(elements[i]); max_reps[i] lists the
+    exponent tuple of every maximal representation of elements[i] (all have
+    first exponent 0), built on first access.
     """
 
     semigroup: NumericalSemigroup
     elements: tuple[int, ...]
     orders: tuple[int, ...]
     socle_degree: int
-    frobenius: int
     _m_pure: Optional[MPureVerdict] = field(default=None, repr=False)
     # a weak reference to the table's graded algebra (algebra.build_algebra)
     _algebra: Optional[weakref.ref] = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def max_reps(self) -> tuple[tuple[Representation, ...], ...]:
+    def max_reps(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         S = self.semigroup
         rows = tuple(tuple(S.maximal_representations(e)) for e in self.elements)
         # w - g_1 is not in S for an apery element w, so no representation
         # of w uses g_1
         for e, row in zip(self.elements, rows):
-            if any(r.exponents[0] for r in row):
+            if any(r[0] for r in row):
                 raise InternalFault(f"a maximal representation of apery element {e} uses g_1")
         return rows
 
@@ -318,7 +308,6 @@ def _build_apery_table(S: NumericalSemigroup) -> AperyTable:
         elements=elements,
         orders=orders,
         socle_degree=orders[-1],
-        frobenius=S.frobenius,
     )
 
 
@@ -348,14 +337,16 @@ class FrameData:
     is 1 exactly when gamma[i] < beta[i], and then gamma_witness[i] is a
     maximal representation of (gamma[i]+1)*g_{i+2} avoiding that generator.
     box_b / box_gamma are the element sets swept by exponents up to beta /
-    gamma; the apery set always sits inside box_gamma inside box_b.
+    gamma; the apery set always sits inside box_gamma inside box_b
+    (compute_beta_gamma checks it), and gamma_minus_apery / b_minus_apery
+    list the box elements outside it.
     """
 
     table: AperyTable
     beta: tuple[int, ...]
     gamma: tuple[int, ...]
     rho: tuple[int, ...]
-    gamma_witness: dict[int, Representation]
+    gamma_witness: dict[int, tuple[int, ...]]
     box_b: tuple[int, ...]
     box_gamma: tuple[int, ...]
 
@@ -376,6 +367,14 @@ class FrameData:
     def is_monomial_ci(self) -> bool:
         return set(self.box_b) == set(self.table.elements)
 
+    def gamma_minus_apery(self) -> tuple[int, ...]:
+        apery = set(self.table.elements)
+        return tuple(v for v in self.box_gamma if v not in apery)
+
+    def b_minus_apery(self) -> tuple[int, ...]:
+        apery = set(self.table.elements)
+        return tuple(v for v in self.box_b if v not in apery)
+
 
 def compute_beta_gamma(S: NumericalSemigroup) -> FrameData:
     table = S.apery_table()
@@ -385,7 +384,7 @@ def compute_beta_gamma(S: NumericalSemigroup) -> FrameData:
     beta: list[int] = []
     gamma: list[int] = []
     rho: list[int] = []
-    witness: dict[int, Representation] = {}
+    witness: dict[int, tuple[int, ...]] = {}
     for idx in range(1, len(gens)):
         g = gens[idx]
         b = gm = 0
@@ -405,12 +404,12 @@ def compute_beta_gamma(S: NumericalSemigroup) -> FrameData:
             )
             others = [
                 r for r in S.maximal_representations((gm + 1) * g)
-                if r.exponents != pure
+                if r != pure
             ]
             if not others:
                 raise InternalFault(f"gamma < beta at {g} without a second maximal representation")
             # Any non-pure maximal representation avoids the generator itself.
-            if any(r.exponents[idx] for r in others):
+            if any(r[idx] for r in others):
                 raise InternalFault(f"a second maximal representation of {(gm + 1) * g} uses {g}")
             witness[idx] = others[0]  # lex-greatest, enumeration is lex-descending
     box_b = _box_values(gens, beta)
@@ -434,29 +433,3 @@ def _box_values(gens: tuple[int, ...], bounds: Sequence[int]) -> tuple[int, ...]
     for exps in iter_product(*(range(b + 1) for b in bounds)):
         values.add(sum(l * g for l, g in zip(exps, gens[1:])))
     return tuple(sorted(values))
-
-
-@dataclass(frozen=True)
-class BoxReport:
-    box_b: tuple[int, ...]
-    box_gamma: tuple[int, ...]
-    apery_in_gamma: bool
-    gamma_in_b: bool
-    gamma_minus_apery: tuple[int, ...]
-    b_minus_apery: tuple[int, ...]
-
-
-def box_elements(frame: FrameData) -> tuple[tuple[int, ...], tuple[int, ...], BoxReport]:
-    """The two box element sets plus a containment report."""
-    apery = set(frame.table.elements)
-    gamma_set = set(frame.box_gamma)
-    b_set = set(frame.box_b)
-    report = BoxReport(
-        box_b=frame.box_b,
-        box_gamma=frame.box_gamma,
-        apery_in_gamma=apery <= gamma_set,
-        gamma_in_b=gamma_set <= b_set,
-        gamma_minus_apery=tuple(sorted(gamma_set - apery)),
-        b_minus_apery=tuple(sorted(b_set - apery)),
-    )
-    return frame.box_b, frame.box_gamma, report

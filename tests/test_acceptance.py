@@ -76,7 +76,7 @@ def test_criterion_2_dual_generator():
     # For 8,10,11,12 the stated oracle (maximal representations of 33) yields
     # two terms: 33 = 10+11+12 = 3*11.  The dual generator is their sum.
     S = create_semigroup([8, 10, 11, 12])
-    oracle = {r.exponents[1:] for r in S.maximal_representations(33)}
+    oracle = {r[1:] for r in S.maximal_representations(33)}
     assert oracle == {(1, 1, 1), (0, 3, 0)}
     F = dual_socle_generator(S.apery_table())
     assert F.terms.keys() == oracle and all(c == 1 for c in F.terms.values())

@@ -12,6 +12,7 @@ from aperylef import (
     DegreeOutOfRange,
     GradedAlgebra,
     InternalFault,
+    InvalidStep,
     LinearForm,
     NotApplicable,
     SizeLimit,
@@ -54,7 +55,6 @@ def test_graded_dimensions_8_10_11_12():
     A = algebra_of([8, 10, 11, 12])
     assert A.hilbert() == (1, 3, 3, 1)
     assert A.variables == ("y", "z", "w")
-    assert A.label_text(33) == "y*z*w"
 
 
 def test_products_follow_apery_membership():
@@ -166,6 +166,16 @@ def test_colon_large_power_gives_zero_quotient():
     assert sub.dimension() == G.dimension
 
 
+def test_colon_by_a_name_that_is_not_a_variable_is_an_invalid_step():
+    G = box_algebra(("y", "z"), (4, 2))
+    for name in ("w", "Y", ""):
+        with pytest.raises(InvalidStep, match="not a variable"):
+            colon_by_power(G, name, 1)
+    A = algebra_of([8, 10, 11, 12])
+    with pytest.raises(InvalidStep):
+        colon_by_power(A, "x2", 1)
+
+
 def test_colon_reproduces_apery_algebra_from_gamma_box():
     S = create_semigroup([16, 18, 21, 27])
     G = build_gamma_algebra(compute_beta_gamma(S))
@@ -242,7 +252,7 @@ def test_quotient_maps_are_slices_of_the_parent_maps(corpus, monkeypatch):
     monkeypatch.setattr(algebra_module, "multiplication_matrix", recording)
     quotients = dropping = chained = maps = 0
     for Q in slice_cases(corpus):
-        parent = Q.meta["parent"]
+        parent = Q.parent
         quotients += 1
         dropping += len(Q.variables) < len(parent.variables)
         chained += parent.kind == "quotient"
@@ -277,9 +287,8 @@ def test_sliced_map_rejects_the_symbol_of_a_killed_variable():
         return table.get((a, b)) or table.get((b, a))
 
     alg = GradedAlgebra(
-        variables=("y", "z"), display_vars=("y", "z"),
-        basis=[["1"], ["y", "z"], ["s"], ["u"]], var_labels=["y", "z"],
-        product_fn=product, display={}, kind="box",
+        variables=("y", "z"), basis=[["1"], ["y", "z"], ["s"], ["u"]],
+        var_labels=["y", "z"], product_fn=product, kind="box",
     )
     _, Q = colon_by_power(alg, "y", 1)
     assert Q.variables == ("z",) and Q.hilbert() == (1, 1, 1)

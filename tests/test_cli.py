@@ -11,6 +11,7 @@ import pytest
 
 from aperylef import InternalFault
 from aperylef.cli import analyze_record, main
+from aperylef.linalg import POINT_PRIME
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -216,6 +217,24 @@ def test_from_dual_monomial():
     record = json.loads(out)
     assert record["hilbert"] == [1, 1, 1, 1]
     assert record["slp"]["hessian"]["verdict"] == "holds"
+
+
+@pytest.mark.parametrize("poly", [
+    f"{POINT_PRIME}*x^2 + y^2",
+    f"1/{POINT_PRIME}*x^2 + y^2",
+])
+def test_from_dual_holds_where_every_point_is_deficient_mod_the_point_prime(poly):
+    """Each map is full generically but deficient modulo POINT_PRIME at every
+    point, or has an entry the prime cannot invert: only the exact rank at
+    the point finds the witness."""
+    code, out, err = run_cli(["from-dual", "--poly", poly])
+    assert code == 0, err
+    record = json.loads(out)
+    for prop in ("wlp", "slp"):
+        for route in ("hessian", "ranks"):
+            report = record[prop][route]
+            assert report["verdict"] == "holds", (prop, route)
+            assert set(report["witness"]) == {"x", "y"}
 
 
 def test_apery_and_dual_commands():

@@ -52,7 +52,7 @@ def test_dual_generator_8_10_11_12():
     table = create_semigroup([8, 10, 11, 12]).apery_table()
     F = dual_socle_generator(table)
     assert str(F) == "y*z*w + z^3"
-    reps = {r.exponents[1:] for r in table.max_reps[-1]}
+    reps = {r[1:] for r in table.max_reps[-1]}
     assert F.terms.keys() == reps
     assert all(c == 1 for c in F.terms.values())
 
