@@ -1,23 +1,21 @@
 """sha256 digests of the records a change must keep byte-identical.
 
-    python3 scripts/record_digests.py [--seed 0]
+    python3 scripts/record_digests.py
 
-Prints one line per record set, each the sha256 of the set's records in
-order, one JSON line each, as the CLI writes them:
+Prints one line per record set, each the sha256 of the set's seed-0 records
+in order, one JSON line each, as the CLI writes them.  The sets are the
+benchmark's workloads, read from ``perfbench/workloads.py``:
 
 - ``sweep``: the north-star sweep ``sweep --mult 2:16 --count 3:4
   --max-gen 28 --require-m-pure``, as ``aperylef`` prints it;
-- ``analyze``: ``analyze --method both`` on the three named instances
-  ``120,216,291,328``, ``102,177,192,202`` and ``60,66,71,77,83``;
-- ``dual_mix``: ``from-dual`` on the 332 seeded forms of the benchmark's
-  ``dual_mix`` workload, read from ``perfbench/workloads.py``.
+- ``analyze``: ``analyze --method both`` on the three named instances;
+- ``dual_mix``: ``from-dual`` on the 332 seeded forms of ``dual_mix``.
 
 aperylef is imported from this checkout's ``src/``.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -31,11 +29,19 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from aperylef import cli  # noqa: E402
 
-SWEEP = ["sweep", "--mult", "2:16", "--count", "3:4", "--max-gen", "28", "--require-m-pure"]
-INSTANCES = ("120,216,291,328", "102,177,192,202", "60,66,71,77,83")
+SEED = 0
 
 
-def _main_output(argv: list[str]) -> str:
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sweep_output(workloads) -> str:
+    mults = workloads.SWEEP_MULTIPLICITIES
+    argv = ["--seed", str(SEED), "sweep", "--mult", f"{mults[0]}:{mults[-1]}"] + workloads.SWEEP_ARGS
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
@@ -44,35 +50,22 @@ def _main_output(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def _dual_mix_inputs(seed: int) -> list[dict]:
-    spec = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.dual_mix_inputs(seed)
-
-
-def digests(seed: int) -> dict[str, str]:
+def digests() -> dict[str, str]:
+    workloads = _load_workloads()
     texts = {
-        "sweep": _main_output(["--seed", str(seed)] + SWEEP),
+        "sweep": _sweep_output(workloads),
         "analyze": "".join(
-            _main_output(["--seed", str(seed), "analyze", "--gens", gens, "--method", "both"])
-            for gens in INSTANCES
+            json.dumps(cli.analyze_record(gens, method="both", seed_root=SEED)) + "\n"
+            for gens in workloads.INSTANCES.values()
         ),
         "dual_mix": "".join(
-            json.dumps(cli.from_dual_record(item["poly"], seed_root=seed)) + "\n"
-            for item in _dual_mix_inputs(seed)
+            json.dumps(cli.from_dual_record(item["poly"], seed_root=SEED)) + "\n"
+            for item in workloads.dual_mix_inputs(SEED)
         ),
     }
     return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0, help="root seed of every record")
-    args = parser.parse_args()
-    for name, digest in digests(args.seed).items():
-        print(f"{name} {digest}")
-
-
 if __name__ == "__main__":
-    main()
+    for name, digest in digests().items():
+        print(f"{name} {digest}")
