@@ -17,6 +17,7 @@ from .errors import (
     InternalFault,
     InvalidDualGenerator,
     InvalidGenerator,
+    InvalidOutputPath,
     InvalidSeed,
     InvalidStep,
     NotApplicable,

@@ -312,9 +312,13 @@ def multiplication_matrix(alg: GradedAlgebra, L: LinearForm, d: int, power: int 
     rows = list(alg.basis[d + power])
     cols = list(alg.basis[d])
     row_index = {lab: i for i, lab in enumerate(rows)}
-    entries = [[SparsePoly.zero(symbols) for _ in cols] for _ in rows]
+    # one zero and one unit serve every cell and path: no entry is changed
+    # in place, a cell is only ever given a new polynomial
+    zero = SparsePoly.zero(symbols)
+    unit = SparsePoly.constant(symbols, 1)
+    entries = [[zero] * len(cols) for _ in rows]
     for j, col in enumerate(cols):
-        vec = {col: SparsePoly.constant(symbols, 1)}
+        vec = {col: unit}
         for _ in range(power):
             nxt: dict = {}
             for lab, coeff in vec.items():
@@ -324,7 +328,7 @@ def multiplication_matrix(alg: GradedAlgebra, L: LinearForm, d: int, power: int 
                     target = alg.product(lab, vlab)
                     if target is None:
                         continue
-                    nxt[target] = nxt.get(target, SparsePoly.zero(symbols)) + coeff * cpoly
+                    nxt[target] = nxt.get(target, zero) + coeff * cpoly
             vec = {lab: c for lab, c in nxt.items() if c}
         for lab, coeff in vec.items():
             entries[row_index[lab]][j] = coeff
@@ -367,7 +371,9 @@ def _sliced_map(quotient: GradedAlgebra, parent: GradedAlgebra, d: int, power: i
                 f"the map from degree {d} by power {power} of a colon quotient "
                 "involves the symbol of a killed variable"
             )
-        return SparsePoly(symbols, {tuple(exps[i] for i in kept): c for exps, c in entry.terms.items()})
+        # every term is zero at the killed positions, so dropping them keeps
+        # the terms distinct
+        return SparsePoly._from_clean(symbols, {tuple(exps[i] for i in kept): c for exps, c in entry.terms.items()})
 
     entries = []
     for lab in rows:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -27,6 +28,7 @@ from .errors import (
     InternalFault,
     InvalidDualGenerator,
     InvalidGenerator,
+    InvalidOutputPath,
     InvalidSeed,
     InvalidStep,
     NotApplicable,
@@ -330,13 +332,20 @@ def _matrix_text(matrix) -> str:
     return matrix.to_text()
 
 
+def _open_out(path: str, mode: str):
+    """Open the --out path; one that cannot be opened is an input error."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidOutputPath(f"cannot open {path}: {exc.strerror}") from None
+
+
 def _read_resume_keys(path: str) -> set[str]:
     keys: set[str] = set()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except FileNotFoundError:
+    if not os.path.exists(path):
         return keys
+    with _open_out(path, "r") as fh:
+        lines = fh.readlines()
     for i, line in enumerate(lines):
         line = line.strip()
         if not line:
@@ -357,7 +366,7 @@ def sweep(args) -> int:
     clo, chi = args.count
     written = skipped = resumed = 0
     keys = _read_resume_keys(args.out) if (args.resume and args.out) else set()
-    out = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
+    out = _open_out(args.out, "a") if args.out else sys.stdout
     flagged = []
     try:
         for m in range(lo, hi + 1):
@@ -478,7 +487,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     close_out = False
     try:
         if getattr(args, "out", None) and args.command != "sweep":
-            out = open(args.out, "w", encoding="utf-8")
+            out = _open_out(args.out, "w")
             close_out = True
         if args.command == "analyze":
             record = analyze_record(
@@ -576,8 +585,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "sweep":
             return sweep(args)
         return 0
-    except (EmptyInput, GcdNotOne, InvalidDualGenerator, InvalidGenerator, InvalidSeed, InvalidStep,
-            PolyParseError) as exc:
+    except (EmptyInput, GcdNotOne, InvalidDualGenerator, InvalidGenerator, InvalidOutputPath, InvalidSeed,
+            InvalidStep, PolyParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (NotApplicable, NotCI, NotGorenstein) as exc:

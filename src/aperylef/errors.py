@@ -74,5 +74,9 @@ class InvalidSeed(AperyError):
     """The APERY_SEED environment variable is not an integer."""
 
 
+class InvalidOutputPath(AperyError):
+    """An output path given on the command line cannot be opened."""
+
+
 class InternalFault(AperyError):
     """An invariant the library guarantees was found broken: a bug, not bad input."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .errors import DependentBasis, InternalFault, InvalidDualGenerator, NotGorenstein, SizeLimit
@@ -56,30 +56,34 @@ __all__ = [
 ]
 
 
+def _derivative(a: tuple[int, ...], F: SparsePoly) -> SparsePoly:
+    """(x^a)(X)F for the exponent tuple a of a monomial operator.
+
+    x^a sends x^b to b!/(b-a)! x^(b-a) when b >= a componentwise and to zero
+    otherwise; distinct b that survive give distinct b-a, so the terms are
+    clean as built.
+    """
+    out = {}
+    for b, cb in F.terms.items():
+        # math.perm(bi, ai) is bi!/(bi-ai)!, and zero when ai > bi
+        factor = math.prod(map(math.perm, b, a))
+        if factor:
+            out[tuple(map(sub, b, a))] = cb * factor
+    return SparsePoly._from_clean(F.vars, out)
+
+
 def apply_operator(p: SparsePoly, F: SparsePoly) -> SparsePoly:
     """Apply p as a constant-coefficient differential operator to F.
 
-    A monomial operator with exponents a sends x^b to b!/(b-a)! x^(b-a) when
-    b >= a componentwise and to zero otherwise; the map extends linearly with
-    exact rational coefficients.
+    Each monomial operator of p acts by its exponent tuple; the map extends
+    linearly with exact rational coefficients.
     """
     if len(p.vars) != len(F.vars):
         raise ValueError("operator and polynomial must have the same variable count")
-    out: dict[tuple[int, ...], Fraction] = {}
+    out = SparsePoly.zero(F.vars)
     for a, ca in p.terms.items():
-        for b, cb in F.terms.items():
-            # math.perm(bi, ai) is bi!/(bi-ai)!, and zero when ai > bi
-            factor = math.prod(map(math.perm, b, a))
-            if not factor:
-                continue
-            coeff = ca * cb * factor
-            e = tuple(bi - ai for ai, bi in zip(a, b))
-            acc = out.get(e, Fraction(0)) + coeff
-            if acc:
-                out[e] = acc
-            else:
-                out.pop(e, None)
-    return SparsePoly(F.vars, out)
+        out = out + _derivative(a, F) * ca
+    return out
 
 
 def ann_contains(F: SparsePoly, p: SparsePoly) -> bool:
@@ -135,7 +139,7 @@ def dual_socle_generator(table: AperyTable) -> SparsePoly:
 
 def _derivatives(F: SparsePoly, exps) -> dict[tuple[int, ...], SparsePoly]:
     """The table a -> (x^a)(X)F over the exponent tuples exps."""
-    return {a: apply_operator(SparsePoly.monomial(F.vars, a), F) for a in exps}
+    return {a: _derivative(a, F) for a in exps}
 
 
 def _images(F: SparsePoly, d: int, monos: Sequence[tuple[int, ...]], table: dict) -> list[list[Fraction]]:

@@ -5,6 +5,14 @@ exponent tuples to nonzero Fraction coefficients.  Everything is exact; no
 floats anywhere.  Canonical term order is graded lexicographic, largest
 first, and it drives both display and hashing.
 
+``SparsePoly(variables, terms)`` validates what it is handed: it converts
+every coefficient to a Fraction, drops zeros, merges equal exponents and
+rejects a wrong-arity or negative exponent tuple; ``monomial``,
+``with_vars`` and the parser build through it.  The arithmetic (``+``,
+``-``, ``*`` by a polynomial or a scalar, negation), ``partial``, ``zero``,
+``constant`` and ``variable`` make terms that are clean by construction,
+and build through the private ``_from_clean``, which checks nothing.
+
 Text grammar (used by the CLI): terms separated by ``+``/``-``; a term is an
 optional rational coefficient ``p`` or ``p/q`` and ``*``-separated variable
 powers ``v^e``.  Examples: ``y^4*w + y^2*z^3``, ``a^2*x + a*b*y + 1/2*b^2*z``.
@@ -70,13 +78,24 @@ class SparsePoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _from_clean(cls, variables: tuple[str, ...], terms: dict) -> "SparsePoly":
+        """A polynomial on terms that are clean by construction: a dict from
+        exponent tuples of len(variables) non-negative ints to nonzero
+        Fractions.  Neither argument is checked or copied."""
+        poly = object.__new__(cls)
+        poly.vars = variables
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def zero(cls, variables) -> "SparsePoly":
-        return cls(variables)
+        return cls._from_clean(tuple(variables), {})
 
     @classmethod
     def constant(cls, variables, value) -> "SparsePoly":
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
+        c = Fraction(value)
+        return cls._from_clean(variables, {(0,) * len(variables): c} if c else {})
 
     @classmethod
     def monomial(cls, variables, exps, coeff=1) -> "SparsePoly":
@@ -88,7 +107,7 @@ class SparsePoly:
         idx = variables.index(name)
         exps = [0] * len(variables)
         exps[idx] = 1
-        return cls(variables, {tuple(exps): Fraction(1)})
+        return cls._from_clean(variables, {tuple(exps): Fraction(1)})
 
     # -- basic structure ---------------------------------------------------
 
@@ -152,12 +171,12 @@ class SparsePoly:
                 out[e] = acc
             else:
                 out.pop(e, None)
-        return SparsePoly(self.vars, out)
+        return SparsePoly._from_clean(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._from_clean(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -171,8 +190,8 @@ class SparsePoly:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
-                return SparsePoly(self.vars)
-            return SparsePoly(self.vars, {e: cc * c for e, cc in self.terms.items()})
+                return SparsePoly._from_clean(self.vars, {})
+            return SparsePoly._from_clean(self.vars, {e: cc * c for e, cc in self.terms.items()})
         self._check(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -183,7 +202,7 @@ class SparsePoly:
                     out[e] = acc
                 else:
                     out.pop(e, None)
-        return SparsePoly(self.vars, out)
+        return SparsePoly._from_clean(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -199,7 +218,7 @@ class SparsePoly:
             ne = list(e)
             ne[index] = k - 1
             out[tuple(ne)] = c * k
-        return SparsePoly(self.vars, out)
+        return SparsePoly._from_clean(self.vars, out)
 
     def evaluate(self, values) -> Fraction:
         """Evaluate at a point; values is a sequence or mapping by name."""

@@ -458,6 +458,19 @@ def test_analyze_out_flag(tmp_path):
     assert record["generators"] == [8, 10, 11, 12]
 
 
+SWEEP_ARGS = ["sweep", "--mult", "5:5", "--count", "3:3", "--max-gen", "8"]
+
+
+@pytest.mark.parametrize("command", [["analyze", "--gens", "3,5"], SWEEP_ARGS, SWEEP_ARGS + ["--resume"]])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_an_output_path_that_cannot_be_opened_is_an_input_error(command, where, tmp_path):
+    path = tmp_path / "missing" / "out.json" if where == "missing directory" else tmp_path
+    code, out, err = run_cli(command + ["--out", str(path)])
+    assert code == 2 and out == ""
+    reason = "No such file or directory" if where == "missing directory" else "Is a directory"
+    assert err == f"input error: cannot open {path}: {reason}\n"
+
+
 def test_large_matrix_rendering_note():
     from aperylef.cli import _matrix_text
     from aperylef import Matrix

@@ -259,15 +259,36 @@ def test_view_derivative_table_is_every_derivative_up_to_the_degree(data):
     assert "derivatives" not in repr(view)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_derivative_table_entry_is_the_monomial_operator_applied(data):
+    exponents = st.tuples(*[st.integers(0, 5)] * 3)
+    coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    F = SparsePoly(YZW, data.draw(st.dictionaries(exponents, coefficients, max_size=5)))
+    a = data.draw(exponents)
+    before = dict(F.terms)
+    entry = inverse_system._derivatives(F, [a])[a]
+    assert entry == apply_operator(SparsePoly.monomial(F.vars, a), F)
+    partials = F
+    for i, k in enumerate(a):
+        for _ in range(k):
+            partials = partials.partial(i)
+    assert entry == partials
+    # the entry is built unchecked, so it must hold what validation would keep
+    assert entry == SparsePoly(entry.vars, entry.terms)
+    assert all(type(c) is Fraction and c for c in entry.terms.values())
+    assert F.terms == before
+
+
 def test_from_dual_record_takes_each_scanned_derivative_once(monkeypatch):
     taken = []
-    apply = inverse_system.apply_operator
+    derive = inverse_system._derivative
 
-    def counted(p, F):
-        taken.append(next(iter(p.terms)))
-        return apply(p, F)
+    def counted(a, F):
+        taken.append(a)
+        return derive(a, F)
 
-    monkeypatch.setattr(inverse_system, "apply_operator", counted)
+    monkeypatch.setattr(inverse_system, "_derivative", counted)
     for F in (F_16, CUBIC_5VAR, QUARTIC_5VAR, parse_polynomial("a^2*x0 + a*b*x1 + b^2*x2")):
         taken.clear()
         from_dual_record(str(F), seed_root=0)

@@ -105,3 +105,42 @@ def test_inferred_parse_round_trip_is_textual_identity(p):
 @settings(max_examples=60, deadline=None)
 def test_mixed_partials_commute(p, i, j):
     assert p.partial(i).partial(j) == p.partial(j).partial(i)
+
+
+def assert_clean(r):
+    """r holds what the validating constructor would make of its terms."""
+    assert r == SparsePoly(r.vars, r.terms)
+    for exps, coeff in r.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert len(exps) == len(r.vars)
+        assert all(type(x) is int and x >= 0 for x in exps)
+
+
+@given(polys(), polys(), st.fractions(min_value=-5, max_value=5, max_denominator=4),
+       st.integers(0, 1))
+@settings(max_examples=80, deadline=None)
+def test_arithmetic_builds_clean_terms_and_leaves_its_operands_alone(a, b, c, i):
+    before = (dict(a.terms), dict(b.terms))
+    results = [a + b, a - b, -a, a * b, a * c, c * a, a * 0, a + 0, a - c, a.partial(i)]
+    for r in results:
+        assert_clean(r)
+    assert a * 0 == SparsePoly.zero(a.vars)
+    # sharing one zero per map is safe because no operation changes its operands
+    assert (dict(a.terms), dict(b.terms)) == before
+
+
+@pytest.mark.parametrize("value", [0, 1, Fraction(-3, 2)])
+def test_builders_make_clean_terms(value):
+    for r in (SparsePoly.zero(VARS), SparsePoly.constant(VARS, value), SparsePoly.variable(VARS, "z")):
+        assert_clean(r)
+    assert bool(SparsePoly.constant(VARS, value)) == bool(value)
+
+
+def test_the_public_constructor_still_validates():
+    with pytest.raises(ValueError, match="arity"):
+        SparsePoly(("u", "v"), {(1,): 1})
+    with pytest.raises(ValueError, match="negative"):
+        SparsePoly(("u", "v"), {(1, -1): 1})
+    p = SparsePoly(("u", "v"), {(1, 0): 2, (0, 1): 0, (0, 2): 0.5})
+    assert p.terms == {(1, 0): Fraction(2), (0, 2): Fraction(1, 2)}
+    assert_clean(p)
