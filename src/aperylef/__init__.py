@@ -25,12 +25,11 @@ from .errors import (
     NotGorenstein,
     NotGorensteinAtStep,
     NotInSemigroup,
-    NotSquare,
     PolyParseError,
     SizeLimit,
 )
 from .polynomial import SparsePoly, monomials_of_degree, parse_polynomial
-from .linalg import Matrix, generic_rank, polynomial_determinant, rank_info
+from .linalg import Matrix, rank_info
 from .semigroup import (
     AperyTable,
     FrameData,
@@ -38,7 +37,6 @@ from .semigroup import (
     NumericalSemigroup,
     compute_beta_gamma,
     create_semigroup,
-    is_m_pure_symmetric,
 )
 from .algebra import (
     GradedAlgebra,
@@ -46,25 +44,19 @@ from .algebra import (
     LinearForm,
     MonomialSubspace,
     box_algebra,
-    brute_force_relations,
     build_algebra,
     build_gamma_algebra,
     ci_tilde_ideal,
     codim3_defining_ideal,
     colon_by_power,
     multiplication_matrix,
-    same_ideal_through_degree,
     variable_names,
 )
 from .inverse_system import (
     DualAlgebraView,
-    ann_contains,
-    apply_operator,
-    catalecticant_rank,
     dual_algebra_view,
     dual_socle_generator,
     hessian,
-    match_annihilator_scale,
     mixed_hessian,
 )
 from .lefschetz import (

@@ -22,9 +22,9 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Optional, Sequence
 
-from .errors import DegreeOutOfRange, InternalFault, InvalidStep, NotApplicable, SizeLimit
-from .linalg import Matrix, fraction_rank
-from .polynomial import SparsePoly, grlex_key, monomials_of_degree
+from .errors import DegreeOutOfRange, InternalFault, InvalidStep, NotApplicable
+from .linalg import Matrix
+from .polynomial import SparsePoly, grlex_key
 from .semigroup import AperyTable, FrameData, NumericalSemigroup
 
 
@@ -388,9 +388,6 @@ class MonomialSubspace:
 
     labels_by_degree: tuple[tuple, ...]
 
-    def all_labels(self) -> set:
-        return {lab for labels in self.labels_by_degree for lab in labels}
-
     def dimension(self) -> int:
         return sum(len(labels) for labels in self.labels_by_degree)
 
@@ -589,86 +586,3 @@ def codim3_defining_ideal(S: NumericalSemigroup) -> IdealDescription:
         variables=names,
         data=data,
     )
-
-
-BRUTE_FORCE_DIM_LIMIT = 200
-
-
-def brute_force_relations(alg: GradedAlgebra, max_degree: int) -> IdealDescription:
-    """Degreewise kernels of the monomial evaluation map onto the algebra.
-
-    For every degree d <= max_degree, abstract monomials in the degree-1
-    variables are multiplied out through the product table.  Each monomial
-    lands on one label or on zero, so the kernel has a basis read off
-    directly, in graded-lex descending order of its free monomial: a
-    monomial that lands on zero alone, and a monomial minus the first one
-    landing on the same label.  That is the kernel in reduced echelon form
-    over the graded-lex descending monomial list.
-    """
-    if alg.dimension > BRUTE_FORCE_DIM_LIMIT:
-        raise SizeLimit(f"algebra dimension {alg.dimension} exceeds {BRUTE_FORCE_DIM_LIMIT}")
-    names = alg.variables
-    by_degree: dict[int, list[SparsePoly]] = {}
-    gens: list[SparsePoly] = []
-    degrees: list[int] = []
-    for d in range(1, max_degree + 1):
-        polys = []
-        first: dict = {}  # label -> the first monomial landing on it
-        for exps in monomials_of_degree(names, d):
-            label = alg.basis[0][0]
-            for vlab in (v for v, e in zip(alg.var_labels, exps) for _ in range(e)):
-                label = alg.product(label, vlab)
-                if label is None:
-                    break
-            if label is None:
-                polys.append(SparsePoly.monomial(names, exps))
-            elif label in first:
-                polys.append(SparsePoly(names, {first[label]: -1, exps: 1}))
-            else:
-                first[label] = exps
-        by_degree[d] = polys
-        gens.extend(polys)
-        degrees.extend([d] * len(polys))
-    return IdealDescription(
-        generators=gens,
-        degrees=degrees,
-        variables=names,
-        data={"by_degree": by_degree, "max_degree": max_degree},
-    )
-
-
-def ideal_degree_span(
-    generators: Sequence[SparsePoly], variables: tuple[str, ...], d: int
-) -> list[list[Fraction]]:
-    """Coefficient rows spanning the degree-d slice of the generated ideal."""
-    monos = monomials_of_degree(variables, d)
-    index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for g in generators:
-        gd = g.degree()
-        if gd < 0 or gd > d:
-            continue
-        for mult in monomials_of_degree(variables, d - gd):
-            shifted = g * SparsePoly.monomial(variables, mult)
-            row = [Fraction(0)] * len(monos)
-            for e, c in shifted.terms.items():
-                row[index[e]] = c
-            rows.append(row)
-    return rows
-
-
-def same_ideal_through_degree(
-    gens_a: Sequence[SparsePoly],
-    gens_b: Sequence[SparsePoly],
-    variables: tuple[str, ...],
-    max_degree: int,
-) -> bool:
-    """Degreewise span equality of two ideals, checked by exact ranks."""
-    for d in range(1, max_degree + 1):
-        rows_a = ideal_degree_span(gens_a, variables, d)
-        rows_b = ideal_degree_span(gens_b, variables, d)
-        ra = fraction_rank(rows_a)
-        rb = fraction_rank(rows_b)
-        if ra != rb or fraction_rank(rows_a + rows_b) != ra:
-            return False
-    return True

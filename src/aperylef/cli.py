@@ -333,9 +333,10 @@ def _matrix_text(matrix) -> str:
 
 
 def _open_out(path: str, mode: str):
-    """Open the --out path; one that cannot be opened is an input error."""
+    """Open the --out path, as UTF-8 text unless the mode is binary; one that
+    cannot be opened is an input error."""
     try:
-        return open(path, mode, encoding="utf-8")
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
         raise InvalidOutputPath(f"cannot open {path}: {exc.strerror}") from None
 
@@ -344,16 +345,18 @@ def _read_resume_keys(path: str) -> set[str]:
     keys: set[str] = set()
     if not os.path.exists(path):
         return keys
-    with _open_out(path, "r") as fh:
-        lines = fh.readlines()
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
+    # each line is decoded on its own, so a line that is not UTF-8 is one
+    # corrupt line, not a file that cannot be read
+    with _open_out(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for i, raw in enumerate(lines):
         try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
             record = json.loads(line)
             keys.add(",".join(map(str, record["generators"])))
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
             print(
                 f"warning: ignoring corrupt line {i + 1} in {path}",
                 file=sys.stderr,
@@ -564,6 +567,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _emit(record, args.format, out)
         elif args.command == "quotient-chain":
             if args.gens:
+                if args.steps is not None:
+                    raise InvalidStep("--steps applies only with --poly; --gens builds the paper's chain")
                 S = create_semigroup(_parse_gens(args.gens))
                 build = quotient_condition_ci if S.frame().is_ci() else quotient_condition_codim3
                 report = build(S, seed=_seed(args.seed, S))

@@ -49,10 +49,6 @@ class SizeLimit(AperyError):
     """An exact computation exceeded its configured size cap."""
 
 
-class NotSquare(AperyError):
-    """A determinant was requested for a non-square matrix."""
-
-
 class DegreeTooSmall(AperyError):
     """The degree-based criterion needs all generator degrees >= 2."""
 

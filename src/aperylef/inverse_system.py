@@ -1,4 +1,4 @@
-"""Macaulay-style inverse systems: dual generators, catalecticants, Hessians.
+"""Macaulay-style inverse systems: dual generators, dual views, Hessians.
 
 A homogeneous polynomial F presents a graded Artinian Gorenstein algebra as
 differential operators modulo the annihilator of F.  Everything reads one
@@ -6,11 +6,10 @@ derivative table, the map a -> (x^a)(X)F over exponent tuples: a pairing
 entry (m*m')(X)F depends only on the product m*m', so each derivative is
 taken once.  A dual view builds the table for every |a| <= D, the monomials
 it scans anyway, and two builders read it.  `_images` writes the images of
-degree-d monomial operators as coefficient rows: their rank is the
-catalecticant rank, the dimension of the degree-d component; their pivot
-columns, taken in graded-lex descending order, are the greedy monomial
-basis of a dual view; and a given basis is independent iff the rank equals
-its size.  `_pairing` looks up the products of two monomial bases, so its
+degree-d monomial operators as coefficient rows: their pivot columns,
+taken in graded-lex descending order, are the greedy monomial basis of a
+dual view, and a given basis is independent iff the rank of its rows
+equals its size.  `_pairing` looks up the products of two monomial bases, so its
 entries are polynomials in F's variables.
 
 A view reads every matrix off one pairing, `DualAlgebraView.pairing(i, j)`
@@ -44,11 +43,7 @@ from .algebra import variable_names
 DUAL_MONOMIALS_LIMIT = 1000
 
 __all__ = [
-    "apply_operator",
-    "ann_contains",
-    "match_annihilator_scale",
     "dual_socle_generator",
-    "catalecticant_rank",
     "DualAlgebraView",
     "dual_algebra_view",
     "hessian",
@@ -70,56 +65,6 @@ def _derivative(a: tuple[int, ...], F: SparsePoly) -> SparsePoly:
         if factor:
             out[tuple(map(sub, b, a))] = cb * factor
     return SparsePoly._from_clean(F.vars, out)
-
-
-def apply_operator(p: SparsePoly, F: SparsePoly) -> SparsePoly:
-    """Apply p as a constant-coefficient differential operator to F.
-
-    Each monomial operator of p acts by its exponent tuple; the map extends
-    linearly with exact rational coefficients.
-    """
-    if len(p.vars) != len(F.vars):
-        raise ValueError("operator and polynomial must have the same variable count")
-    out = SparsePoly.zero(F.vars)
-    for a, ca in p.terms.items():
-        out = out + _derivative(a, F) * ca
-    return out
-
-
-def ann_contains(F: SparsePoly, p: SparsePoly) -> bool:
-    """Literal annihilator test: does p(X) kill F exactly?"""
-    return not apply_operator(p, F)
-
-
-def match_annihilator_scale(F: SparsePoly, p: SparsePoly) -> Optional[SparsePoly]:
-    """Rescale the tail of p against its leading term to land in the annihilator.
-
-    Candidate relations coming from additive identities hold only up to the
-    derivative constants, so the tail gets one scalar: returns lead + s*tail
-    annihilating F, or None when no scalar works.
-    """
-    if not p:
-        return p
-    lead_exps, lead_coeff = p.leading_term()
-    lead = SparsePoly.monomial(p.vars, lead_exps, lead_coeff)
-    tail = p - lead
-    lead_img = apply_operator(lead, F)
-    tail_img = apply_operator(tail, F)
-    if not tail_img:
-        return p if not lead_img else None
-    if not lead_img:
-        return None
-    # need lead_img + s*tail_img = 0 for a single scalar s
-    ratio = None
-    if set(lead_img.terms) != set(tail_img.terms):
-        return None
-    for e, c in lead_img.terms.items():
-        r = -c / tail_img.terms[e]
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    return lead + tail * ratio
 
 
 def dual_socle_generator(table: AperyTable) -> SparsePoly:
@@ -168,18 +113,6 @@ def _pairing(table: dict, variables: tuple[str, ...], rows: Sequence, cols: Sequ
     has degree above F's and kills it."""
     zero = SparsePoly.zero(variables)
     return [[table.get(tuple(map(add, r, c)), zero) for c in cols] for r in rows]
-
-
-def catalecticant_rank(F: SparsePoly, d: int) -> int:
-    """Rank of all degree-d monomial operators applied to F.
-
-    Equals the dimension of the degree-d component of the algebra presented
-    by F.
-    """
-    if d < 0 or d > F.degree():
-        return 0
-    monos = monomials_of_degree(F.vars, d)
-    return fraction_rank(_images(F, d, monos, _derivatives(F, monos)))
 
 
 @dataclass

@@ -4,8 +4,8 @@ Two independent exact routes decide the properties.  The rank route forms
 multiplication maps by a generic linear form (symbolic coefficients); an
 apery or box algebra supplies the maps through its product table, an algebra
 presented by a dual polynomial supplies them through the perfect pairing.
-The Hessian route reads the same verdicts off determinants and ranks of
-Hessian matrices of the dual polynomial.  On a dual view both routes read
+The Hessian route reads the same verdicts off the ranks of Hessian
+matrices of the dual polynomial.  On a dual view both routes read
 one builder, the view's pairing of two of its bases: the map by the p-th
 power from degree d is the pairing of degrees D-d-p and d, and the
 (mixed) Hessian of degrees (i, j) is the pairing of degrees i and j, so

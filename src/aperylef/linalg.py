@@ -3,19 +3,15 @@
 There is one elimination per job.  `pivot_columns` is the forward pass of
 Gaussian elimination over the rationals, behind ranks and greedy bases.
 `_bareiss` is the fraction-free (Bareiss 1968) elimination with full
-pivoting behind symbolic ranks and determinants: every intermediate entry is
-a minor of the input matrix, so the division by the previous pivot is exact
-and entries stay polynomial, and the last pivot is the determinant up to the
-sign of the row and column swaps.  It runs on packed polynomials: each row
-is scaled by the LCM of its denominators, so coefficients are ints, and each
-monomial is one int whose fields hold the total degree and the exponents,
-sized from the minor degree bound with a guard bit, so monomials multiply
-by adding ints and compare in graded-lex order as ints.  Exact division is
-a leading-term loop (Monagan-Pearce 2007); an exponent that borrows into a
-guard bit, or a coefficient remainder, raises InternalFault, so nothing
-wraps silently.  Ranks are read off the elimination directly, and a
-determinant is unpacked to a SparsePoly over the caller's variables with
-the row scales divided out.
+pivoting behind symbolic ranks: every intermediate entry is a minor of the
+input matrix, so the division by the previous pivot is exact and entries
+stay polynomial.  It runs on packed polynomials: each row is scaled by the
+LCM of its denominators, so coefficients are ints, and each monomial is one
+int whose fields hold the total degree and the exponents, sized from the
+minor degree bound with a guard bit, so monomials multiply by adding ints
+and compare in graded-lex order as ints.  Exact division is a leading-term
+loop (Monagan-Pearce 2007); an exponent that borrows into a guard bit, or a
+coefficient remainder, raises InternalFault, so nothing wraps silently.
 
 The generic rank of a symbolic matrix is its rank over the field of rational
 functions in the entry variables, which equals the maximum rank over all
@@ -39,11 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalFault, NotSquare, SizeLimit
+from .errors import InternalFault, SizeLimit
 from .polynomial import SparsePoly
 
 SYMBOLIC_RANK_LIMIT = 64
-DETERMINANT_SIZE_LIMIT = 12
 POINT_PRIME = (1 << 61) - 1
 
 
@@ -51,22 +46,20 @@ def _lift_rows(entries) -> tuple[tuple[str, ...], list[list[Fraction]] | None]:
     """The variables of the entries, and their rows as Fractions unless one
     entry is symbolic.
 
-    The variables are those of the SparsePoly entries in order of first
-    appearance, so a determinant compares equal against polynomials built
-    over the caller's tuple; they are () when no entry is symbolic.
+    The variables are every name of a SparsePoly entry, in any fixed order,
+    since a rank does not depend on it; they are () when no entry is
+    symbolic.
     """
-    names: list[str] = []
+    names: set[str] = set()
     symbolic = False
     for row in entries:
         for e in row:
             if isinstance(e, SparsePoly):
                 if e.terms and not e.is_constant():
                     symbolic = True
-                for v in e.vars:
-                    if v not in names:
-                        names.append(v)
+                names.update(e.vars)
     if symbolic:
-        return tuple(names), None
+        return tuple(sorted(names)), None
     rows = [
         [e.constant_value() if isinstance(e, SparsePoly) else Fraction(e) for e in row]
         for row in entries
@@ -116,18 +109,17 @@ def fraction_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 # nonzero int coefficient; see _pack_rows for the layout.
 
 
-def _pack_rows(entries, variables: tuple[str, ...]) -> tuple[list[list[dict[int, int]]], int, int]:
-    """The entries as packed polynomials over variables: (rows, scale, width).
+def _pack_rows(entries, variables: tuple[str, ...]) -> tuple[list[list[dict[int, int]]], int]:
+    """The entries as packed polynomials over variables: (rows, width).
 
     Each row is multiplied by the LCM of its coefficient denominators, which
-    leaves the rank unchanged; scale is the product of the multipliers, so
-    the determinant of the rows is scale times that of the entries.  A
-    monomial packs into fields of width bits: its total degree in the top
-    field, then one field per variable, the first variable highest, so
-    comparing the ints compares monomials in graded-lex order.  Every entry
-    of the elimination is a minor, and a k x k minor of entries of degree at
-    most e has degree at most k*e; a field holds that bound plus one guard
-    bit, so a product of two minors adds its fields with no carry.
+    leaves the rank unchanged.  A monomial packs into fields of width bits:
+    its total degree in the top field, then one field per variable, the
+    first variable highest, so comparing the ints compares monomials in
+    graded-lex order.  Every entry of the elimination is a minor, and a
+    k x k minor of entries of degree at most e has degree at most k*e; a
+    field holds that bound plus one guard bit, so a product of two minors
+    adds its fields with no carry.
     """
     n = len(variables)
     k = min(len(entries), len(entries[0]))
@@ -135,7 +127,7 @@ def _pack_rows(entries, variables: tuple[str, ...]) -> tuple[list[list[dict[int,
     width = (k * max(e, 0)).bit_length() + 1
     shift = {v: (n - 1 - i) * width for i, v in enumerate(variables)}
     top = n * width
-    rows, scale = [], 1
+    rows = []
     for row in entries:
         polys = []
         for x in row:
@@ -150,23 +142,12 @@ def _pack_rows(entries, variables: tuple[str, ...]) -> tuple[list[list[dict[int,
                 polys.append({0: c} if c else {})
         lcm = math.lcm(1, *(c.denominator for poly in polys for c in poly.values()))
         rows.append([{m: c.numerator * (lcm // c.denominator) for m, c in poly.items()} for poly in polys])
-        scale *= lcm
-    return rows, scale, width
+    return rows, width
 
 
 def _guard(nvars: int, width: int) -> int:
     """The top bit of every field of a packed monomial over nvars variables."""
     return sum(1 << (i * width + width - 1) for i in range(nvars + 1))
-
-
-def _unpack(poly: dict[int, int], variables: tuple[str, ...], width: int, factor: Fraction) -> SparsePoly:
-    """factor times a packed polynomial, as a SparsePoly over variables."""
-    n = len(variables)
-    mask = (1 << width) - 1
-    return SparsePoly(variables, {
-        tuple(m >> ((n - 1 - i) * width) & mask for i in range(n)): c * factor
-        for m, c in poly.items()
-    })
 
 
 def _cross(a: dict[int, int], b: dict[int, int], c: dict[int, int], d: dict[int, int]) -> dict[int, int]:
@@ -222,31 +203,27 @@ def _divide(f: dict[int, int], g: dict[int, int], guard: int) -> dict[int, int]:
     return quotient
 
 
-def _bareiss(rows: list[list[dict[int, int]]], guard: int) -> tuple[int, int, dict[int, int] | None]:
-    """Fraction-free elimination with full pivoting: (rank, sign, last pivot).
+def _bareiss(rows: list[list[dict[int, int]]], guard: int) -> int:
+    """The rank, by fraction-free elimination with full pivoting.
 
     The pivot is the first nonzero entry of the trailing block in row-major
-    order.  The sign flips on every row swap and on every column swap; for a
-    square matrix of full rank, sign * last pivot is the determinant.
+    order; each step divides by the previous pivot.
     """
     m = [list(row) for row in rows]
     if not m or not m[0]:
-        return 0, 1, None
+        return 0
     nrows, ncols = len(m), len(m[0])
-    sign = 1
     prev = None
     for k in range(min(nrows, ncols)):
         found = next(((r, c) for r in range(k, nrows) for c in range(k, ncols) if m[r][c]), None)
         if found is None:
-            return k, sign, prev
+            return k
         pr, pc = found
         if pr != k:
             m[k], m[pr] = m[pr], m[k]
-            sign = -sign
         if pc != k:
             for row in m:
                 row[k], row[pc] = row[pc], row[k]
-            sign = -sign
         top = m[k]
         pivot = top[k]
         for r in range(k + 1, nrows):
@@ -258,7 +235,7 @@ def _bareiss(rows: list[list[dict[int, int]]], guard: int) -> tuple[int, int, di
                     e = _divide(e, prev, guard)
                 row[c] = e
         prev = pivot
-    return min(nrows, ncols), sign, prev
+    return min(nrows, ncols)
 
 
 @dataclass
@@ -277,10 +254,6 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.col_labels)
 
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
     def variables(self) -> tuple[str, ...]:
         names: set[str] = set()
         for row in self.entries:
@@ -291,20 +264,6 @@ class Matrix:
 
     def is_symbolic(self) -> bool:
         return bool(self.variables())
-
-    def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        n = self.nrows
-        for r in range(n):
-            for c in range(r + 1, n):
-                a, b = self.entries[r][c], self.entries[c][r]
-                if isinstance(a, SparsePoly) or isinstance(b, SparsePoly):
-                    if a != b:
-                        return False
-                elif Fraction(a) != Fraction(b):
-                    return False
-        return True
 
     def specialize(self, assignment) -> "Matrix":
         """Substitute values for every symbolic variable; entries become Fractions."""
@@ -351,8 +310,8 @@ def rank_info(matrix: Matrix) -> tuple[int, bool]:
     variables, frac_rows = _lift_rows(matrix.entries)
     if frac_rows is not None:
         return fraction_rank(frac_rows), False
-    rows, _, width = _pack_rows(matrix.entries, variables)
-    return _bareiss(rows, _guard(len(variables), width))[0], False
+    rows, width = _pack_rows(matrix.entries, variables)
+    return _bareiss(rows, _guard(len(variables), width)), False
 
 
 def _mod_p(x) -> int:
@@ -438,27 +397,3 @@ def point_rank(matrix: Matrix, assignment) -> int:
     if rows is not None and _rank_mod_p(rows) == full:
         return full
     return fraction_rank(matrix.specialize(assignment).entries)
-
-
-def generic_rank(matrix: Matrix) -> int:
-    """Rank over the rational function field of the entries' variables."""
-    rank, _ = rank_info(matrix)
-    return rank
-
-
-def polynomial_determinant(matrix: Matrix):
-    """Exact determinant; capped at DETERMINANT_SIZE_LIMIT for safety."""
-    if not matrix.is_square:
-        raise NotSquare(f"determinant of a {matrix.nrows}x{matrix.ncols} matrix")
-    n = matrix.nrows
-    if n == 0:
-        return Fraction(1)
-    if n > DETERMINANT_SIZE_LIMIT:
-        raise SizeLimit(f"determinant size {n} exceeds cap {DETERMINANT_SIZE_LIMIT}")
-    variables, frac_rows = _lift_rows(matrix.entries)
-    rows, scale, width = _pack_rows(matrix.entries if frac_rows is None else frac_rows, variables)
-    rank, sign, last = _bareiss(rows, _guard(len(variables), width))
-    det = last if rank == n else {}
-    if frac_rows is not None:
-        return Fraction(sign * det.get(0, 0), scale)
-    return _unpack(det, variables, width, Fraction(sign, scale))

@@ -7,11 +7,11 @@ first, and it drives both display and hashing.
 
 ``SparsePoly(variables, terms)`` validates what it is handed: it converts
 every coefficient to a Fraction, drops zeros, merges equal exponents and
-rejects a wrong-arity or negative exponent tuple; ``monomial``,
-``with_vars`` and the parser build through it.  The arithmetic (``+``,
-``-``, ``*`` by a polynomial or a scalar, negation), ``partial``, ``zero``,
-``constant`` and ``variable`` make terms that are clean by construction,
-and build through the private ``_from_clean``, which checks nothing.
+rejects a wrong-arity or negative exponent tuple; ``monomial`` and the
+parser build through it.  The arithmetic (``+``, ``-``, ``*`` by a
+polynomial or a scalar, negation), ``zero``, ``constant`` and ``variable``
+make terms that are clean by construction, and build through the private
+``_from_clean``, which checks nothing.
 
 Text grammar (used by the CLI): terms separated by ``+``/``-``; a term is an
 optional rational coefficient ``p`` or ``p/q`` and ``*``-separated variable
@@ -148,12 +148,6 @@ class SparsePoly:
         """Terms in canonical (graded-lex descending) order."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=grlex_key)
-        return exps, self.terms[exps]
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "SparsePoly"):
@@ -208,18 +202,6 @@ class SparsePoly:
 
     # -- calculus and evaluation -------------------------------------------
 
-    def partial(self, index: int) -> "SparsePoly":
-        """Partial derivative with respect to the index-th variable."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[index]
-            if k == 0:
-                continue
-            ne = list(e)
-            ne[index] = k - 1
-            out[tuple(ne)] = c * k
-        return SparsePoly._from_clean(self.vars, out)
-
     def evaluate(self, values) -> Fraction:
         """Evaluate at a point; values is a sequence or mapping by name."""
         if isinstance(values, Mapping):
@@ -236,22 +218,6 @@ class SparsePoly:
                     term *= val ** exp
             total += term
         return total
-
-    def with_vars(self, variables) -> "SparsePoly":
-        """Embed into a superset variable tuple, matching by name."""
-        variables = tuple(variables)
-        pos = []
-        for v in self.vars:
-            if v not in variables:
-                raise ValueError(f"variable {v!r} missing from target tuple")
-            pos.append(variables.index(v))
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(variables)
-            for p, exp in zip(pos, e):
-                ne[p] = exp
-            out[tuple(ne)] = c
-        return SparsePoly(variables, out)
 
     # -- text --------------------------------------------------------------
 
@@ -309,7 +275,7 @@ def _tokenize(text: str):
 def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> SparsePoly:
     """Parse the term-list grammar into a SparsePoly.
 
-    When ``variables`` is omitted the names found in the text are used in
+    When ``variables`` is omitted the names on the nonzero terms are used in
     alphabetical order, which makes parse -> print -> parse the identity on
     canonical forms.
     """
@@ -365,8 +331,13 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Spars
         raw_terms.append((coeff, powers))
 
     if variables is None:
-        names = sorted({name for _, powers in raw_terms for name in powers})
-        variables = tuple(names)
+        # the names of the nonzero terms once like terms are merged, so that
+        # a zero term such as 0*z^3, or x - x, adds no variable
+        merged: dict[tuple[tuple[str, int], ...], Fraction] = {}
+        for coeff, powers in raw_terms:
+            key = tuple(sorted((v, e) for v, e in powers.items() if e))
+            merged[key] = merged.get(key, Fraction(0)) + coeff
+        variables = tuple(sorted({v for key, c in merged.items() if c for v, _ in key}))
     else:
         variables = tuple(variables)
         for _, powers in raw_terms:

@@ -101,25 +101,6 @@ class NumericalSemigroup:
                 raise SizeLimit(f"the orders of {self!r} up to {s} exceed cap {ORDERS_LIMIT}")
         return orders[s]
 
-    def representations(self, s: int) -> list[tuple[int, ...]]:
-        """Every representation of s, sorted lexicographically descending."""
-        if not self.contains(s):
-            raise NotInSemigroup(f"{s} is not in the semigroup")
-        gens = self.generators
-        out: list[tuple[int, ...]] = []
-
-        def recurse(idx: int, remaining: int, acc: tuple[int, ...]):
-            g = gens[idx]
-            if idx == len(gens) - 1:
-                if remaining % g == 0:
-                    out.append(acc + (remaining // g,))
-                return
-            for lam in range(remaining // g, -1, -1):
-                recurse(idx + 1, remaining - lam * g, acc + (lam,))
-
-        recurse(0, s, ())
-        return out
-
     def maximal_representations(self, s: int) -> list[tuple[int, ...]]:
         """Representations achieving ord(s), lex-descending (lex-max first)."""
         self.order(s)  # every member below s now has its order memoized
@@ -321,11 +302,6 @@ def _m_pure_check(table: AperyTable) -> MPureVerdict:
         if o[i] + o[j] != o[-1]:
             return MPureVerdict(False, MPureWitness(i + 1, "order", o[i], o[j], o[-1]))
     return MPureVerdict(True, None)
-
-
-def is_m_pure_symmetric(S: NumericalSemigroup) -> MPureVerdict:
-    """Additive and order symmetry of the apery set (element i pairs with m-1-i)."""
-    return S.apery_table().m_pure_verdict()
 
 
 @dataclass

@@ -4,13 +4,38 @@ This is the Bareiss elimination that `aperylef.linalg` ran before it moved
 to integer coefficients on packed monomials: every entry is lifted to a
 SparsePoly over one variable tuple, and the division by the previous pivot
 is a leading-term loop on Fraction coefficients.  Tests compare the packed
-kernel's ranks and determinants against it.
+kernel's ranks against it, and read determinants, which the package never
+takes, off it.
 """
 
 from fractions import Fraction
 
 from aperylef import linalg
-from aperylef.polynomial import SparsePoly
+from aperylef.polynomial import SparsePoly, grlex_key
+
+
+def leading_term(p: SparsePoly) -> tuple[tuple[int, ...], Fraction]:
+    """The graded-lex largest term of a nonzero polynomial."""
+    if not p.terms:
+        raise ValueError("zero polynomial has no leading term")
+    exps = max(p.terms, key=grlex_key)
+    return exps, p.terms[exps]
+
+
+def with_vars(p: SparsePoly, variables: tuple[str, ...]) -> SparsePoly:
+    """p embedded into a superset variable tuple, matching by name."""
+    pos = []
+    for v in p.vars:
+        if v not in variables:
+            raise ValueError(f"variable {v!r} missing from target tuple")
+        pos.append(variables.index(v))
+    out = {}
+    for e, c in p.terms.items():
+        ne = [0] * len(variables)
+        for i, exp in zip(pos, e):
+            ne[i] = exp
+        out[tuple(ne)] = c
+    return SparsePoly(variables, out)
 
 
 def exact_div(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -22,11 +47,11 @@ def exact_div(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     if g.is_constant():
         c = g.constant_value()
         return SparsePoly(f.vars, {e: cc / c for e, cc in f.terms.items()})
-    ge, gc = g.leading_term()
+    ge, gc = leading_term(g)
     quotient: dict[tuple[int, ...], Fraction] = {}
     rem = f
     while rem:
-        re_, rc = rem.leading_term()
+        re_, rc = leading_term(rem)
         qe = tuple(a - b for a, b in zip(re_, ge))
         if any(x < 0 for x in qe):
             raise ArithmeticError("inexact polynomial division")
@@ -46,7 +71,7 @@ def lift(entries) -> list[list[SparsePoly]]:
                 names.extend(v for v in e.vars if v not in names)
     variables = tuple(names)
     return [
-        [e.with_vars(variables) if isinstance(e, SparsePoly) else SparsePoly.constant(variables, e)
+        [with_vars(e, variables) if isinstance(e, SparsePoly) else SparsePoly.constant(variables, e)
          for e in row]
         for row in entries
     ]

@@ -6,7 +6,9 @@ mod g_1, with edges r -> r + g of weight g (Nijenhuis 1979), gives the Apery
 list of the whole generator set, and a scan keeps a generator exactly when it
 is not a sum of two nonzero elements.  `minimal_tuples` is the sweep's old
 filter: every tuple `itertools.combinations` lists, kept when it is its own
-minimal generating set.  Tests compare the kernel and the walk against them.
+minimal generating set.  `representations` lists every representation of
+an element, which the package never needs: it walks only the maximal ones.
+Tests compare the kernel and the walks against them.
 """
 
 import heapq
@@ -14,7 +16,7 @@ import math
 from functools import reduce
 from itertools import combinations
 
-from aperylef import EmptyInput, GcdNotOne, InvalidGenerator
+from aperylef import EmptyInput, GcdNotOne, InvalidGenerator, NotInSemigroup
 
 
 def apery_residues(gens):
@@ -65,3 +67,23 @@ def minimal_tuples(m, count, top):
             continue
         if minimal == gens:
             yield gens
+
+
+def representations(S, s):
+    """Every representation of s in S, sorted lexicographically descending."""
+    if not S.contains(s):
+        raise NotInSemigroup(f"{s} is not in the semigroup")
+    gens = S.generators
+    out = []
+
+    def recurse(idx, remaining, acc):
+        g = gens[idx]
+        if idx == len(gens) - 1:
+            if remaining % g == 0:
+                out.append(acc + (remaining // g,))
+            return
+        for lam in range(remaining // g, -1, -1):
+            recurse(idx + 1, remaining - lam * g, acc + (lam,))
+
+    recurse(0, s, ())
+    return out

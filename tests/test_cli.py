@@ -164,6 +164,52 @@ def test_the_package_imports_only_the_standard_library():
             assert not outside, f"{path.name} line {node.lineno} imports {outside}"
 
 
+def test_every_package_name_has_a_caller_outside_the_tests():
+    # a function, class or method of the package that only tests reach
+    # belongs in a tests/ oracle: some other module of the package, the
+    # benchmark or a script must name it.  A re-export in __init__ or
+    # __all__ is not a use, nor is a name inside its own definition.
+    root = Path(SRC).parent
+    package = Path(SRC) / "aperylef"
+    users = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    users += sorted((root / "perfbench").glob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    uses: dict[str, list] = {}
+    statements = [stmt for path in users for stmt in ast.parse(path.read_text(), filename=str(path)).body]
+    for statement in statements:
+        if isinstance(statement, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in statement.targets
+        ):
+            continue
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = [node.name.rpartition(".")[2]]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = node.value.split(".")  # perfbench binds "Class.method" by name
+            else:
+                continue
+            for name in names:
+                uses.setdefault(name, []).append(node)
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            defined = [(top.name, top)] if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else []
+            if isinstance(top, ast.ClassDef):
+                defined += [(f"{top.name}.{m.name}", m) for m in top.body if isinstance(m, ast.FunctionDef)]
+            for qualified, node in defined:
+                name = qualified.rpartition(".")[2]
+                if name.startswith("__") and name.endswith("__"):
+                    continue  # the language calls dunder methods
+                inside = {id(n) for n in ast.walk(node)}
+                if all(id(n) in inside for n in uses.get(name, [])):
+                    unused.append(f"{path.name}: {qualified}")
+    assert not unused, f"only tests call {unused}; move them into a tests/ oracle"
+
+
 def test_apery_of_30000_30001_30002():
     # orders reach 15,000: the walk for the maximal representations is iterative
     code, out, _ = run_cli(["apery", "--gens", "30000,30001,30002"])
@@ -217,6 +263,20 @@ def test_from_dual_monomial():
     record = json.loads(out)
     assert record["hilbert"] == [1, 1, 1, 1]
     assert record["slp"]["hessian"]["verdict"] == "holds"
+
+
+def test_from_dual_drops_variables_with_no_nonzero_term():
+    # a zero term names no variable of the form: the same form, the same bytes
+    outs = {
+        run_cli(["--seed", "0", "from-dual", "--poly", poly])[1]
+        for poly in ("x^2*y + 1/2*y^3", "x^2*y + 1/2*y^3 + 0*z^3", "x^2*y + z*w - w*z + 1/2*y^3")
+    }
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["variables"] == ["x", "y"]
+    for poly in ("x - x", "0*z^3"):
+        code, out, err = run_cli(["from-dual", "--poly", poly])
+        assert (code, out) == (2, "")
+        assert err == "input error: zero polynomial does not present an algebra\n"
 
 
 @pytest.mark.parametrize("poly", [
@@ -293,6 +353,15 @@ def test_quotient_chain_seed_follows_canonical_generators():
     assert len(outs) == 1
     digest = hashlib.sha256(outs.pop().encode()).hexdigest()
     assert digest == "f96c44f360add27dedf3e53bc8636af51813e18ad0525e75549f5e7b44855d39"
+
+
+@pytest.mark.parametrize("steps", ["q", "z", ""])
+def test_quotient_chain_refuses_steps_with_gens(steps):
+    # --gens builds the paper's chain; --steps would be ignored there
+    code, out, err = run_cli(["quotient-chain", "--gens", "16,18,21,27", "--steps", steps])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: --steps applies only with --poly")
 
 
 @pytest.mark.parametrize("steps", ["q", "x:q", "x:0"])
@@ -405,6 +474,23 @@ def test_sweep_writes_filters_and_resumes(tmp_path):
     assert "corrupt" in err
     final_lines = out_path.read_text().strip().splitlines()
     assert len([l for l in final_lines if l.startswith('{"schema_version"')]) == len(lines)
+
+
+def test_sweep_resume_skips_lines_that_are_not_utf8(tmp_path):
+    out_path = tmp_path / "sweep.jsonl"
+    args = ["--seed", "0"] + SWEEP_ARGS + ["--out", str(out_path)]
+    assert run_cli(args)[0] == 0
+    written = out_path.read_bytes()
+    # a UTF-16 byte order mark and a stray byte: neither line decodes
+    out_path.write_bytes(b"\xff\xfe{}\n" + written + b"\x80\n")
+    code, out, err = run_cli(args + ["--resume"])
+    assert code == 0 and out == ""
+    assert err == (
+        f"warning: ignoring corrupt line 1 in {out_path}\n"
+        f"warning: ignoring corrupt line 5 in {out_path}\n"
+        "sweep: wrote 0, filtered 0, resumed past 3\n"
+    )
+    assert out_path.read_bytes() == b"\xff\xfe{}\n" + written + b"\x80\n"
 
 
 def test_sweep_resume_counts_records_of_an_unfiltered_sweep(tmp_path):
