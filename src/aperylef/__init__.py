@@ -9,6 +9,7 @@ complete-intersection classification and colon-quotient transfer chains.
 
 from .errors import (
     AperyError,
+    ConflictingInput,
     DegreeOutOfRange,
     DegreeTooSmall,
     DependentBasis,

@@ -12,10 +12,22 @@ A colon quotient A/(0:x) is spanned by the labels of A outside the ideal
 its own rows and columns; only an algebra without a parent builds its maps
 from the product table.  Each algebra builds a map once, and an Apery table
 gives one algebra while anything holds it.
+
+The Apery algebra of a semigroup with at most three minimal generators is
+monomial: each Apery element has one maximal representation r(w), so the
+algebra is k[y, z]/(monomial ideal) with basis the monomials x^r(w).  The
+map by the p-th power of the generic form t.x then has entries
+multinomial(r(w') - r(w)) t^(r(w') - r(w)), that is
+M(t) = diag(t^r(w')) M(1) diag(t^-r(w)) with M(1) the integer matrix of
+path counts (the torus argument, Migliore-Miro-Roig-Nagel 2011, Prop. 2.2).
+Such an algebra's maps, and so its colon quotients' slices, are M(1): at a
+point with no zero coordinate the symbolic map has the rank of M(1), and
+that is its generic rank.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,7 +48,12 @@ def variable_names(codim: int) -> tuple[str, ...]:
 
 
 class GradedAlgebra:
-    """Finite graded algebra whose basis products are single labels or zero."""
+    """Finite graded algebra whose basis products are single labels or zero.
+
+    A monomial algebra, k[x]/(monomial ideal), holds the exponent vector of
+    each label in ``exponents`` (None otherwise) and builds its maps as
+    integer path-count matrices.
+    """
 
     def __init__(
         self,
@@ -46,6 +63,7 @@ class GradedAlgebra:
         product_fn: Callable,
         kind: str,
         parent: Optional["GradedAlgebra"] = None,
+        monomial: bool = False,
     ):
         # Trim empty top degrees so top_degree is the real socle degree.
         while basis and not basis[-1]:
@@ -62,6 +80,7 @@ class GradedAlgebra:
                 self._degree[lab] = d
         self._maps: dict[tuple[int, int], Matrix] = {}
         self._gorenstein: Optional[dict] = None
+        self.exponents = _exponent_vectors(self) if monomial else None
 
     # -- structure ----------------------------------------------------------
 
@@ -120,15 +139,19 @@ class GradedAlgebra:
         """Multiplication by the generic linear form^power, degree d to d+power.
 
         Built once per (d, power) and shared by every caller, who must not
-        change it: a colon quotient slices its parent's map, any other
-        algebra runs multiplication_matrix.
+        change it: a colon quotient slices its parent's map, a monomial
+        algebra gives the integer matrix M(1) of path counts, whose rank at
+        every point with no zero coordinate is the symbolic map's (module
+        docstring), and any other algebra runs multiplication_matrix.
         """
         key = (d, power)
         if key not in self._maps:
-            if self.parent is None:
-                self._maps[key] = multiplication_matrix(self, LinearForm.symbolic(self), d, power)
-            else:
+            if self.parent is not None:
                 self._maps[key] = _sliced_map(self, self.parent, d, power)
+            elif self.exponents is not None:
+                self._maps[key] = _path_count_map(self, d, power)
+            else:
+                self._maps[key] = multiplication_matrix(self, LinearForm.symbolic(self), d, power)
         return self._maps[key]
 
     def colon_step(self, variable: str) -> Optional["GradedAlgebra"]:
@@ -180,6 +203,7 @@ def _apery_algebra(table: AperyTable) -> GradedAlgebra:
         var_labels=degree1,
         product_fn=product_fn,
         kind="apery",
+        monomial=len(degree1) <= 2,
     )
 
 
@@ -335,6 +359,52 @@ def multiplication_matrix(alg: GradedAlgebra, L: LinearForm, d: int, power: int 
     return Matrix(rows, cols, entries)
 
 
+def _exponent_vectors(alg: GradedAlgebra) -> dict:
+    """r(w) of every label: r(1) = 0 and r(w*x_i) = r(w) + e_i.
+
+    One walk over the product table in degree order.  The table of a
+    commutative, associative algebra generated in degree 1 is that of
+    k[x]/(monomial ideal) exactly when this is well defined, so a label
+    reached with two vectors, or not reached, raises InternalFault.
+    """
+    vectors = {lab: (0,) * len(alg.var_labels) for lab in alg.basis[0]}
+    for labels in alg.basis:
+        for lab in labels:
+            r = vectors.get(lab)
+            if r is None:
+                raise InternalFault(f"label {lab!r} is not a product of the variables")
+            for i, x in enumerate(alg.var_labels):
+                target = alg._product(lab, x)
+                if target is None:
+                    continue
+                v = r[:i] + (r[i] + 1,) + r[i + 1:]
+                if vectors.setdefault(target, v) != v:
+                    raise InternalFault(f"label {target!r} is reached with exponents {vectors[target]} and {v}")
+    return vectors
+
+
+def _path_count_map(alg: GradedAlgebra, d: int, power: int) -> Matrix:
+    """M(1) of a monomial algebra: the entry (w', w) counts the words in the
+    variables that carry w to w', multinomial(r(w') - r(w)), and is 0 unless
+    r(w') >= r(w)."""
+    _check_map_degrees(alg, d, power)
+    r = alg.exponents
+    rows = list(alg.basis[d + power])
+    cols = list(alg.basis[d])
+    return Matrix(rows, cols, [[_words(r[top], r[bottom]) for bottom in cols] for top in rows])
+
+
+def _words(top: tuple, bottom: tuple) -> int:
+    """multinomial(top - bottom), or 0 unless top >= bottom entrywise."""
+    count, total = 1, 0
+    for a, b in zip(top, bottom):
+        if a < b:
+            return 0
+        total += a - b
+        count *= math.comb(total, a - b)
+    return count
+
+
 def _check_map_degrees(alg: GradedAlgebra, d: int, power: int) -> None:
     if power < 1:
         raise DegreeOutOfRange("power must be >= 1")
@@ -351,7 +421,8 @@ def _sliced_map(quotient: GradedAlgebra, parent: GradedAlgebra, d: int, power: i
     product is the parent's with that ideal sent to zero, so the rows and
     columns it keeps hold its own entries.  Entries are restated over the
     quotient's symbols, one per surviving variable; a killed variable lies in
-    the ideal, so its symbol cannot appear in a surviving row.
+    the ideal, so its symbol cannot appear in a surviving row.  The integer
+    entries of a monomial parent's path counts have no symbols to restate.
     """
     _check_map_degrees(quotient, d, power)
     full = parent.map_matrix(d, power)
@@ -363,9 +434,9 @@ def _sliced_map(quotient: GradedAlgebra, parent: GradedAlgebra, d: int, power: i
     killed = [i for i in range(len(parent.var_labels)) if i not in kept]
     symbols = quotient.symbols()
 
-    def restate(entry: SparsePoly) -> SparsePoly:
-        if not killed:
-            return entry  # the quotient's symbols are the parent's
+    def restate(entry):
+        if not killed or not isinstance(entry, SparsePoly):
+            return entry  # the quotient's symbols are the parent's, or none
         if any(exps[i] for exps in entry.terms for i in killed):
             raise InternalFault(
                 f"the map from degree {d} by power {power} of a colon quotient "

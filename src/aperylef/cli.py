@@ -23,6 +23,7 @@ from .algebra import (
     codim3_defining_ideal,
 )
 from .errors import (
+    ConflictingInput,
     EmptyInput,
     GcdNotOne,
     InternalFault,
@@ -566,19 +567,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 record["full_generators"] = codim3_defining_ideal(S).generator_texts()
             _emit(record, args.format, out)
         elif args.command == "quotient-chain":
-            if args.gens:
+            if args.gens is not None:
                 if args.steps is not None:
-                    raise InvalidStep("--steps applies only with --poly; --gens builds the paper's chain")
+                    raise ConflictingInput("--steps applies only with --poly; --gens builds the paper's chain")
+                if args.poly is not None:
+                    raise ConflictingInput("--poly applies only without --gens; --gens builds the paper's chain")
                 S = create_semigroup(_parse_gens(args.gens))
                 build = quotient_condition_ci if S.frame().is_ci() else quotient_condition_codim3
                 report = build(S, seed=_seed(args.seed, S))
                 _emit(report.to_dict(), args.format, out)
             elif args.poly:
                 F = parse_polynomial(args.poly)
-                view = dual_algebra_view(F, require_positive_degree=True)
                 steps = _parse_steps(args.steps)
                 if not steps:
-                    raise NotApplicable("--steps is required with --poly")
+                    raise EmptyInput("--steps is required with --poly")
+                view = dual_algebra_view(F, require_positive_degree=True)
                 report = transfer_wlp(view, steps, seed=_seed(args.seed, F))
                 _emit(report.to_dict(), args.format, out)
             else:
@@ -590,8 +593,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "sweep":
             return sweep(args)
         return 0
-    except (EmptyInput, GcdNotOne, InvalidDualGenerator, InvalidGenerator, InvalidOutputPath, InvalidSeed,
-            InvalidStep, PolyParseError) as exc:
+    except (ConflictingInput, EmptyInput, GcdNotOne, InvalidDualGenerator, InvalidGenerator, InvalidOutputPath,
+            InvalidSeed, InvalidStep, PolyParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (NotApplicable, NotCI, NotGorenstein) as exc:

@@ -6,7 +6,12 @@ class AperyError(Exception):
 
 
 class EmptyInput(AperyError):
-    """No generators were supplied."""
+    """A required input, such as the generators or the quotient-chain
+    steps, was not supplied."""
+
+
+class ConflictingInput(AperyError):
+    """Two command-line inputs that exclude each other were both given."""
 
 
 class GcdNotOne(AperyError):

@@ -20,9 +20,14 @@ first point is eliminated fraction-free (Bareiss), which tells a deficient
 point from a deficient map and certifies the latter; a matrix above the
 symbolic cap is not eliminated but ranked again at the later points.  The
 maps of an algebra are built once and shared by its reports; a colon
-quotient's maps are slices of its parent's.
+quotient's maps are slices of its parent's.  An Apery algebra of
+codimension at most 2 is monomial, and its maps are the integer path-count
+matrices M(1) (algebra module docstring): the symbolic map is
+diag(t^r(w')) M(1) diag(t^-r(w)), so at every witness draw, none of whose
+coordinates is zero, its rank is rank M(1), which is also its generic rank.
 
-Verdicts: "holds" always carries a rational witness re-verified exactly;
+Verdicts: "holds" always carries a rational witness re-verified exactly,
+on a codimension-2 Apery algebra and its quotients by that identity;
 "fails" always carries a symbolic generic-rank deficiency; "inconclusive"
 appears when a map above the symbolic cap is deficient at every witness
 point (its rank is then probabilistic) or when a quotient step's hypotheses

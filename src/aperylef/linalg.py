@@ -240,7 +240,7 @@ def _bareiss(rows: list[list[dict[int, int]]], guard: int) -> int:
 
 @dataclass
 class Matrix:
-    """Labeled matrix with exact entries (Fraction or SparsePoly)."""
+    """Labeled matrix with exact entries (int, Fraction or SparsePoly)."""
 
     row_labels: list
     col_labels: list

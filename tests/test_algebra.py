@@ -1,4 +1,5 @@
 import math
+import random
 import weakref
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import bareiss_oracle
 import relations_oracle
 from aperylef import algebra as algebra_module
 from aperylef import (
+    AperyError,
     DegreeOutOfRange,
     GradedAlgebra,
     InternalFault,
@@ -29,6 +31,8 @@ from aperylef import (
     parse_polynomial,
     rank_info,
 )
+from aperylef.cli import analyze_record
+from aperylef.linalg import fraction_rank
 from relations_oracle import brute_force_relations, same_ideal_through_degree
 
 
@@ -240,37 +244,119 @@ def slice_cases(corpus):
             yield step
 
 
-def test_quotient_maps_are_slices_of_the_parent_maps(corpus, monkeypatch):
-    built = []
+def root_of(alg):
+    while alg.parent is not None:
+        alg = alg.parent
+    return alg
+
+
+def map_cases(alg):
+    """The maps the routes rank on quotients, the power-2 maps and the
+    narrow-sense SLP maps; checking every power costs about 4 s more."""
+    D = alg.top_degree
+    for d in range(D):
+        for power in sorted({1, 2, D - 2 * d}):
+            if 1 <= power and d + power <= D:
+                yield d, power
+
+
+def check_torus_identity(alg, d, power, rng):
+    """alg's symbolic map at 3 random points t >= 1 is
+    diag(t^r(w')) M(1) diag(t^-r(w)), with M(1) its map_matrix and r the
+    exponents of the monomial algebra it is (a colon quotient of)."""
+    counts = alg.map_matrix(d, power)
+    symbolic = multiplication_matrix(alg, LinearForm.symbolic(alg), d, power)
+    assert counts.row_labels == symbolic.row_labels
+    assert counts.col_labels == symbolic.col_labels
+    assert all(isinstance(e, int) for row in counts.entries for e in row)
+    root = root_of(alg)
+    at = [root.variables.index(v) for v in alg.variables]
+    for _ in range(3):
+        point = [rng.randint(1, 50) for _ in alg.variables]
+
+        def weight(lab):
+            r = root.exponents[lab]
+            return math.prod(Fraction(t) ** r[i] for i, t in zip(at, point))
+
+        image = [
+            [weight(top) * c / weight(bottom) for bottom, c in zip(counts.col_labels, row)]
+            for top, row in zip(counts.row_labels, counts.entries)
+        ]
+        assert symbolic.specialize(dict(zip(alg.symbols(), point))).entries == image
+    return counts, symbolic
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The kinds of the algebras whose maps the package builds with
+    multiplication_matrix; the tests' own calls are not counted."""
+    kinds = []
     original = algebra_module.multiplication_matrix
 
     def recording(alg, L, d, power=1):
-        built.append(alg.kind)
+        kinds.append(alg.kind)
         return original(alg, L, d, power)
 
     monkeypatch.setattr(algebra_module, "multiplication_matrix", recording)
-    quotients = dropping = chained = maps = 0
+    return kinds
+
+
+def test_quotient_maps_are_slices_of_the_parent_maps(corpus, built):
+    rng = random.Random(17)
+    quotients = dropping = chained = maps = monomial = 0
     for Q in slice_cases(corpus):
         parent = Q.parent
         quotients += 1
         dropping += len(Q.variables) < len(parent.variables)
         chained += parent.kind == "quotient"
-        D = Q.top_degree
-        # the WLP maps the routes rank on quotients, the power-2 maps and the
-        # narrow-sense SLP maps; checking every power costs about 4 s more
-        for d in range(D):
-            for power in sorted({1, 2, D - 2 * d}):
-                if power < 1 or d + power > D:
-                    continue
+        monomial += root_of(Q).exponents is not None
+        for d, power in map_cases(Q):
+            if root_of(Q).exponents is not None:
+                # codimension <= 2: the slice is M(1), the parent's path counts
+                check_torus_identity(Q, d, power, rng)
+            else:
                 got = Q.map_matrix(d, power)
                 fresh = multiplication_matrix(Q, LinearForm.symbolic(Q), d, power)
                 assert got.row_labels == fresh.row_labels
                 assert got.col_labels == fresh.col_labels
                 assert got.entries == fresh.entries
-                maps += 1
+            maps += 1
     assert "quotient" not in built  # a quotient never builds a map itself
     assert quotients > 100 and maps > 2000
-    assert dropping and chained
+    assert dropping and chained and monomial
+
+
+@st.composite
+def three_generator_semigroups(draw):
+    g1 = draw(st.integers(3, 14))
+    rest = draw(st.lists(st.integers(g1 + 1, 40), min_size=2, max_size=2, unique=True))
+    try:
+        S = create_semigroup([g1] + rest)
+    except AperyError:
+        S = None
+    assume(S is not None and len(S.generators) == 3)
+    return S
+
+
+@given(three_generator_semigroups())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_codim2_maps_are_torus_images_of_their_path_counts(S):
+    # the torus argument: M(t) = diag(t^r(w')) M(1) diag(t^-r(w)), so the
+    # generic rank is rank M(1), on the algebra and its colon quotients
+    A = build_algebra(S.apery_table())
+    assert A.exponents is not None
+    rng = random.Random(repr(S.generators))
+    for alg in [A] + [Q for Q in map(A.colon_step, A.variables) if Q is not None]:
+        for d, power in map_cases(alg):
+            counts, symbolic = check_torus_identity(alg, d, power, rng)
+            assert rank_info(symbolic)[0] == fraction_rank(counts.entries)
+
+
+@pytest.mark.parametrize("gens, symbolic", [((8, 10, 11), False), ((16, 18, 21, 27), True)])
+def test_ranks_route_builds_symbolic_maps_only_above_codimension_2(gens, symbolic, built):
+    analyze_record(list(gens), method="ranks", seed_root=0)
+    assert bool(built) == symbolic
+    assert (algebra_of(gens).exponents is None) == symbolic
 
 
 def test_sliced_map_rejects_the_symbol_of_a_killed_variable():

@@ -364,6 +364,24 @@ def test_quotient_chain_refuses_steps_with_gens(steps):
     assert err.startswith("input error: --steps applies only with --poly")
 
 
+@pytest.mark.parametrize("gens", ["16,18,21,27", ""])
+def test_quotient_chain_refuses_poly_with_gens(gens):
+    # --gens builds the paper's chain; --poly would be ignored there
+    code, out, err = run_cli(["quotient-chain", "--gens", gens, "--poly", "x^3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: --poly applies only without --gens")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("steps", [[], ["--steps", ""], ["--steps", " , "]])
+def test_quotient_chain_poly_without_steps_is_an_input_error(steps):
+    code, out, err = run_cli(["quotient-chain", "--poly", "x^2*y + y^2*z + x*z^2"] + steps)
+    assert code == 2
+    assert out == ""
+    assert err == "input error: --steps is required with --poly\n"
+
+
 @pytest.mark.parametrize("steps", ["q", "x:q", "x:0"])
 def test_quotient_chain_rejects_bad_steps(steps):
     code, out, err = run_cli(
@@ -388,6 +406,15 @@ def test_analyze_byte_identical():
     c = run_cli(["--seed", "99", "analyze", "--gens", "16,18,21,27"])[1]
     d = run_cli(["--seed", "99", "analyze", "--gens", "16,18,21,27"])[1]
     assert c == d
+
+
+def test_analyze_600_601_602_ranks_record_is_pinned():
+    # codimension 2 at socle degree 300: 150 narrow-sense SLP maps, each its
+    # integer path-count matrix, give the bytes the symbolic maps gave.  The
+    # Hessian route would stop at the size cap of the degree-300 dual view.
+    record = analyze_record([600, 601, 602], method="ranks", seed_root=0)
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == "d7457aadf9367a336d975d1f6b248ba17930110c1e05c9edaf8183286b54c192"
 
 
 def test_record_round_trip_and_no_floats():
