@@ -541,15 +541,20 @@ def relation_text(p: SparsePoly) -> str:
 
 @dataclass
 class IdealDescription:
-    """Generators of a defining ideal plus the structural data behind them."""
+    """Generators of a defining ideal plus the structural data behind them;
+    the relation text of each generator is rendered once, when it is built."""
 
     generators: list[SparsePoly]
     degrees: list[int]
     variables: tuple[str, ...]
     data: dict = field(default_factory=dict)
+    texts: list[str] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.texts = [relation_text(g) for g in self.generators]
 
     def generator_texts(self) -> list[str]:
-        return [relation_text(g) for g in self.generators]
+        return list(self.texts)
 
 
 def ci_tilde_ideal(frame: FrameData) -> IdealDescription:
@@ -592,13 +597,14 @@ def ci_tilde_ideal(frame: FrameData) -> IdealDescription:
     )
 
 
-def codim3_defining_ideal(S: NumericalSemigroup) -> IdealDescription:
+def codim3_defining_ideal(S: NumericalSemigroup, tilde: Optional[IdealDescription] = None) -> IdealDescription:
     """Full defining ideal for 4-generated, order-symmetric, non-CI semigroups.
 
     Extends the tilde ideal by the two monomials z^h3*y^h2 and z^h3*w^h4,
     where the h exponents come from the double representation
     (gamma_3+1)*g_3 = mu_2*g_2 + mu_4*g_4 and from the gap C between the top
-    box element and the top apery element.
+    box element and the top apery element.  ``tilde`` is S's ci_tilde_ideal
+    when the caller already has it.
     """
     gens = S.generators
     if len(gens) != 4:
@@ -609,7 +615,8 @@ def codim3_defining_ideal(S: NumericalSemigroup) -> IdealDescription:
     frame = S.frame()
     if frame.is_ci():
         raise NotApplicable("complete intersection: the tilde ideal is already everything")
-    tilde = ci_tilde_ideal(frame)
+    if tilde is None:
+        tilde = ci_tilde_ideal(frame)
     g2, g3, g4 = gens[1], gens[2], gens[3]
     gamma2, gamma3, gamma4 = frame.gamma
     witness = frame.gamma_witness[2]

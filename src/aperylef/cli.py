@@ -119,9 +119,17 @@ def analyze_record(
     seed_root: Optional[int] = None,
     with_timings: bool = False,
 ) -> dict:
-    """Full pipeline record for one semigroup."""
+    """Full pipeline record for the semigroup generated by gens."""
     t0 = time.perf_counter()
-    S = create_semigroup(list(gens))
+    return _record(create_semigroup(list(gens)), method, seed_root, t0 if with_timings else None)
+
+
+def _record(S: NumericalSemigroup, method: str, seed_root: Optional[int], t0: Optional[float] = None) -> dict:
+    """Full pipeline record for S, with its wall time since t0 when t0 is given.
+
+    It reads whatever S has already built (a sweep's filter builds the Apery
+    table), so a record of a semigroup the caller holds costs no second one.
+    """
     seed = _seed(seed_root, S)
     table = S.apery_table()
     frame = S.frame()
@@ -165,6 +173,7 @@ def analyze_record(
             slp["hessian"] = {"verdict": "skipped", "notes": note}
 
     ideal_info = None
+    full = None  # the codimension-3 defining ideal, built once for the record
     if frame.gamma:
         tilde = ci_tilde_ideal(frame)
         ideal_info = {
@@ -177,7 +186,7 @@ def analyze_record(
             "box_gamma_elements": tilde.data["box_gamma_elements"],
         }
         if classification == "codim3-structured":
-            full = codim3_defining_ideal(S)
+            full = codim3_defining_ideal(S, tilde)
             ideal_info["full_generators"] = full.generator_texts()
             ideal_info["structure"] = {
                 k: full.data[k]
@@ -189,11 +198,10 @@ def analyze_record(
     if frame.is_ci():
         chain = quotient_condition_ci(S, seed=seed, base_report=wlp_ranks).to_dict()
     elif classification == "codim3-structured":
-        chain = quotient_condition_codim3(S, seed=seed).to_dict()
+        chain = quotient_condition_codim3(S, seed=seed, ideal=full).to_dict()
     if frame.is_ci() or len(S.generators) - 1 == 3:
         conjecture = conjecture_check(S, seed=seed).to_dict()
 
-    elapsed = time.perf_counter() - t0
     return {
         "schema_version": SCHEMA_VERSION,
         "generators": list(S.generators),
@@ -233,7 +241,7 @@ def analyze_record(
         "slp": slp or None,
         "quotient_chain": chain,
         "conjecture": conjecture,
-        "timings": {"analyze_seconds": round(elapsed, 6)} if with_timings else None,
+        "timings": None if t0 is None else {"analyze_seconds": round(time.perf_counter() - t0, 6)},
     }
 
 
@@ -394,7 +402,7 @@ def sweep(args) -> int:
                         if not (frame.is_ci() or len(gens) - 1 == 3):
                             skipped += 1
                             continue
-                    record = analyze_record(gens, method=args.method, seed_root=args.seed)
+                    record = _record(S, args.method, args.seed)
                     out.write(json.dumps(record) + "\n")
                     out.flush()
                     keys.add(key)
@@ -419,16 +427,27 @@ def sweep(args) -> int:
 
 def _range_pair(text: str) -> tuple[int, int]:
     parts = text.split(":")
-    if len(parts) == 1:
-        v = int(parts[0])
-        return (v, v)
-    if len(parts) == 2:
-        return (int(parts[0]), int(parts[1]))
-    raise argparse.ArgumentTypeError("ranges look like LO:HI")
+    try:
+        values = [int(p) for p in parts]
+    except ValueError:
+        values = []
+    if len(values) == 1:
+        return (values[0], values[0])
+    if len(values) == 2:
+        return (values[0], values[1])
+    raise argparse.ArgumentTypeError(f"{text!r}: ranges look like LO:HI or N")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one-line input errors
+    (exit 2, as argparse's own); --help still prints the usage."""
+
+    def error(self, message):
+        self.exit(2, f"input error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aperylef",
         description="Lefschetz analysis of graded algebras from numerical semigroups",
     )
@@ -564,7 +583,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "tilde_generators": tilde.generator_texts() if tilde else [],
             }
             if record["classification"] == "codim3-structured":
-                record["full_generators"] = codim3_defining_ideal(S).generator_texts()
+                record["full_generators"] = codim3_defining_ideal(S, tilde).generator_texts()
             _emit(record, args.format, out)
         elif args.command == "quotient-chain":
             if args.gens is not None:

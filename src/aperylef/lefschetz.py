@@ -32,6 +32,10 @@ on a codimension-2 Apery algebra and its quotients by that identity;
 appears when a map above the symbolic cap is deficient at every witness
 point (its rank is then probabilistic) or when a quotient step's hypotheses
 cannot be checked.
+
+Reports serialize field by field: each to_dict builds a new JSON-ready dict
+in field order, with tuples as lists and nested reports as their own dicts,
+and shares no dict or list with the report.
 """
 
 from __future__ import annotations
@@ -39,12 +43,13 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .algebra import (
     GradedAlgebra,
+    IdealDescription,
     build_algebra,
     build_gamma_algebra,
     codim3_defining_ideal,
@@ -103,7 +108,18 @@ class LefschetzReport:
         return self.verdict == "holds"
 
     def to_dict(self) -> dict:
-        return _jsonable(self)
+        return {
+            "property": self.property,
+            "verdict": self.verdict,
+            "method": self.method,
+            "witness": None if self.witness is None else dict(self.witness),
+            "evidence": [dict(entry) for entry in self.evidence],
+            "gorenstein": self.gorenstein,
+            "socle_degree": self.socle_degree,
+            "k": self.k,
+            "probabilistic": self.probabilistic,
+            "notes": self.notes,
+        }
 
 
 def _hilbert(obj: AlgebraLike) -> tuple[int, ...]:
@@ -339,7 +355,21 @@ class ChainStep:
     direct_report: Optional[LefschetzReport] = None
 
     def to_dict(self) -> dict:
-        return _jsonable(self)
+        return {
+            "variable": self.variable,
+            "power": self.power,
+            "socle_before": self.socle_before,
+            "parity": self.parity,
+            "hilbert_before": list(self.hilbert_before),
+            "hilbert_after": list(self.hilbert_after),
+            "codim_before": self.codim_before,
+            "codim_after": self.codim_after,
+            "codim_equal": self.codim_equal,
+            "parity_hypothesis": self.parity_hypothesis,
+            "middle_dims": None if self.middle_dims is None else list(self.middle_dims),
+            "conclusion": self.conclusion,
+            "direct_report": None if self.direct_report is None else self.direct_report.to_dict(),
+        }
 
 
 @dataclass
@@ -352,24 +382,22 @@ class QuotientChainReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return _jsonable(self)
+        return {
+            "kind": self.kind,
+            "base_report": None if self.base_report is None else self.base_report.to_dict(),
+            "steps": [step.to_dict() for step in self.steps],
+            "final_hilbert": list(self.final_hilbert),
+            "wlp_established": self.wlp_established,
+            "extras": _copy(self.extras),
+        }
 
 
-def _jsonable(value):
-    """A JSON-ready copy: dataclasses become dicts in field order, tuples
-    lists and Fractions their text."""
-    # most values are scalars; testing them first keeps the other checks,
-    # the Fraction one an ABC check, off the common path
-    if isinstance(value, (str, int)) or value is None:
-        return value
-    if is_dataclass(value):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+def _copy(value):
+    """A copy of a value built of dicts, lists and scalars, tuples as lists."""
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {k: _copy(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Fraction):
-        return str(value)
+        return [_copy(v) for v in value]
     return value
 
 
@@ -584,16 +612,21 @@ def quotient_condition_ci(
 
 
 def quotient_condition_codim3(
-    S: NumericalSemigroup, seed: Optional[int] = None
+    S: NumericalSemigroup,
+    seed: Optional[int] = None,
+    ideal: Optional[IdealDescription] = None,
 ) -> QuotientChainReport:
     """Realize a codimension-3 non-CI apery algebra as a box-algebra quotient.
 
     Builds the gamma box algebra, computes the drop C between its socle and
     the apery socle, verifies label-by-label that the colon quotient by the
     C-th power of the middle variable reproduces the apery algebra, and
-    transfers WLP down the C-step chain.
+    transfers WLP down the C-step chain.  ``ideal`` is S's
+    codim3_defining_ideal when the caller already has it; otherwise it is
+    built here, which checks that the construction applies.
     """
-    ideal = codim3_defining_ideal(S)  # validates applicability
+    if ideal is None:
+        ideal = codim3_defining_ideal(S)
     frame = S.frame()
     A = build_algebra(frame.table)
     G = build_gamma_algebra(frame)
@@ -605,6 +638,7 @@ def quotient_condition_codim3(
     base = wlp_by_ranks(G, seed=seed)
     chain = transfer_wlp(G, [("z", 1)] * C, base_report=base, seed=seed)
     chain.kind = "codim3_quotient"
+    texts = ideal.generator_texts()
     chain.extras = {
         "C": C,
         "mu2": ideal.data["mu2"],
@@ -618,17 +652,21 @@ def quotient_condition_codim3(
         "g_degrees": degrees,
         "g_degree_criterion": criterion,
         "identification_verified": identified,
-        "ideal_generators": ideal.generator_texts(),
-        "colon_generators": [
-            str(g) for g in ideal.generators[3:]
-        ],
+        "ideal_generators": texts,
+        # the colon generators are monomials, whose relation text is str
+        "colon_generators": texts[3:],
     }
     chain.wlp_established = chain.wlp_established and identified
     return chain
 
 
 def _same_graded_presentation(quotient: GradedAlgebra, A: GradedAlgebra, S) -> bool:
-    """Degreewise comparison of a box quotient against the apery algebra."""
+    """Degreewise comparison of a box quotient against the apery algebra.
+
+    The product tables are compared last, once the value map is known to
+    carry the quotient's labels onto A's degree by degree, so every label
+    either table is asked about is one of its own.
+    """
     gens = S.generators
     if quotient.hilbert() != A.hilbert():
         return False
@@ -645,8 +683,8 @@ def _same_graded_presentation(quotient: GradedAlgebra, A: GradedAlgebra, S) -> b
     labels = [lab for labels in quotient.basis for lab in labels]
     for x in labels:
         for y in labels:
-            qp = quotient.product(x, y)
-            ap = A.product(value[x], value[y])
+            qp = quotient._product(x, y)
+            ap = A._product(value[x], value[y])
             if (qp is None) != (ap is None):
                 return False
             if qp is not None and value[qp] != ap:
@@ -661,7 +699,18 @@ class ConjectureReport:
     all_wlp: bool
 
     def to_dict(self) -> dict:
-        return _jsonable(self)
+        return {
+            "quotients": [_quotient_dict(q) for q in self.quotients],
+            "counterexamples": [_quotient_dict(q) for q in self.counterexamples],
+            "all_wlp": self.all_wlp,
+        }
+
+
+def _quotient_dict(record: dict) -> dict:
+    """A conjecture quotient record with its report as a dict."""
+    report = record["report"]
+    return dict(record, quotient_hilbert=list(record["quotient_hilbert"]),
+                report=None if report is None else report.to_dict())
 
 
 def conjecture_check(S: NumericalSemigroup, seed: Optional[int] = None) -> ConjectureReport:

@@ -329,12 +329,15 @@ def _rows_mod_p(entries, assignment) -> list[list[int]]:
     """The entries at the point, modulo POINT_PRIME, read off their terms.
 
     The residues of the point's values and of each monomial are kept per
-    variable tuple, so a monomial shared by many entries is raised once.
+    variable tuple, so a monomial shared by many entries is raised once.  An
+    int entry, as every entry of a path-count map is, is read first.
     """
     p = POINT_PRIME
     by_vars: dict = {}  # variable tuple -> (value residues, monomial residues)
 
     def residue(e) -> int:
+        if isinstance(e, int):
+            return e % p
         if not isinstance(e, SparsePoly):
             return _mod_p(e)
         known = by_vars.get(e.vars)

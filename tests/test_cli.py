@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -8,6 +10,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aperylef import InternalFault
 from aperylef.cli import analyze_record, main
@@ -537,6 +541,29 @@ def test_sweep_resume_counts_records_of_an_unfiltered_sweep(tmp_path):
     assert len(out_path.read_text().splitlines()) == 21
 
 
+@pytest.mark.parametrize("filters", [[], ["--require-m-pure"], ["--require-ci-or-codim3"]])
+def test_sweep_records_the_semigroups_its_walk_built(filters, tmp_path, monkeypatch):
+    """The sweep analyzes the semigroup its walk yields, with what its filter
+    built, and never reduces a tuple again; each line is still the record
+    analyze_record gives for that tuple."""
+    import aperylef.cli as cli
+
+    calls = []
+    create = cli.create_semigroup
+    monkeypatch.setattr(cli, "create_semigroup", lambda gens: calls.append(gens) or create(gens))
+    out_path = tmp_path / "sweep.jsonl"
+    seed = 3
+    code, _, _ = run_cli(["--seed", str(seed), "sweep", "--mult", "5:7", "--count", "3:4",
+                          "--max-gen", "11", *filters, "--out", str(out_path)])
+    assert code == 0 and calls == []
+    monkeypatch.undo()
+    lines = out_path.read_text().splitlines()
+    assert len(lines) >= 5
+    for line in lines:
+        gens = json.loads(line)["generators"]
+        assert line == json.dumps(analyze_record(gens, method="ranks", seed_root=seed))
+
+
 @pytest.mark.parametrize("mult", ["0:3", "-2:3"])
 def test_sweep_rejects_a_nonpositive_multiplicity(mult, tmp_path):
     code, _, err = run_cli(
@@ -603,3 +630,92 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["dual_generator"] == "y*z*w + z^3"
+
+
+# -- the input contract over a small grammar of valid and broken inputs --
+
+GENS = st.one_of(
+    st.sampled_from(["3,5", "4,5,6,7", "8,10,11,12", "5,6,7,8", "6,4,10,9", "1", "1,2", "2,3", "7,14",
+                     "", " ", "abc", "3,,5", "3.5,4", "3 5", "1e3", "4,6", "0,3", "-1,3"]),
+    st.lists(st.integers(-2, 14), min_size=1, max_size=4).map(lambda gs: ",".join(map(str, gs))),
+    st.lists(st.integers(3, 14), min_size=2, max_size=4).map(lambda gs: ",".join(map(str, gs))),
+)
+POLYS = st.one_of(
+    st.sampled_from(["x^2*y + 1/2*y^3", "x*y", "x^2", "x", "1", "0", "", "x^2 + y^3", "x^2 +", "1/0*x",
+                     "x^-1", "x^100000", "x^2*y + y^2*z + x*z^2", "x^3 + y^3 + z^3", "x^2*y + 1/2*y^3 + 0*z^3",
+                     "2*a^2*x0 + a*b*x1 + b^2*x2"]),
+    st.lists(st.sampled_from(["x^2", "y^2", "x*y", "-x*z", "1/2*z^2", "3*y*z", "x^3", "0*y^2"]),
+             min_size=1, max_size=3).map(" + ".join),
+)
+STEPS = st.lists(st.sampled_from(["x", "y", "z", "y:2", "q", "x:0", "x:a", "", " ", "z:1", "x:-1"]),
+                 max_size=3).map(",".join)
+RANGES = st.one_of(
+    st.sampled_from(["x", "1:2:3", "", ":", "3:", "a:b"]),
+    st.tuples(st.integers(-2, 7), st.integers(-2, 7)).map(lambda r: f"{r[0]}:{r[1]}"),
+    st.integers(-2, 7).map(str),
+)
+COUNTS = st.one_of(st.sampled_from(["x", "2:1", "1:5"]), st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+    lambda r: f"{r[0]}:{r[1]}"))
+MAX_GENS = st.one_of(st.sampled_from(["x", ""]), st.integers(-1, 12).map(str))
+
+
+def optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+
+
+@st.composite
+def command_lines(draw, tmp):
+    """An argument list: a command and its options, each valid or broken."""
+    out = draw(st.sampled_from([[], [], [f"--out={tmp / 'out.txt'}"], [f"--out={tmp}"],
+                                [f"--out={tmp / 'missing' / 'out.txt'}"]]))
+    command = draw(st.sampled_from(["analyze", "apery", "dual", "hessian", "classify", "conjecture",
+                                    "from-dual", "quotient-chain", "sweep"]))
+    gens = [f"--gens={draw(GENS)}"]
+    if command == "analyze":
+        args = gens + draw(st.sampled_from([[], ["--method=ranks"], ["--method=hessian"]]))
+    elif command == "hessian":
+        args = gens + [f"--d={draw(st.integers(-1, 4))}"]
+    elif command == "from-dual":
+        args = [f"--poly={draw(POLYS)}"]
+    elif command == "quotient-chain":
+        args = draw(optional("--gens", GENS)) + draw(optional("--poly", POLYS)) + draw(optional("--steps", STEPS))
+    elif command == "sweep":
+        args = [f"--mult={draw(RANGES)}", f"--count={draw(COUNTS)}", f"--max-gen={draw(MAX_GENS)}"]
+        args += draw(st.sampled_from([[], ["--require-m-pure"], ["--require-ci-or-codim3"]]))
+        args += draw(st.sampled_from([[], ["--resume"]]))
+    else:
+        args = gens
+    return ["--seed=1", command] + args + out
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_every_command_line_exits_with_a_one_line_message(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("cli")
+    argv = data.draw(command_lines(tmp))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err
+    assert err.count("\n") <= 1, (argv, err)
+    if code:
+        assert err.startswith(("input error: ", "inapplicable: ", "limit exceeded: ")), (argv, err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--mult=x", "--max-gen=9"], "argument --mult: 'x': ranges look like LO:HI or N"),
+    (["sweep", "--mult=2:3:4", "--max-gen=9"], "argument --mult: '2:3:4': ranges look like LO:HI or N"),
+    (["hessian", "--gens=3,5", "--d=x"], "argument --d: invalid int value: 'x'"),
+    (["analyze"], "the following arguments are required: --gens"),
+])
+def test_a_command_line_the_parser_refuses_is_a_one_line_input_error(argv, message):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert err.getvalue() == f"input error: {message}\n"
