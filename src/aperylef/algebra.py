@@ -322,7 +322,16 @@ class LinearForm:
 
 
 def multiplication_matrix(alg: GradedAlgebra, L: LinearForm, d: int, power: int = 1) -> Matrix:
-    """Matrix of multiplication by L^power from degree d to degree d+power."""
+    """Matrix of multiplication by L^power from degree d to degree d+power.
+
+    Each column carries its label through power multiplications by L.  A
+    step out of the column's own label yields each variable's coefficient
+    polynomial itself, and the first path into a label is stored as it is;
+    only a second path into the same label adds.  So a map of one step does
+    no polynomial arithmetic, and entries may be shared objects (the
+    coefficient polynomials, one zero): no entry is changed in place, and
+    callers must not change them either.
+    """
     _check_map_degrees(alg, d, power)
     if len(L.coefficients) != len(alg.variables):
         raise ValueError("linear form arity does not match the algebra")
@@ -336,8 +345,6 @@ def multiplication_matrix(alg: GradedAlgebra, L: LinearForm, d: int, power: int 
     rows = list(alg.basis[d + power])
     cols = list(alg.basis[d])
     row_index = {lab: i for i, lab in enumerate(rows)}
-    # one zero and one unit serve every cell and path: no entry is changed
-    # in place, a cell is only ever given a new polynomial
     zero = SparsePoly.zero(symbols)
     unit = SparsePoly.constant(symbols, 1)
     entries = [[zero] * len(cols) for _ in rows]
@@ -352,7 +359,9 @@ def multiplication_matrix(alg: GradedAlgebra, L: LinearForm, d: int, power: int 
                     target = alg.product(lab, vlab)
                     if target is None:
                         continue
-                    nxt[target] = nxt.get(target, zero) + coeff * cpoly
+                    term = cpoly if coeff is unit else coeff * cpoly
+                    known = nxt.get(target)
+                    nxt[target] = term if known is None else known + term
             vec = {lab: c for lab, c in nxt.items() if c}
         for lab, coeff in vec.items():
             entries[row_index[lab]][j] = coeff

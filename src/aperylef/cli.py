@@ -351,11 +351,16 @@ def _open_out(path: str, mode: str):
 
 
 def _read_resume_keys(path: str) -> set[str]:
+    """The generator keys of the records in a sweep's output file.
+
+    A line is a record when it is a JSON object whose ``generators`` is a
+    list of ints; any other line that is not blank is warned about and
+    ignored.  Each line is decoded on its own, so a line that is not UTF-8 is
+    one corrupt line, not a file that cannot be read.
+    """
     keys: set[str] = set()
     if not os.path.exists(path):
         return keys
-    # each line is decoded on its own, so a line that is not UTF-8 is one
-    # corrupt line, not a file that cannot be read
     with _open_out(path, "rb") as fh:
         lines = fh.read().splitlines()
     for i, raw in enumerate(lines):
@@ -363,14 +368,31 @@ def _read_resume_keys(path: str) -> set[str]:
             line = raw.decode("utf-8").strip()
             if not line:
                 continue
-            record = json.loads(line)
-            keys.add(",".join(map(str, record["generators"])))
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
+            gens = json.loads(line)["generators"]
+        except (ValueError, KeyError, TypeError, RecursionError):
+            # ValueError covers undecodable bytes, bad JSON and overlong ints
+            gens = None
+        if isinstance(gens, list) and all(type(g) is int for g in gens):
+            keys.add(",".join(map(str, gens)))
+        else:
             print(
                 f"warning: ignoring corrupt line {i + 1} in {path}",
                 file=sys.stderr,
             )
     return keys
+
+
+def _ends_mid_line(path: str) -> bool:
+    """True when the file at path is not empty and its last byte is not a
+    newline, as a sweep killed while writing a record leaves it."""
+    try:
+        with open(path, "rb") as fh:
+            if not fh.seek(0, os.SEEK_END):
+                return False
+            fh.seek(-1, os.SEEK_END)
+            return fh.read(1) != b"\n"
+    except OSError:  # nothing to read back, as from a pipe
+        return False
 
 
 def sweep(args) -> int:
@@ -381,6 +403,8 @@ def sweep(args) -> int:
     out = _open_out(args.out, "a") if args.out else sys.stdout
     flagged = []
     try:
+        if args.out and _ends_mid_line(args.out):
+            out.write("\n")  # the first record appended starts its own line
         for m in range(lo, hi + 1):
             for count in range(clo, chi + 1):
                 if count < 2:
@@ -444,6 +468,15 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"input error: {message}\n")
+
+    def _parse_optional(self, arg_string):
+        # a word with one leading "-" that is no option here is a value, as
+        # the polynomial in --poly -x^2*y+y^3 is; argparse would take a word
+        # with no space in it for an unknown option and lose the value
+        single_dash = arg_string[:1] == "-" and arg_string[1:2] not in ("", "-")
+        if single_dash and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bareiss_oracle
+import multiplication_oracle
 import relations_oracle
 from aperylef import algebra as algebra_module
 from aperylef import (
@@ -19,6 +20,7 @@ from aperylef import (
     LinearForm,
     NotApplicable,
     SizeLimit,
+    SparsePoly,
     box_algebra,
     build_algebra,
     build_gamma_algebra,
@@ -32,7 +34,7 @@ from aperylef import (
     rank_info,
 )
 from aperylef.cli import analyze_record
-from aperylef.linalg import fraction_rank
+from aperylef.linalg import fraction_rank, point_rank
 from relations_oracle import brute_force_relations, same_ideal_through_degree
 
 
@@ -151,6 +153,92 @@ def test_multiplication_matrix_degree_errors():
         multiplication_matrix(A, LinearForm.symbolic(A), 3, 1)
     with pytest.raises(DegreeOutOfRange):
         multiplication_matrix(A, LinearForm.symbolic(A), 0, 4)
+
+
+def test_a_one_step_map_does_no_polynomial_arithmetic(monkeypatch):
+    """A map by the form itself holds its coefficient polynomials as they
+    are; only a map of two or more steps multiplies, and adds only where
+    two paths meet."""
+    calls = []
+    for name in ("__add__", "__mul__"):
+        original = getattr(SparsePoly, name)
+        monkeypatch.setattr(SparsePoly, name, lambda a, b, f=original, n=name: calls.append(n) or f(a, b))
+    A = algebra_of([16, 18, 21, 27])
+    for d in range(A.top_degree):
+        multiplication_matrix(A, LinearForm.symbolic(A), d, 1)
+        multiplication_matrix(A, LinearForm.rational([2, 0, -1]), d, 1)
+    assert calls == []
+    multiplication_matrix(A, LinearForm.symbolic(A), 0, 2)
+    # the second step multiplies once per nonzero product of two variables,
+    # and adds once per such product that meets a path already there
+    products = [A.product(a, b) for a in A.var_labels for b in A.var_labels]
+    products = [p for p in products if p is not None]
+    assert calls.count("__mul__") == len(products)
+    assert calls.count("__add__") == len(products) - len(set(products)) > 0
+
+
+@st.composite
+def symbolic_map_algebras(draw):
+    """An algebra whose maps multiplication_matrix builds: the Apery algebra
+    of a semigroup with 4 or 5 minimal generators, or a box algebra on three
+    variables with a degree-preserving rewrite of one pure power into a
+    mixed monomial, as a gamma algebra has."""
+    if draw(st.booleans()):
+        m = draw(st.integers(4, 9))
+        rest = draw(st.sets(st.integers(m + 1, 3 * m), min_size=3, max_size=4))
+        gens = [m] + sorted(rest)
+        assume(math.gcd(*gens) == 1)
+        A = algebra_of(gens)
+        assume(A.exponents is None)  # 4 or 5 minimal generators
+        return A
+    bounds = [draw(st.integers(1, 3)) for _ in range(3)]
+    i = draw(st.integers(0, 2))
+    j, k = [x for x in range(3) if x != i]
+    a = draw(st.integers(1, bounds[i]))
+    repl = [0, 0, 0]
+    repl[j], repl[k] = a, bounds[i] + 1 - a
+    return box_algebra(("y", "z", "w"), bounds, rewrite=(i, tuple(repl)), kind="gamma")
+
+
+def every_map(alg):
+    D = alg.top_degree
+    return [(d, power) for d in range(D) for power in range(1, D - d + 1)]
+
+
+def term_lists(matrix):
+    return [[list(e.terms.items()) for e in row] for row in matrix.entries]
+
+
+@given(symbolic_map_algebras(), st.lists(st.integers(-3, 3), min_size=3, max_size=4))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_maps_equal_the_reference_builder(A, values):
+    """Every map, by the generic form and by a rational one, equals the map
+    of the builder that does every step's arithmetic; so does every map of
+    a colon quotient, sliced from its parent's.  Ranking the maps, taking
+    their ranks at a point and slicing them leave every entry's terms as
+    they were, though entries are shared."""
+    values = (values * 2)[: len(A.variables)]
+    assume(any(values))
+    forms = [LinearForm.symbolic(A), LinearForm.rational(values)]
+    point = dict(zip(A.symbols(), range(2, 9)))
+    held = {}
+    for d, power in every_map(A):
+        for L in forms:
+            got = multiplication_matrix(A, L, d, power)
+            want = multiplication_oracle.multiplication_matrix(A, L, d, power)
+            assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
+            assert got.entries == want.entries, (d, power, L)
+            held[d, power, L] = got, term_lists(got)
+        held[d, power, "map"] = A.map_matrix(d, power), term_lists(A.map_matrix(d, power))
+    for matrix, _ in held.values():
+        rank_info(matrix)
+        point_rank(matrix, point)
+    for Q in filter(None, map(A.colon_step, A.variables)):
+        for d, power in every_map(Q):
+            want = multiplication_oracle.multiplication_matrix(Q, LinearForm.symbolic(Q), d, power)
+            assert Q.map_matrix(d, power).entries == want.entries, (Q.variables, d, power)
+    for matrix, terms in held.values():
+        assert term_lists(matrix) == terms
 
 
 # -- colon ideals ------------------------------------------------------------------

@@ -4,18 +4,21 @@ import gc
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aperylef import InternalFault
+from aperylef import InternalFault, parse_polynomial
 from aperylef.cli import analyze_record, main
 from aperylef.linalg import POINT_PRIME
+from dual_forms import dual_form_text
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -541,6 +544,47 @@ def test_sweep_resume_counts_records_of_an_unfiltered_sweep(tmp_path):
     assert len(out_path.read_text().splitlines()) == 21
 
 
+ELEVEN_RECORDS = ["--seed=0", "sweep", "--mult=3:4", "--count=3:3", "--max-gen=10"]
+
+
+def test_sweep_resume_after_a_partial_last_line(tmp_path):
+    """A sweep killed mid-write leaves part of a record as its last line; the
+    resumed sweep starts its first record on a line of its own, so no record
+    is lost in the corrupt line and the next resume redoes nothing."""
+    out_path = tmp_path / "sweep.jsonl"
+    args = ELEVEN_RECORDS + ["--out", str(out_path)]
+    assert run_cli(args)[0] == 0
+    full = out_path.read_bytes().splitlines()
+    assert len(full) == 11
+    out_path.write_bytes(full[0] + b"\n" + full[1] + b"\n" + full[2][:100])
+    warning = f"warning: ignoring corrupt line 3 in {out_path}\n"
+    code, _, err = run_cli(args + ["--resume"])
+    assert code == 0
+    assert err == warning + "sweep: wrote 9, filtered 0, resumed past 2\n"
+    lines = out_path.read_bytes().splitlines()
+    assert lines[2] == full[2][:100]
+    assert all(lines.count(record) == 1 for record in full)
+    code, _, err = run_cli(args + ["--resume"])
+    assert code == 0
+    assert err == warning + "sweep: wrote 0, filtered 0, resumed past 11\n"
+    assert out_path.read_bytes().splitlines() == lines
+
+
+@pytest.mark.parametrize("generators", ['"3,5,7"', "[3.0, 5, 7]", "[true, 5, 7]", "[[3], 5, 7]", "null", "357"])
+def test_sweep_resume_takes_generators_that_are_not_a_list_of_ints_for_a_corrupt_line(generators, tmp_path):
+    out_path = tmp_path / "sweep.jsonl"
+    args = ELEVEN_RECORDS + ["--out", str(out_path)]
+    assert run_cli(args)[0] == 0
+    lines = out_path.read_text().splitlines()
+    assert '"generators": [3, 5, 7],' in lines[1]
+    out_path.write_text("\n".join([lines[0], lines[1].replace("[3, 5, 7]", generators, 1)] + lines[2:]) + "\n")
+    code, _, err = run_cli(args + ["--resume"])
+    assert code == 0
+    assert err == (f"warning: ignoring corrupt line 2 in {out_path}\n"
+                   "sweep: wrote 1, filtered 0, resumed past 10\n")
+    assert out_path.read_text().splitlines()[-1] == lines[1]
+
+
 @pytest.mark.parametrize("filters", [[], ["--require-m-pure"], ["--require-ci-or-codim3"]])
 def test_sweep_records_the_semigroups_its_walk_built(filters, tmp_path, monkeypatch):
     """The sweep analyzes the semigroup its walk yields, with what its filter
@@ -719,3 +763,151 @@ def test_a_command_line_the_parser_refuses_is_a_one_line_input_error(argv, messa
         main(argv)
     assert exc.value.code == 2
     assert err.getvalue() == f"input error: {message}\n"
+
+
+# -- resume files: the sweep's own records, blank lines and damage --
+
+@pytest.fixture(scope="module")
+def eleven_records():
+    code, out, _ = run_cli(ELEVEN_RECORDS)
+    assert code == 0
+    records = [line.encode() for line in out.splitlines()]
+    assert len(records) == 11
+    return records
+
+
+def damaged_lines(records):
+    """Lines a resume must warn about: a record cut short, text that is not
+    JSON or not a record, bytes that are not UTF-8, and a record whose
+    generators are not a list of ints.  None holds a line break."""
+    def regenerated(record, gens):
+        doc = json.loads(record)
+        doc["generators"] = gens
+        return json.dumps(doc).encode()
+
+    some = st.sampled_from(records)
+    return st.one_of(
+        st.tuples(some, st.integers(1, 300)).map(lambda t: t[0][:t[1]]).filter(lambda b: b not in records),
+        st.sampled_from([b"{", b"not json", b"[3, 5, 7]", b"null", b'"3,5,7"', b"{}", b'{"generators": 5}',
+                         b"[" * 2000, b'{"generators": [1' + b"0" * 5000 + b"]}"]),
+        st.sampled_from([b"\xff\xfe{}", b"\x80", b"\xc3\x28", b"{\"generators\": [3, \xff5]}"]),
+        st.tuples(some, st.integers(0, 3)).map(
+            lambda t: regenerated(t[0], [",".join(map(str, json.loads(t[0])["generators"])),
+                                         [float(g) for g in json.loads(t[0])["generators"]],
+                                         [True, False], {"3": 5}][t[1]])),
+    )
+
+
+@st.composite
+def resume_files(draw, records):
+    """(bytes of a resume file, line numbers a resume must warn about); each
+    record appears at most once, and the last line may lack its newline."""
+    kept = draw(st.lists(st.sampled_from(records), unique=True, max_size=len(records)))
+    bad = draw(st.lists(damaged_lines(records), max_size=4))
+    blank = draw(st.lists(st.sampled_from([b"", b"  ", b"\t"]), max_size=2))
+    lines = draw(st.permutations([(line, False) for line in kept + blank] + [(line, True) for line in bad]))
+    text = b"\n".join(line for line, _ in lines)
+    if lines and draw(st.booleans()):
+        text += b"\n"
+    return text, [i + 1 for i, (_, warn) in enumerate(lines) if warn], len(kept)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_resumed_sweep_holds_every_record_on_exactly_one_line(tmp_path_factory, eleven_records, data):
+    text, warned, kept = data.draw(resume_files(eleven_records))
+    out_path = tmp_path_factory.mktemp("resume") / "sweep.jsonl"
+    out_path.write_bytes(text)
+    code, out, err = run_cli(ELEVEN_RECORDS + ["--out", str(out_path), "--resume"])
+    assert (code, out) == (0, "")
+    assert err == "".join(f"warning: ignoring corrupt line {n} in {out_path}\n" for n in warned) + (
+        f"sweep: wrote {11 - kept}, filtered 0, resumed past {kept}\n")
+    after = out_path.read_bytes()
+    assert after.startswith(text)
+    lines = after.splitlines()
+    assert all(lines.count(record) == 1 for record in eleven_records)
+
+
+# -- one input, however it is spelled, gives the same bytes --
+
+def spelled_term(draw, coeff, powers):
+    """One term of a polynomial, its factors permuted and respelled: the
+    coefficient as an equivalent fraction, a unit coefficient as 1* or *1 or
+    left out, x^e as x^e, as x*x*..., or split, x as x or x^1."""
+    mag = abs(coeff)
+    k = draw(st.integers(1, 3))
+    factors = []
+    if mag != 1 or not powers or draw(st.booleans()):
+        factors.append(str(mag.numerator * k) if mag.denominator == 1 and k == 1
+                       else f"{mag.numerator * k}/{mag.denominator * k}")
+    for name, e in powers:
+        style = draw(st.integers(0, 2))
+        if style == 0:
+            factors.append(f"{name}^{e}" if e > 1 or draw(st.booleans()) else name)
+        elif style == 1:
+            factors += [name] * e
+        else:
+            a = draw(st.integers(0, e))
+            factors += [f"{name}^{a}"] * (a > 0) + [f"{name}^{e - a}"] * (e - a > 0)
+    factors = draw(st.permutations(factors))
+    space = st.sampled_from(["", " ", "  "])
+    return "".join(f + draw(space) + "*" + draw(space) for f in factors[:-1]) + factors[-1]
+
+
+@st.composite
+def respelled_polynomials(draw, text):
+    """text respelled: permuted terms, permuted and respelled factors,
+    extra spaces, a leading + and added zero terms."""
+    F = parse_polynomial(text)
+    terms = [(c, [(v, e) for v, e in zip(F.vars, exps) if e]) for exps, c in F.terms.items()]
+    terms += [(Fraction(0), [(draw(st.sampled_from(["w", "q", F.vars[0]])), draw(st.integers(1, 3)))])
+              for _ in range(draw(st.integers(0, 2)))]
+    space = st.sampled_from(["", " ", "   "])
+    out = draw(space)
+    for i, (c, powers) in enumerate(draw(st.permutations(terms))):
+        body = spelled_term(draw, c, powers) if c else "0*" + spelled_term(draw, Fraction(1), powers)
+        if c < 0:
+            sign = "-"
+        else:
+            sign = "+" if i or draw(st.booleans()) else ""
+        out += sign + draw(space) + body + draw(space)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_every_spelling_of_a_dual_form_gives_the_same_bytes(data):
+    text = dual_form_text(data)
+    code, want, _ = run_cli(["--seed=0", "from-dual", f"--poly={text}"])
+    spelled = data.draw(respelled_polynomials(text))
+    assert parse_polynomial(spelled) == parse_polynomial(text)
+    got = run_cli(["--seed=0", "from-dual", "--poly", spelled])
+    assert got == (code, want, _), spelled
+
+
+@pytest.mark.parametrize("argv", [
+    ["from-dual", "--poly", "-x^2*y+y^3"],
+    ["quotient-chain", "--poly", "-x^2*y+y^2*z+x*z^2", "--steps", "x"],
+])
+def test_a_polynomial_with_a_leading_minus_is_a_value(argv):
+    """argparse takes a word that starts with "-" and holds no space for an
+    option; a polynomial given that way is read like any other spelling."""
+    at = argv.index("--poly")
+    joined = argv[:at] + [f"--poly={argv[at + 1].replace('+', ' + ')}"] + argv[at + 2:]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert run_cli(joined) == (code, out, err)
+
+
+@given(st.lists(st.integers(3, 12), min_size=2, max_size=4), st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_every_spelling_of_a_generator_list_gives_the_same_bytes(gens, data):
+    """Permuted generators, spaces around them, and redundant ones: repeats
+    and sums of two of them."""
+    assume(math.gcd(*gens) == 1)
+    code, want, err = run_cli(["--seed=0", "analyze", "--gens", ",".join(map(str, gens))])
+    extra = data.draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens + [0])), max_size=3))
+    spelled = data.draw(st.permutations(gens + [a + b for a, b in extra]))
+    space = st.sampled_from(["", " ", "  "])
+    text = ",".join(data.draw(space) + str(g) + data.draw(space) for g in spelled)
+    assert run_cli(["--seed=0", "analyze", "--gens", text]) == (code, want, err), text
