@@ -18,7 +18,11 @@ quartiles of each side, the relative change of the medians, whether that
 change goes the worse way by more than the metric's bound (the benchmark's
 gate; null when the base median is 0), the pairs the change wins and loses
 (ties count for neither), and whether the medians differ by more than the
-base side's interquartile range.
+base side's interquartile range.  Each workload also holds, per side, every
+run's ``correct`` flag and its ``failed`` and ``attempted`` record counts: for the
+``analyze_*`` and ``dual_mix`` workloads ``attempted`` is the number of
+records perfbench held until the run ended, against which a ``peak_rss_mb``
+move can be read.
 """
 
 from __future__ import annotations
@@ -105,6 +109,24 @@ def summarize(metric: dict, base: list[float], head: list[float]) -> dict:
     }
 
 
+def workload_summary(seeds: list[int], runs: dict[str, list[dict]]) -> dict:
+    """One workload's entry: its seeds, each side's correct flags and record
+    counts per run, and the summary of every end-to-end metric."""
+    return {
+        "seeds": seeds,
+        **{count: {side: [r[count] for r in runs[side]] for side in runs}
+           for count in ("correct", "failed", "attempted")},
+        "metrics": {
+            m["name"]: summarize(
+                m,
+                [r["metrics"][m["name"]]["value"] for r in runs["base"]],
+                [r["metrics"][m["name"]]["value"] for r in runs["change"]],
+            )
+            for m in BENCH["end_to_end"]
+        },
+    }
+
+
 def host() -> dict:
     model = ""
     try:
@@ -152,19 +174,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: "
                           f"{runs[side][-1]['metrics']['records_per_s']['value']:.3f} records/s",
                           file=sys.stderr, flush=True)
-            out["workloads"][workload] = {
-                "seeds": seeds,
-                "correct": {side: [r["correct"] for r in runs[side]] for side in runs},
-                "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
-                "metrics": {
-                    m["name"]: summarize(
-                        m,
-                        [r["metrics"][m["name"]]["value"] for r in runs["base"]],
-                        [r["metrics"][m["name"]]["value"] for r in runs["change"]],
-                    )
-                    for m in BENCH["end_to_end"]
-                },
-            }
+            out["workloads"][workload] = workload_summary(seeds, runs)
             args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

@@ -50,6 +50,12 @@ def variable_names(codim: int) -> tuple[str, ...]:
 class GradedAlgebra:
     """Finite graded algebra whose basis products are single labels or zero.
 
+    The product table is associative and commutative, and the variables
+    generate: every label of positive degree is a label times a variable.
+    The socle (the labels the variables kill) and the WLP middle-map
+    criterion of lefschetz.wlp_by_ranks rely on it; every construction here
+    keeps it.
+
     A monomial algebra, k[x]/(monomial ideal), holds the exponent vector of
     each label in ``exponents`` (None otherwise) and builds its maps as
     integer path-count matrices.

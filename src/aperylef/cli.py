@@ -23,10 +23,10 @@ from .algebra import (
     codim3_defining_ideal,
 )
 from .errors import (
+    AperyError,
     ConflictingInput,
     EmptyInput,
     GcdNotOne,
-    InternalFault,
     InvalidDualGenerator,
     InvalidGenerator,
     InvalidOutputPath,
@@ -471,12 +471,25 @@ class _Parser(argparse.ArgumentParser):
 
     def _parse_optional(self, arg_string):
         # a word with one leading "-" that is no option here is a value, as
-        # the polynomial in --poly -x^2*y+y^3 is; argparse would take a word
-        # with no space in it for an unknown option and lose the value
+        # the -1,3 in --gens -1,3 is, so it reaches the program's own input
+        # check; argparse would take a word with no space in it for an
+        # unknown option and lose the value
         single_dash = arg_string[:1] == "-" and arg_string[1:2] not in ("", "-")
         if single_dash and arg_string not in self._option_string_actions:
             return None
         return super()._parse_optional(arg_string)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # the word after --poly is the polynomial, whatever it spells, even
+        # an option string of the parser: "-h" there is the form -h
+        args = list(sys.argv[1:] if args is None else args)
+        if "--poly" in self._option_string_actions:
+            i = 0
+            while i < len(args) - 1:
+                if args[i] == "--poly":
+                    args[i:i + 2] = [f"--poly={args[i + 1]}"]
+                i += 1
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -655,8 +668,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SizeLimit as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return 4
-    except (InternalFault, ValueError) as exc:
-        # a ValueError that no input check turned into an AperyError is a bug
+    except (AperyError, ValueError) as exc:
+        # an AperyError that no clause above maps (InternalFault, or one no
+        # command should reach) and a ValueError that no input check turned
+        # into an AperyError are bugs
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
     finally:

@@ -26,12 +26,15 @@ matrices M(1) (algebra module docstring): the symbolic map is
 diag(t^r(w')) M(1) diag(t^-r(w)), so at every witness draw, none of whose
 coordinates is zero, its rank is rank M(1), which is also its generic rank.
 
-Verdicts: "holds" always carries a rational witness re-verified exactly,
-on a codimension-2 Apery algebra and its quotients by that identity;
-"fails" always carries a symbolic generic-rank deficiency; "inconclusive"
-appears when a map above the symbolic cap is deficient at every witness
-point (its rank is then probabilistic) or when a quotient step's hypotheses
-cannot be checked.
+Verdicts: "holds" always carries a rational witness verified exactly, on
+a codimension-2 Apery algebra and its quotients by that identity.  A WLP
+rank report on a Gorenstein algebra verifies its witness on the decisive
+map, the map from degree (D-1)//2; every other map then has full rank at
+the witness by the propagation lemma (wlp_by_ranks), so it is neither built
+nor ranked.  "fails" always carries a symbolic generic-rank deficiency;
+"inconclusive" appears when a map above the symbolic cap is deficient at
+every witness point (its rank is then probabilistic) or when a quotient
+step's hypotheses cannot be checked.
 
 Reports serialize field by field: each to_dict builds a new JSON-ready dict
 in field order, with tuples as lists and nested reports as their own dicts,
@@ -45,7 +48,8 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Optional, Sequence, Union
 
 from .algebra import (
     GradedAlgebra,
@@ -132,19 +136,21 @@ def _decide(
     property_name: str,
     method: str,
     obj: AlgebraLike,
-    checks: Iterable[tuple[dict, Matrix]],
+    checks: Sequence[tuple[dict, int, Callable[[], Matrix]]],
     seed: Optional[int],
     notes: str,
     point_filter=None,
+    decisive: Optional[int] = None,
 ) -> LefschetzReport:
     """The verdict core both routes share: generic ranks, verdict, witness.
 
-    Each check is an evidence head and a matrix that must reach maximal rank,
-    min(rows, cols).  "holds" needs every rank maximal and carries a witness
-    point re-verified on every matrix; "fails" needs a certified
-    (non-probabilistic) deficiency; anything else is "inconclusive".  The
-    matrix entries are polynomials in ``obj.symbols()``, one per variable of
-    ``obj``.
+    Each check is an evidence head, the rank its matrix must reach (maximal
+    rank, min(rows, cols)) and a function that builds the matrix; a matrix
+    is built only when it is ranked.  "holds" needs every rank maximal and
+    carries a witness point at which every matrix has full rank; "fails"
+    needs a certified (non-probabilistic) deficiency; anything else is
+    "inconclusive".  The matrix entries are polynomials in ``obj.symbols()``,
+    one per variable of ``obj``.
 
     One loop over the witness draws ranks, certifies and finds the witness.
     Every map is ranked at the first draw by point_rank: full rank at one
@@ -155,9 +161,24 @@ def _decide(
     it reports its best point rank as probabilistic.  The witness is the
     first draw that the point filter passes with every map at full rank; a
     draw the filter rejects still counts as an attempt.
+
+    ``decisive`` names a check whose full rank at a point gives every check
+    full rank at that point, as the middle map does for the maps of a
+    standard graded Gorenstein algebra (wlp_by_ranks).  It is ranked first
+    at each draw; where it has full rank, every check is certified maximal
+    with no other map built or ranked, and where it is deficient the draw
+    goes on as above with its rank.  The first draw with every map at full
+    rank is the first with the decisive map at full rank, so the witness
+    and the evidence are those of ranking every map.
     """
     rng = random.Random(0 if seed is None else seed)
-    checks = [(head, matrix, min(matrix.nrows, matrix.ncols)) for head, matrix in checks]
+    built: dict[int, Matrix] = {}
+
+    def matrix(i: int) -> Matrix:
+        if i not in built:
+            built[i] = checks[i][2]()
+        return built[i]
+
     symbols = obj.symbols()
     certified: dict[int, int] = {}  # check index -> generic rank
     best = [0] * len(checks)  # best point rank of a map not yet certified
@@ -167,28 +188,36 @@ def _decide(
         point = dict(zip(obj.variables, draw))
         assignment = dict(zip(symbols, draw))
         usable = point_filter is None or point_filter(point)
-        full = True  # every map ranked at this draw has full rank
-        for i, (_, matrix, required) in enumerate(checks):
+        if decisive is not None:
+            decisive_rank = point_rank(matrix(decisive), assignment)
+            if decisive_rank == checks[decisive][1]:
+                certified.update((i, required) for i, (_, required, _) in enumerate(checks))
+                if usable:
+                    witness = point
+                    break
+                continue
+        full = decisive is None  # every map ranked at this draw has full rank
+        for i, (_, required, _) in enumerate(checks):
             if attempt and i in certified and not (usable and full):
                 continue  # a certified map matters here only for the witness
-            rank = point_rank(matrix, assignment)
+            rank = decisive_rank if i == decisive else point_rank(matrix(i), assignment)
             if rank == required:
                 certified[i] = rank
                 continue
             full = False
             if i in certified:
                 continue
-            if above_symbolic_cap(matrix):
+            if above_symbolic_cap(matrix(i)):
                 best[i] = max(best[i], rank)
             else:
-                certified[i] = rank_info(matrix)[0]
+                certified[i] = rank_info(matrix(i))[0]
         if usable and full:
             witness = point
             break
-        if any(rank < checks[i][2] for i, rank in certified.items()):
+        if any(rank < checks[i][1] for i, rank in certified.items()):
             break  # a certified deficiency
     evidence = []
-    for i, (head, _, required) in enumerate(checks):
+    for i, (head, required, _) in enumerate(checks):
         rank = certified.get(i, best[i])
         entry = dict(head, required_rank=required, generic_rank=rank, maximal=rank == required)
         if method == "hessian":
@@ -221,30 +250,39 @@ def _decide(
 NO_MAPS = "no multiplication maps in degree range"
 
 
-def _rank_checks(obj: AlgebraLike, maps: list[tuple[int, int]]) -> Iterator[tuple[dict, Matrix]]:
-    """One check per (degree, power) multiplication map, built as it is ranked.
+def _rank_checks(obj: AlgebraLike, maps: list[tuple[int, int]]) -> list[tuple[dict, int, Callable[[], Matrix]]]:
+    """One check per (degree, power) multiplication map, built when it is ranked.
 
-    The map from degree d has h[d] columns and h[d+p] rows; the pairing
-    matrix of a dual view has h[D-d-p] rows, the same by Gorenstein symmetry.
+    The map from degree d has h[d] columns and h[d+p] rows, read off the
+    Hilbert vector; the pairing matrix of a dual view has h[D-d-p] rows, the
+    same by Gorenstein symmetry.
     """
-    for d, power in maps:
-        matrix = obj.map_matrix(d, power)
-        head = {"from_degree": d, "power": power,
-                "source_dim": matrix.ncols, "target_dim": matrix.nrows}
-        yield head, matrix
+    h = _hilbert(obj)
+    return [({"from_degree": d, "power": power, "source_dim": h[d], "target_dim": h[d + power]},
+             min(h[d], h[d + power]), partial(obj.map_matrix, d, power))
+            for d, power in maps]
 
 
 def wlp_by_ranks(obj: AlgebraLike, seed: Optional[int] = None) -> LefschetzReport:
-    """Weak Lefschetz via generic ranks of every one-step multiplication map."""
+    """Weak Lefschetz via generic ranks of every one-step multiplication map.
+
+    On a Gorenstein algebra the map from degree (D-1)//2 decides: at a point
+    where it has full rank every map has full rank.  Surjectivity goes up,
+    since A_{j+1} = A_1 A_j: l A_j = A_{j+1} gives l A_{j+1} = A_{j+2}.  And
+    the map A_j -> A_{j+1} is the transpose of A_{D-j-1} -> A_{D-j} under
+    the perfect pairing into A_D, so injectivity goes down.  Every map is
+    still recorded; the others are certified maximal by that lemma.
+    """
     D = obj.top_degree
     notes = ""
+    decisive = None
     if D <= 0:
         notes = NO_MAPS
     elif obj.gorenstein_info()["is_gorenstein"]:
-        k = D // 2
-        decisive = f"A_{k} -> A_{k + 1}" if D % 2 else f"A_{k - 1} -> A_{k}"
-        notes = f"gorenstein middle-map shortcut: {decisive} decisive; all maps recorded"
-    return _decide("WLP", "ranks", obj, _rank_checks(obj, [(i, 1) for i in range(D)]), seed, notes)
+        decisive = (D - 1) // 2
+        notes = f"gorenstein middle-map shortcut: A_{decisive} -> A_{decisive + 1} decisive; all maps recorded"
+    return _decide("WLP", "ranks", obj, _rank_checks(obj, [(i, 1) for i in range(D)]), seed, notes,
+                   decisive=decisive)
 
 
 def slp_by_ranks(obj: AlgebraLike, seed: Optional[int] = None) -> LefschetzReport:
@@ -293,13 +331,11 @@ def wlp_by_hessian(
     notes = "trivial algebra"
     if D > 0:
         notes = "decisive Hessian per socle-degree parity"
-        if D % 2 == 1:
-            kind = f"hessian degree {k}"
-            matrix = view.pairing(k, k)
-        else:
-            kind = f"mixed hessian degrees ({k - 1}, {k})"
-            matrix = view.pairing(k - 1, k)
-        checks.append(({"check": kind, "rows": matrix.nrows, "cols": matrix.ncols}, matrix))
+        i = k if D % 2 else k - 1
+        kind = f"hessian degree {k}" if D % 2 else f"mixed hessian degrees ({k - 1}, {k})"
+        rows, cols = view.hilbert[i], view.hilbert[k]
+        checks.append(({"check": kind, "rows": rows, "cols": cols}, min(rows, cols),
+                       partial(view.pairing, i, k)))
     return _decide("WLP", "hessian", view, checks, seed, notes, point_filter=F.evaluate)
 
 
@@ -310,10 +346,9 @@ def slp_by_hessian(
 ) -> LefschetzReport:
     """Strong Lefschetz: every Hessian up to the middle degree is nonsingular."""
     view = _view_of(F, view)
-    checks = []
-    for d in range(1, view.top_degree // 2 + 1):
-        matrix = view.pairing(d, d)
-        checks.append(({"check": f"hessian degree {d}", "size": matrix.nrows}, matrix))
+    h = view.hilbert
+    checks = [({"check": f"hessian degree {d}", "size": h[d]}, h[d], partial(view.pairing, d, d))
+              for d in range(1, view.top_degree // 2 + 1)]
     return _decide("SLP", "hessian", view, checks, seed, "hessians of degrees 1..k",
                    point_filter=F.evaluate)
 
@@ -619,9 +654,10 @@ def quotient_condition_codim3(
     """Realize a codimension-3 non-CI apery algebra as a box-algebra quotient.
 
     Builds the gamma box algebra, computes the drop C between its socle and
-    the apery socle, verifies label-by-label that the colon quotient by the
-    C-th power of the middle variable reproduces the apery algebra, and
-    transfers WLP down the C-step chain.  ``ideal`` is S's
+    the apery socle, verifies that the colon quotient by the C-th power of
+    the middle variable is the apery algebra (its labels map onto the apery
+    set degree by degree, one to one, and that map commutes with each
+    variable), and transfers WLP down the C-step chain.  ``ideal`` is S's
     codim3_defining_ideal when the caller already has it; otherwise it is
     built here, which checks that the construction applies.
     """
@@ -661,11 +697,17 @@ def quotient_condition_codim3(
 
 
 def _same_graded_presentation(quotient: GradedAlgebra, A: GradedAlgebra, S) -> bool:
-    """Degreewise comparison of a box quotient against the apery algebra.
+    """Whether a box quotient is the apery algebra, by the value map.
 
-    The product tables are compared last, once the value map is known to
-    carry the quotient's labels onto A's degree by degree, so every label
-    either table is asked about is one of its own.
+    The value of a label (an exponent tuple on the generators after the
+    first) must carry the quotient's labels onto A's degree by degree, one
+    to one.  The map must then commute with multiplication by each variable
+    (each label of degree 1), and every quotient label of positive degree
+    must be a label times a variable.  Both product tables are associative,
+    so a graded bijection that commutes with the variables of an algebra
+    they generate commutes with every product: for y = y'v, xy = (xy')v.
+    The products are compared last, so every label either table is asked
+    about is one of its own.
     """
     gens = S.generators
     if quotient.hilbert() != A.hilbert():
@@ -680,16 +722,18 @@ def _same_graded_presentation(quotient: GradedAlgebra, A: GradedAlgebra, S) -> b
             return False
     if len(set(value.values())) != A.dimension:
         return False
-    labels = [lab for labels in quotient.basis for lab in labels]
-    for x in labels:
-        for y in labels:
-            qp = quotient._product(x, y)
-            ap = A._product(value[x], value[y])
+    variables = quotient.basis[1] if quotient.top_degree > 0 else ()
+    products = set()
+    for x in value:
+        for v in variables:
+            qp = quotient._product(x, v)
+            ap = A._product(value[x], value[v])
             if (qp is None) != (ap is None):
                 return False
             if qp is not None and value[qp] != ap:
                 return False
-    return True
+            products.add(qp)
+    return products - {None} == set(value) - set(quotient.basis[0])
 
 
 @dataclass

@@ -18,3 +18,20 @@ def test_worse_than_bound_reads_the_gate_the_worse_way():
     assert bench_pairs.summarize(THROUGHPUT, base, [7.0, 7.0, 7.0])["worse_than_bound"] is True
     assert bench_pairs.summarize(THROUGHPUT, base, [20.0, 20.0, 20.0])["worse_than_bound"] is False
     assert bench_pairs.summarize(THROUGHPUT, [0.0] * 3, [1.0] * 3)["worse_than_bound"] is None
+
+
+def test_a_workload_keeps_each_runs_record_counts_per_side():
+    names = [m["name"] for m in bench_pairs.BENCH["end_to_end"]]
+
+    def run(attempted, rate):
+        metrics = {name: {"value": rate} for name in names}
+        return {"correct": True, "failed": 0, "attempted": attempted, "metrics": metrics}
+
+    runs = {"base": [run(40, 10.0), run(42, 11.0)], "change": [run(61, 15.0), run(64, 16.0)]}
+    summary = bench_pairs.workload_summary([1000, 1001], runs)
+    assert summary["seeds"] == [1000, 1001]
+    assert summary["attempted"] == {"base": [40, 42], "change": [61, 64]}
+    assert summary["correct"] == {"base": [True, True], "change": [True, True]}
+    assert summary["failed"] == {"base": [0, 0], "change": [0, 0]}
+    assert set(summary["metrics"]) == set(names)
+    assert summary["metrics"]["records_per_s"]["change"] == [15.0, 16.0]

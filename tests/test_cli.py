@@ -143,6 +143,21 @@ def test_internal_value_error_exit_code(monkeypatch):
     assert err.startswith("internal error: ")
 
 
+@pytest.mark.parametrize("error", [
+    "DegreeOutOfRange", "NotGorensteinAtStep", "DegreeTooSmall", "NotInSemigroup", "DependentBasis",
+])
+def test_an_error_no_command_should_reach_is_an_internal_error(monkeypatch, error):
+    # these AperyErrors guard library calls that no command makes with bad
+    # arguments, so one reaching main is a fault of the library
+    import aperylef
+
+    def broken(*args, **kwargs):
+        raise getattr(aperylef.errors, error)("a guard fired")
+
+    monkeypatch.setattr("aperylef.cli.conjecture_check", broken)
+    assert run_cli(["conjecture", "--gens", "8,10,11,12"]) == (5, "", "internal error: a guard fired\n")
+
+
 def test_no_assert_statements_in_the_package():
     # invariants are explicit InternalFault checks, which python -O keeps
     package = Path(SRC) / "aperylef"
@@ -888,10 +903,13 @@ def test_every_spelling_of_a_dual_form_gives_the_same_bytes(data):
 @pytest.mark.parametrize("argv", [
     ["from-dual", "--poly", "-x^2*y+y^3"],
     ["quotient-chain", "--poly", "-x^2*y+y^2*z+x*z^2", "--steps", "x"],
+    ["from-dual", "--poly", "-h"],
+    ["quotient-chain", "--poly", "-h", "--steps", "h"],
 ])
 def test_a_polynomial_with_a_leading_minus_is_a_value(argv):
     """argparse takes a word that starts with "-" and holds no space for an
-    option; a polynomial given that way is read like any other spelling."""
+    option, and "-h" for the help option; a polynomial given that way is read
+    like any other spelling."""
     at = argv.index("--poly")
     joined = argv[:at] + [f"--poly={argv[at + 1].replace('+', ' + ')}"] + argv[at + 2:]
     code, out, err = run_cli(argv)

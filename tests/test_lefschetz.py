@@ -38,11 +38,12 @@ from aperylef import (
     wlp_by_ranks,
 )
 from aperylef import lefschetz, linalg
-from aperylef.cli import from_dual_record
+from aperylef.cli import classify, from_dual_record
 from aperylef.errors import InternalFault
 from aperylef.lefschetz import INCONCLUSIVE_STEP, TRANSFERRED, LefschetzReport
 from bareiss_oracle import exact_rank
 from dual_forms import dual_form_text
+import identification_oracle
 import relations_oracle
 
 CUBIC_5VAR = parse_polynomial("a^2*x + a*b*y + b^2*z")
@@ -454,14 +455,15 @@ def test_hessian_routes_refuse_a_view_of_another_form():
 
 # -- the evaluate-first verdict core against a plain reference -----------------
 
-def reference_decide(property_name, method, obj, checks, seed, notes, point_filter=None):
-    """The verdict core without evaluation first: every map is ranked by
-    fraction-free elimination, then witness points are drawn and every map is
-    ranked at each.  A deficient map above the symbolic cap reads
-    probabilistic, since no point can certify it."""
+def reference_decide(property_name, method, obj, checks, seed, notes, point_filter=None, decisive=None):
+    """The verdict core without evaluation first: every map is built and
+    ranked by fraction-free elimination, then witness points are drawn and
+    every map is ranked at each.  A deficient map above the symbolic cap reads
+    probabilistic, since no point can certify it.  No map is decisive."""
     rng = random.Random(0 if seed is None else seed)
     evidence, targets = [], []
-    for head, matrix in checks:
+    for head, _, build in checks:
+        matrix = build()
         required = min(matrix.nrows, matrix.ncols)
         rank = exact_rank(matrix)
         prob = rank < required and linalg.above_symbolic_cap(matrix)
@@ -549,6 +551,162 @@ def test_evaluate_first_matches_reference_core(m_pure_algebras, monkeypatch, see
     assert got == all_reports(m_pure_algebras, seed)
 
 
+# -- the decisive middle map against ranking every map --------------------------------
+
+
+def wlp_ranking_every_map(obj, seed, notes):
+    """wlp_by_ranks with no decisive map: the verdict core ranks every map."""
+    checks = lefschetz._rank_checks(obj, [(d, 1) for d in range(max(obj.top_degree, 0))])
+    return lefschetz._decide("WLP", "ranks", obj, checks, seed, notes)
+
+
+def colon_family(obj, depth=2):
+    """obj and its colon quotients by each variable, to the given depth."""
+    out, layer = [obj], [obj]
+    for _ in range(depth):
+        layer = [q for alg in layer for v in alg.variables if (q := alg.colon_step(v)) is not None]
+        out += layer
+    return out
+
+
+def assert_decisive_map_matches_every_map(objects, seed):
+    for obj in objects:
+        got = wlp_by_ranks(obj, seed=seed)
+        assert got.to_dict() == wlp_ranking_every_map(obj, seed, got.notes).to_dict(), obj
+
+
+@pytest.mark.parametrize("witness_range", [None, 2])
+def test_decisive_map_matches_every_map_on_apery_and_box_algebras(corpus, monkeypatch, witness_range):
+    # a witness range of 2 makes the middle map deficient at many draws, so
+    # those draws rank the other maps as well
+    if witness_range is not None:
+        monkeypatch.setattr(lefschetz, "WITNESS_RANGE", witness_range)
+    algebras = [build_algebra(S.apery_table()) for S in corpus[:60]]
+    algebras += [box_algebra(("y", "z"), (4, 2)), box_algebra(("y", "z", "w"), (2, 3, 1)),
+                 box_algebra(("y", "z", "w"), (3, 1, 2), rewrite=(1, (1, 0, 1))),
+                 build_gamma_algebra(compute_beta_gamma(create_semigroup([16, 18, 21, 27])))]
+    objects = [q for A in algebras for q in colon_family(A)]
+    assert sum(obj.is_gorenstein() for obj in objects) >= 100
+    assert_decisive_map_matches_every_map(objects, seed=5)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_decisive_map_matches_every_map_on_random_dual_forms(data):
+    view = dual_algebra_view(parse_polynomial(dual_form_text(data)))
+    assert_decisive_map_matches_every_map(colon_family(view), seed=data.draw(st.integers(0, 3)))
+
+
+def test_decisive_map_matches_every_map_where_wlp_fails():
+    views = colon_family(dual_algebra_view(CUBIC_5VAR))
+    assert wlp_by_ranks(views[0], seed=3).verdict == "fails"
+    assert_decisive_map_matches_every_map(views, seed=3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: algebra_of([16, 18, 21, 27]),
+    lambda: algebra_of([16, 18, 21, 27]).colon_step("z"),
+    lambda: build_gamma_algebra(compute_beta_gamma(create_semigroup([16, 18, 21, 27]))),
+    lambda: algebra_of([120, 216, 291, 328]),
+    lambda: dual_algebra_view(parse_polynomial("x^3 + y^3 + z^3 + x*y*z")),
+])
+def test_a_holding_gorenstein_wlp_report_builds_and_ranks_one_map(make, monkeypatch):
+    obj = make()
+    built, ranked = [], []
+    map_matrix, rank_at = obj.map_matrix, lefschetz.point_rank
+
+    def build(d, power):
+        built.append((d, power))
+        return map_matrix(d, power)
+
+    monkeypatch.setattr(obj, "map_matrix", build)
+    monkeypatch.setattr(lefschetz, "point_rank", lambda m, a: ranked.append(m) or rank_at(m, a))
+    report = wlp_by_ranks(obj, seed=5)
+    D = obj.top_degree
+    assert report.verdict == "holds" and obj.is_gorenstein() and D >= 2
+    assert built == [((D - 1) // 2, 1)] and len(ranked) == 1
+    assert len(report.evidence) == D
+    assert all(e["maximal"] and not e["probabilistic"] for e in report.evidence)
+
+
+def codim3_structured_semigroups(corpus):
+    """The codimension-3 structured members of the corpus and of the
+    north-star sweep (sweep --mult 2:16 --count 3:4 --max-gen 28
+    --require-m-pure)."""
+    from aperylef.semigroup import minimal_tuples
+
+    swept = [S for m in range(2, 17) for count in (3, 4) for S in minimal_tuples(m, count, 28)
+             if S.is_symmetric() and S.apery_table().m_pure_verdict()]
+    structured = [S for S in swept if classify(S.frame()) == "codim3-structured"]
+    assert len(structured) == 113
+    return structured + [S for S in corpus if classify(S.frame()) == "codim3-structured"]
+
+
+def test_variable_products_identify_as_all_products_do(corpus):
+    from aperylef import codim3_defining_ideal
+
+    for S in codim3_structured_semigroups(corpus):
+        frame = S.frame()
+        A, G = build_algebra(frame.table), build_gamma_algebra(frame)
+        C = codim3_defining_ideal(S).data["C"]
+        for c in (C - 1, C, C + 1):
+            _, quotient = colon_by_power(G, "z", c)
+            got = lefschetz._same_graded_presentation(quotient, A, S)
+            assert got == identification_oracle.same_graded_presentation(quotient, A, S), (S, c)
+            assert got is (c == C), (S, c)
+
+
+@pytest.mark.parametrize("wrong", ["to zero", "swapped"])
+def test_variable_products_catch_a_wrong_product(wrong):
+    # the value map of the paper's quotient with two products of degree-1
+    # labels sent to zero, or swapped, is a graded bijection but no
+    # isomorphism
+    S = create_semigroup([16, 18, 21, 27])
+    frame = S.frame()
+    A = build_algebra(frame.table)
+    _, quotient = colon_by_power(build_gamma_algebra(frame), "z", 2)
+    assert lefschetz._same_graded_presentation(quotient, A, S)
+    product, d1 = quotient._product, quotient.basis[1]
+    pairs = [(a, b) for i, a in enumerate(d1) for b in d1[i:] if product(a, b) is not None]
+    first = pairs[0]
+    second = next(p for p in pairs if product(*p) != product(*first))
+    if wrong == "swapped":
+        image = {first: product(*second), second: product(*first)}
+    else:
+        image = {first: None, second: None}
+
+    def wrong_product(a, b):
+        key = (a, b) if (a, b) in image else (b, a)
+        return image[key] if key in image else product(a, b)
+
+    quotient._product = wrong_product
+    assert not lefschetz._same_graded_presentation(quotient, A, S)
+    assert not identification_oracle.same_graded_presentation(quotient, A, S)
+
+
+def test_variable_products_prove_nothing_where_the_variables_do_not_generate():
+    # s = (0, 1) in degree 2 is no label times a variable, and s*s is s2 in
+    # the first table but zero in the second: the value map commutes with the
+    # one variable, yet it is no isomorphism
+    from types import SimpleNamespace
+
+    from aperylef import GradedAlgebra
+
+    def table_algebra(basis, table, one):
+        def product(a, b):
+            if a == one or b == one:
+                return b if a == one else a
+            return table.get((a, b))
+        return GradedAlgebra(variables=("y",), basis=basis, var_labels=[basis[1][0]],
+                             product_fn=product, kind="box")
+
+    S = SimpleNamespace(generators=(7, 1, 10))
+    Q = table_algebra([[(0, 0)], [(1, 0)], [(0, 1)], [], [(0, 2)]], {((0, 1), (0, 1)): (0, 2)}, (0, 0))
+    A = table_algebra([[0], [1], [10], [], [20]], {}, 0)
+    assert identification_oracle.same_graded_presentation(Q, A, S) is False
+    assert lefschetz._same_graded_presentation(Q, A, S) is False
+
+
 # -- maps above the symbolic cap: certified by a point of full rank, or not at all --
 
 
@@ -567,7 +725,7 @@ def test_a_map_above_the_cap_is_certified_by_a_later_draw():
     first = random.Random(seed).randint(1, lefschetz.WITNESS_RANGE)  # a2 at the first draw
     a2 = parse_polynomial("a2", A.symbols())
     matrix = big_diagonal(a2 - first)  # rank 0 at the first draw, full elsewhere
-    report = lefschetz._decide("WLP", "ranks", A, [({"check": "big"}, matrix)], seed, "")
+    report = lefschetz._decide("WLP", "ranks", A, [({"check": "big"}, matrix.nrows, lambda: matrix)], seed, "")
     assert report.verdict == "holds" and not report.probabilistic
     assert report.evidence[0]["generic_rank"] == matrix.nrows
     assert not report.evidence[0]["probabilistic"]
@@ -577,7 +735,7 @@ def test_a_map_above_the_cap_is_certified_by_a_later_draw():
 def test_a_map_above_the_cap_deficient_at_every_draw_is_inconclusive():
     A = algebra_of([8, 10, 11, 12])
     matrix = big_diagonal(parse_polynomial("a2", A.symbols()), zero_rows=1)
-    report = lefschetz._decide("WLP", "ranks", A, [({"check": "big"}, matrix)], 7, "")
+    report = lefschetz._decide("WLP", "ranks", A, [({"check": "big"}, matrix.nrows, lambda: matrix)], 7, "")
     assert report.verdict == "inconclusive" and report.probabilistic
     assert report.witness is None
     assert report.evidence[0]["generic_rank"] == matrix.nrows - 1
