@@ -8,10 +8,10 @@ exponents, optionally rewrites one pure power into a fixed mixed monomial,
 and truncates anything leaving the box.
 
 A colon quotient A/(0:x) is spanned by the labels of A outside the ideal
-(0:x) and keeps A as its parent, so its multiplication maps are A's maps on
-its own rows and columns; only an algebra without a parent builds its maps
-from the product table.  Each algebra builds a map once, and an Apery table
-gives one algebra while anything holds it.
+(0:x), with A's product and that ideal sent to zero.  It is an algebra in
+its own right and builds its maps from its own product table, as every
+algebra does.  Each algebra builds a map once, and an Apery table gives one
+algebra while anything holds it.
 
 The Apery algebra of a semigroup with at most three minimal generators is
 monomial: each Apery element has one maximal representation r(w), so the
@@ -20,9 +20,10 @@ map by the p-th power of the generic form t.x then has entries
 multinomial(r(w') - r(w)) t^(r(w') - r(w)), that is
 M(t) = diag(t^r(w')) M(1) diag(t^-r(w)) with M(1) the integer matrix of
 path counts (the torus argument, Migliore-Miro-Roig-Nagel 2011, Prop. 2.2).
-Such an algebra's maps, and so its colon quotients' slices, are M(1): at a
-point with no zero coordinate the symbolic map has the rank of M(1), and
-that is its generic rank.
+Such an algebra's maps are M(1): at a point with no zero coordinate the
+symbolic map has the rank of M(1), and that is its generic rank.  A colon
+quotient of a monomial algebra is monomial too, since (0:x^c) is spanned by
+monomials, so it finds its own exponent vectors and path counts.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class GradedAlgebra:
         var_labels: list,
         product_fn: Callable,
         kind: str,
-        parent: Optional["GradedAlgebra"] = None,
         monomial: bool = False,
     ):
         # Trim empty top degrees so top_degree is the real socle degree.
@@ -79,7 +79,6 @@ class GradedAlgebra:
         self.var_labels = tuple(var_labels)
         self._product = product_fn
         self.kind = kind
-        self.parent = parent  # the algebra a colon quotient was taken of
         self._degree = {}
         for d, labels in enumerate(self.basis):
             for lab in labels:
@@ -145,16 +144,14 @@ class GradedAlgebra:
         """Multiplication by the generic linear form^power, degree d to d+power.
 
         Built once per (d, power) and shared by every caller, who must not
-        change it: a colon quotient slices its parent's map, a monomial
-        algebra gives the integer matrix M(1) of path counts, whose rank at
-        every point with no zero coordinate is the symbolic map's (module
-        docstring), and any other algebra runs multiplication_matrix.
+        change it: a monomial algebra gives the integer matrix M(1) of path
+        counts, whose rank at every point with no zero coordinate is the
+        symbolic map's (module docstring), and any other algebra runs
+        multiplication_matrix.
         """
         key = (d, power)
         if key not in self._maps:
-            if self.parent is not None:
-                self._maps[key] = _sliced_map(self, self.parent, d, power)
-            elif self.exponents is not None:
+            if self.exponents is not None:
                 self._maps[key] = _path_count_map(self, d, power)
             else:
                 self._maps[key] = multiplication_matrix(self, LinearForm.symbolic(self), d, power)
@@ -380,9 +377,10 @@ def _exponent_vectors(alg: GradedAlgebra) -> dict:
     One walk over the product table in degree order.  The table of a
     commutative, associative algebra generated in degree 1 is that of
     k[x]/(monomial ideal) exactly when this is well defined, so a label
-    reached with two vectors, or not reached, raises InternalFault.
+    reached with two vectors, or not reached, raises InternalFault.  The
+    zero ring, a colon quotient by a power that kills 1, has no labels.
     """
-    vectors = {lab: (0,) * len(alg.var_labels) for lab in alg.basis[0]}
+    vectors = {lab: (0,) * len(alg.var_labels) for labels in alg.basis[:1] for lab in labels}
     for labels in alg.basis:
         for lab in labels:
             r = vectors.get(lab)
@@ -427,45 +425,6 @@ def _check_map_degrees(alg: GradedAlgebra, d: int, power: int) -> None:
         raise DegreeOutOfRange(
             f"map from degree {d} by power {power} leaves 0..{alg.top_degree}"
         )
-
-
-def _sliced_map(quotient: GradedAlgebra, parent: GradedAlgebra, d: int, power: int) -> Matrix:
-    """The quotient's map: the parent's map on the quotient's labels.
-
-    The quotient is spanned by the parent's labels outside an ideal and its
-    product is the parent's with that ideal sent to zero, so the rows and
-    columns it keeps hold its own entries.  Entries are restated over the
-    quotient's symbols, one per surviving variable; a killed variable lies in
-    the ideal, so its symbol cannot appear in a surviving row.  The integer
-    entries of a monomial parent's path counts have no symbols to restate.
-    """
-    _check_map_degrees(quotient, d, power)
-    full = parent.map_matrix(d, power)
-    rows = list(quotient.basis[d + power])
-    cols = list(quotient.basis[d])
-    row_at = {lab: i for i, lab in enumerate(full.row_labels)}
-    col_at = {lab: j for j, lab in enumerate(full.col_labels)}
-    kept = [parent.var_labels.index(lab) for lab in quotient.var_labels]
-    killed = [i for i in range(len(parent.var_labels)) if i not in kept]
-    symbols = quotient.symbols()
-
-    def restate(entry):
-        if not killed or not isinstance(entry, SparsePoly):
-            return entry  # the quotient's symbols are the parent's, or none
-        if any(exps[i] for exps in entry.terms for i in killed):
-            raise InternalFault(
-                f"the map from degree {d} by power {power} of a colon quotient "
-                "involves the symbol of a killed variable"
-            )
-        # every term is zero at the killed positions, so dropping them keeps
-        # the terms distinct
-        return SparsePoly._from_clean(symbols, {tuple(exps[i] for i in kept): c for exps, c in entry.terms.items()})
-
-    entries = []
-    for lab in rows:
-        full_row = full.entries[row_at[lab]]
-        entries.append([restate(full_row[col_at[c]]) for c in cols])
-    return Matrix(rows, cols, entries)
 
 
 @dataclass(frozen=True)
@@ -527,7 +486,7 @@ def colon_by_power(alg: GradedAlgebra, variable: str, c: int) -> tuple[MonomialS
         var_labels=surviving,
         product_fn=product_fn,
         kind="quotient",
-        parent=alg,
+        monomial=alg.exponents is not None,
     )
     return MonomialSubspace(colon_by_deg), quotient
 

@@ -5,7 +5,9 @@ regenerated byte-identically from the generator tuple and the root seed
 (APERY_SEED).  Timings are opt-in so default output stays deterministic.
 Exit codes: 0 success, 2 input error, 3 inapplicable analysis, 4 internal
 limit exceeded, 5 internal fault (a broken invariant of the library, or a
-ValueError that no input check turned into an input error).
+ValueError that no input check turned into an input error), 141 (128 +
+SIGPIPE) when the reader of standard output closes it early, as ``head``
+does; that exit prints nothing.
 """
 
 from __future__ import annotations
@@ -458,6 +460,8 @@ def _range_pair(text: str) -> tuple[int, int]:
     if len(values) == 1:
         return (values[0], values[0])
     if len(values) == 2:
+        if values[0] > values[1]:
+            raise argparse.ArgumentTypeError(f"{text!r}: LO is above HI")
         return (values[0], values[1])
     raise argparse.ArgumentTypeError(f"{text!r}: ranges look like LO:HI or N")
 
@@ -680,7 +684,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; with stdout on
+        # devnull that flush cannot fail and print "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,24 +14,24 @@ assigns them directly.
 
 Both routes rank evaluate-first, in one loop over the witness points: full
 rank at a point is full generic rank, since no specialization raises the
-rank.  The rank at a point is linalg.point_rank, the rank over Q, taken
-modulo 2^61 - 1 unless that is deficient.  Only a matrix deficient at the
-first point is eliminated fraction-free (Bareiss), which tells a deficient
-point from a deficient map and certifies the latter; a matrix above the
-symbolic cap is not eliminated but ranked again at the later points.  The
-maps of an algebra are built once and shared by its reports; a colon
-quotient's maps are slices of its parent's.  An Apery algebra of
-codimension at most 2 is monomial, and its maps are the integer path-count
-matrices M(1) (algebra module docstring): the symbolic map is
+rank.  Every map is a linalg.Matrix and is ranked through two operations:
+rank_at, the rank over Q at a point, and generic_rank, the certified generic
+rank or None above the symbolic cap.  Only a matrix deficient at the first
+point asks for its generic rank, which tells a deficient point from a
+deficient map and certifies the latter; a matrix above the cap is instead
+ranked again at the later points.  The maps of an algebra are built once and
+shared by its reports; a colon quotient is an algebra of its own and builds
+its own.  A monomial algebra (an Apery algebra of codimension at most 2, or
+a colon quotient of one) gives the integer path-count matrices M(1) as its
+maps (algebra module docstring): the symbolic map is
 diag(t^r(w')) M(1) diag(t^-r(w)), so at every witness draw, none of whose
 coordinates is zero, its rank is rank M(1), which is also its generic rank.
 
 Verdicts: "holds" always carries a rational witness verified exactly, on
-a codimension-2 Apery algebra and its quotients by that identity.  A WLP
-rank report on a Gorenstein algebra verifies its witness on the decisive
-map, the map from degree (D-1)//2; every other map then has full rank at
-the witness by the propagation lemma (wlp_by_ranks), so it is neither built
-nor ranked.  "fails" always carries a symbolic generic-rank deficiency;
+a monomial algebra by that identity.  A WLP rank report on a Gorenstein
+algebra verifies its witness on the decisive map, the map from degree
+(D-1)//2; every other map then has full rank at the witness by the
+propagation lemma (wlp_by_ranks), so it is neither built nor ranked.  "fails" always carries a symbolic generic-rank deficiency;
 "inconclusive" appears when a map above the symbolic cap is deficient at
 every witness point (its rank is then probabilistic) or when a quotient
 step's hypotheses cannot be checked.
@@ -69,7 +69,7 @@ from .errors import (
     NotGorensteinAtStep,
 )
 from .inverse_system import DualAlgebraView, dual_algebra_view
-from .linalg import Matrix, above_symbolic_cap, point_rank, rank_info
+from .linalg import Matrix
 from .polynomial import SparsePoly
 from .semigroup import FrameData, NumericalSemigroup
 
@@ -153,14 +153,14 @@ def _decide(
     one per variable of ``obj``.
 
     One loop over the witness draws ranks, certifies and finds the witness.
-    Every map is ranked at the first draw by point_rank: full rank at one
-    point is full generic rank.  A map deficient there is ranked by
-    rank_info's fraction-free elimination, which certifies a failure and
-    ends the loop, unless it is above the symbolic cap: then it is ranked
-    again at each later draw until one gives it full rank, and if none does
-    it reports its best point rank as probabilistic.  The witness is the
-    first draw that the point filter passes with every map at full rank; a
-    draw the filter rejects still counts as an attempt.
+    Every map is ranked at the first draw by its rank_at: full rank at one
+    point is full generic rank.  A map deficient there is certified by its
+    generic_rank, which ends the loop on a deficiency, unless that is None
+    (above the symbolic cap): then it is ranked again at each later draw
+    until one gives it full rank, and if none does it reports its best point
+    rank as probabilistic.  The witness is the first draw that the point
+    filter passes with every map at full rank; a draw the filter rejects
+    still counts as an attempt.
 
     ``decisive`` names a check whose full rank at a point gives every check
     full rank at that point, as the middle map does for the maps of a
@@ -189,7 +189,7 @@ def _decide(
         assignment = dict(zip(symbols, draw))
         usable = point_filter is None or point_filter(point)
         if decisive is not None:
-            decisive_rank = point_rank(matrix(decisive), assignment)
+            decisive_rank = matrix(decisive).rank_at(assignment)
             if decisive_rank == checks[decisive][1]:
                 certified.update((i, required) for i, (_, required, _) in enumerate(checks))
                 if usable:
@@ -200,17 +200,18 @@ def _decide(
         for i, (_, required, _) in enumerate(checks):
             if attempt and i in certified and not (usable and full):
                 continue  # a certified map matters here only for the witness
-            rank = decisive_rank if i == decisive else point_rank(matrix(i), assignment)
+            rank = decisive_rank if i == decisive else matrix(i).rank_at(assignment)
             if rank == required:
                 certified[i] = rank
                 continue
             full = False
             if i in certified:
                 continue
-            if above_symbolic_cap(matrix(i)):
+            generic = matrix(i).generic_rank()
+            if generic is None:
                 best[i] = max(best[i], rank)
             else:
-                certified[i] = rank_info(matrix(i))[0]
+                certified[i] = generic
         if usable and full:
             witness = point
             break

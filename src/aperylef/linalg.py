@@ -18,7 +18,9 @@ functions in the entry variables, which equals the maximum rank over all
 specializations.  Fraction-free elimination certifies it for symbolic
 matrices up to SYMBOLIC_RANK_LIMIT; above the cap (above_symbolic_cap)
 rank_info raises SizeLimit, and only a point of full rank can certify such a
-matrix.
+matrix.  A Matrix ranks itself through the two operations the verdict core
+uses, rank_at (point_rank) and generic_rank (rank_info, None above the cap),
+so the cap policy lives here alone.
 
 `point_rank` is the rank over Q of a matrix at one point.  It evaluates the
 entries modulo the prime POINT_PRIME = 2^61 - 1 straight from their terms and
@@ -33,7 +35,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import InternalFault, SizeLimit
 from .polynomial import SparsePoly
@@ -277,6 +279,16 @@ class Matrix:
                     new_row.append(Fraction(e))
             out.append(new_row)
         return Matrix(list(self.row_labels), list(self.col_labels), out)
+
+    def rank_at(self, assignment) -> int:
+        """The rank over Q with every symbol set to its value in assignment
+        (point_rank)."""
+        return point_rank(self, assignment)
+
+    def generic_rank(self) -> Optional[int]:
+        """The certified generic rank (rank_info), or None above the symbolic
+        cap, where only a point of full rank can certify the matrix."""
+        return None if above_symbolic_cap(self) else rank_info(self)[0]
 
     def to_text(self) -> str:
         cells = [[str(e) for e in row] for row in self.entries]

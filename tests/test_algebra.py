@@ -14,8 +14,6 @@ from aperylef import algebra as algebra_module
 from aperylef import (
     AperyError,
     DegreeOutOfRange,
-    GradedAlgebra,
-    InternalFault,
     InvalidStep,
     LinearForm,
     NotApplicable,
@@ -214,9 +212,9 @@ def term_lists(matrix):
 def test_maps_equal_the_reference_builder(A, values):
     """Every map, by the generic form and by a rational one, equals the map
     of the builder that does every step's arithmetic; so does every map of
-    a colon quotient, sliced from its parent's.  Ranking the maps, taking
-    their ranks at a point and slicing them leave every entry's terms as
-    they were, though entries are shared."""
+    a colon quotient, which builds its own.  Ranking the maps and taking
+    their ranks at a point leave every entry's terms as they were, though
+    entries are shared."""
     values = (values * 2)[: len(A.variables)]
     assume(any(values))
     forms = [LinearForm.symbolic(A), LinearForm.rational(values)]
@@ -302,7 +300,7 @@ NAMED_INSTANCES = (
 
 
 def slice_cases(corpus):
-    """Colon quotients whose maps are slices of their parents' maps.
+    """(parent, colon quotient) pairs.
 
     The single-variable colon quotients of the apery algebras of the m-pure
     corpus members and of the named instances (those of the conjecture
@@ -317,25 +315,41 @@ def slice_cases(corpus):
         for var in A.variables:
             Q = A.colon_step(var)
             if Q is not None:
-                yield Q
+                yield A, Q
         frame = S.frame()
         if len(S.generators) != 4 or frame.is_ci() or not S.apery_table().m_pure_verdict():
             continue
         C = codim3_defining_ideal(S).data["C"]
         G = build_gamma_algebra(frame)
-        yield colon_by_power(G, "z", C)[1]
+        yield G, colon_by_power(G, "z", C)[1]
         step = G
         for _ in range(C):
-            step = step.colon_step("z")
-            if step is None:
+            Q = step.colon_step("z")
+            if Q is None:
                 break
-            yield step
+            yield step, Q
+            step = Q
 
 
-def root_of(alg):
-    while alg.parent is not None:
-        alg = alg.parent
-    return alg
+def kept_variables(parent, Q):
+    """The positions in parent's variables of the variables Q keeps."""
+    return [parent.var_labels.index(lab) for lab in Q.var_labels]
+
+
+def sliced(full, rows, cols, kept, symbols):
+    """full's entries on the given rows and columns, each polynomial restated
+    over symbols, those of the kept variables; no entry may hold the symbol
+    of a variable that is not kept."""
+    row_at = {lab: i for i, lab in enumerate(full.row_labels)}
+    col_at = {lab: j for j, lab in enumerate(full.col_labels)}
+
+    def restate(entry):
+        if not isinstance(entry, SparsePoly):
+            return entry
+        assert all(not x for exps in entry.terms for i, x in enumerate(exps) if i not in kept)
+        return SparsePoly(symbols, {tuple(exps[i] for i in kept): c for exps, c in entry.terms.items()})
+
+    return [[restate(full.entries[row_at[r]][col_at[c]]) for c in cols] for r in rows]
 
 
 def map_cases(alg):
@@ -351,20 +365,17 @@ def map_cases(alg):
 def check_torus_identity(alg, d, power, rng):
     """alg's symbolic map at 3 random points t >= 1 is
     diag(t^r(w')) M(1) diag(t^-r(w)), with M(1) its map_matrix and r the
-    exponents of the monomial algebra it is (a colon quotient of)."""
+    exponents of the monomial algebra it is."""
     counts = alg.map_matrix(d, power)
-    symbolic = multiplication_matrix(alg, LinearForm.symbolic(alg), d, power)
+    symbolic = multiplication_oracle.multiplication_matrix(alg, LinearForm.symbolic(alg), d, power)
     assert counts.row_labels == symbolic.row_labels
     assert counts.col_labels == symbolic.col_labels
     assert all(isinstance(e, int) for row in counts.entries for e in row)
-    root = root_of(alg)
-    at = [root.variables.index(v) for v in alg.variables]
     for _ in range(3):
         point = [rng.randint(1, 50) for _ in alg.variables]
 
         def weight(lab):
-            r = root.exponents[lab]
-            return math.prod(Fraction(t) ** r[i] for i, t in zip(at, point))
+            return math.prod(Fraction(t) ** k for t, k in zip(point, alg.exponents[lab]))
 
         image = [
             [weight(top) * c / weight(bottom) for bottom, c in zip(counts.col_labels, row)]
@@ -390,28 +401,97 @@ def built(monkeypatch):
 
 
 def test_quotient_maps_are_slices_of_the_parent_maps(corpus, built):
-    rng = random.Random(17)
+    """A colon quotient builds its own maps, and each is its parent's map on
+    the quotient's rows and columns: the same path counts on a monomial
+    algebra, the same polynomials over the quotient's symbols on any other,
+    with no symbol of a killed variable in a row the quotient keeps."""
     quotients = dropping = chained = maps = monomial = 0
-    for Q in slice_cases(corpus):
-        parent = Q.parent
+    for parent, Q in slice_cases(corpus):
         quotients += 1
-        dropping += len(Q.variables) < len(parent.variables)
+        kept = kept_variables(parent, Q)
+        dropping += len(kept) < len(parent.variables)
         chained += parent.kind == "quotient"
-        monomial += root_of(Q).exponents is not None
+        monomial += Q.exponents is not None
         for d, power in map_cases(Q):
-            if root_of(Q).exponents is not None:
-                # codimension <= 2: the slice is M(1), the parent's path counts
-                check_torus_identity(Q, d, power, rng)
-            else:
-                got = Q.map_matrix(d, power)
-                fresh = multiplication_matrix(Q, LinearForm.symbolic(Q), d, power)
-                assert got.row_labels == fresh.row_labels
-                assert got.col_labels == fresh.col_labels
-                assert got.entries == fresh.entries
+            got = Q.map_matrix(d, power)
+            assert got.row_labels == list(Q.basis[d + power]) and got.col_labels == list(Q.basis[d])
+            want = sliced(parent.map_matrix(d, power), got.row_labels, got.col_labels, kept, Q.symbols())
+            assert got.entries == want, (Q, d, power)
             maps += 1
-    assert "quotient" not in built  # a quotient never builds a map itself
+    assert "quotient" in built  # a non-monomial quotient builds its maps itself
     assert quotients > 100 and maps > 2000
     assert dropping and chained and monomial
+
+
+# small codimension-3 structured semigroups, with chains of C = 1, 2 and 3
+# single z-steps from their gamma algebras
+GAMMA_INSTANCES = (
+    (5, 6, 7, 8), (8, 9, 11, 13), (8, 10, 11, 13), (8, 11, 13, 14), (16, 18, 21, 27),
+    (11, 14, 15, 18), (11, 15, 18, 19),
+)
+
+
+@st.composite
+def quotient_roots(draw):
+    """(algebra, quotients): an Apery algebra of 2 to 5 generators, a box
+    algebra with a rewrite, or a gamma algebra, with the gamma algebra's
+    codimension-3 chain steps G/(0:z^k), k = 1..C, as extra quotients."""
+    kind = draw(st.sampled_from(["apery", "box", "gamma"]))
+    if kind == "apery":
+        m = draw(st.integers(3, 9))
+        rest = draw(st.sets(st.integers(m + 1, 3 * m), min_size=1, max_size=4))
+        gens = [m] + sorted(rest)
+        assume(math.gcd(*gens) == 1)
+        return algebra_of(gens), []
+    if kind == "box":
+        return draw(symbolic_map_algebras().filter(lambda A: A.kind == "gamma")), []
+    S = create_semigroup(list(draw(st.sampled_from(GAMMA_INSTANCES))))
+    G = build_gamma_algebra(S.frame())
+    C = codim3_defining_ideal(S).data["C"]
+    return G, [colon_by_power(G, "z", k)[1] for k in range(1, C + 1)]
+
+
+@given(quotient_roots())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_colon_quotients_build_their_own_maps(root):
+    """Every colon quotient to depth 2 is an algebra of its own: its maps
+    equal the reference builder's on the quotient (a monomial quotient's as
+    the torus identity with its own exponents), and the exponents of a
+    monomial quotient are its parent's on its labels, with the killed
+    coordinates, which are 0 there, dropped."""
+    A, chain = root
+    pairs = [(A, Q) for Q in chain]
+    layer = [A]
+    for _ in range(2):
+        layer_pairs = [(P, Q) for P in layer for Q in map(P.colon_step, P.variables) if Q is not None]
+        pairs += layer_pairs
+        layer = [Q for _, Q in layer_pairs]
+    rng = random.Random(repr(A))
+    for parent, Q in pairs:
+        assert (Q.exponents is None) == (parent.exponents is None)
+        if Q.exponents is not None:
+            kept = kept_variables(parent, Q)
+            labels = [lab for labels in Q.basis for lab in labels]
+            assert set(Q.exponents) == set(labels)
+            for lab in labels:
+                r = parent.exponents[lab]
+                assert Q.exponents[lab] == tuple(r[i] for i in kept)
+                assert not any(x for i, x in enumerate(r) if i not in kept)
+        for d, power in every_map(Q):
+            if Q.exponents is not None:
+                check_torus_identity(Q, d, power, rng)
+                continue
+            got = Q.map_matrix(d, power)
+            want = multiplication_oracle.multiplication_matrix(Q, LinearForm.symbolic(Q), d, power)
+            assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
+            assert got.entries == want.entries, (Q, d, power)
+
+
+def test_a_colon_quotient_of_a_monomial_algebra_may_be_the_zero_ring():
+    A = algebra_of([8, 10, 11])
+    assert A.exponents is not None
+    _, Q = colon_by_power(A, "y", A.top_degree + 1)
+    assert Q.dimension == 0 and Q.exponents == {}
 
 
 @st.composite
@@ -445,28 +525,6 @@ def test_ranks_route_builds_symbolic_maps_only_above_codimension_2(gens, symboli
     analyze_record(list(gens), method="ranks", seed_root=0)
     assert bool(built) == symbolic
     assert (algebra_of(gens).exponents is None) == symbolic
-
-
-def test_sliced_map_rejects_the_symbol_of_a_killed_variable():
-    """y kills itself but not y*z, which a non-associative table allows: the
-    parent's map then puts y's symbol in a row the quotient keeps."""
-    table = {("y", "z"): "s", ("s", "y"): "u"}
-
-    def product(a, b):
-        if a == "1":
-            return b
-        if b == "1":
-            return a
-        return table.get((a, b)) or table.get((b, a))
-
-    alg = GradedAlgebra(
-        variables=("y", "z"), basis=[["1"], ["y", "z"], ["s"], ["u"]],
-        var_labels=["y", "z"], product_fn=product, kind="box",
-    )
-    _, Q = colon_by_power(alg, "y", 1)
-    assert Q.variables == ("z",) and Q.hilbert() == (1, 1, 1)
-    with pytest.raises(InternalFault):
-        Q.map_matrix(1, 1)
 
 
 def test_one_algebra_per_table_while_it_is_held():

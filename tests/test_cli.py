@@ -124,7 +124,7 @@ def test_exit_codes():
 def test_internal_fault_exit_code(monkeypatch):
     # An elimination that claims full rank for a map deficient at every point:
     # a generic-rank "holds" finds no witness, a library fault.
-    monkeypatch.setattr("aperylef.lefschetz.rank_info", lambda m: (min(m.nrows, m.ncols), False))
+    monkeypatch.setattr("aperylef.linalg.rank_info", lambda m: (min(m.nrows, m.ncols), False))
     code, _, err = run_cli(["analyze", "--gens", "60,66,71,77,83"])
     assert code == 5
     assert err.startswith("internal error: ")
@@ -634,13 +634,15 @@ def test_sweep_rejects_a_nonpositive_multiplicity(mult, tmp_path):
 
 
 def test_empty_sweep(tmp_path):
+    # no semigroup of multiplicity 3 has 4 minimal generators
     out_path = tmp_path / "empty.jsonl"
     code, _, err = run_cli(
-        ["sweep", "--mult", "3:2", "--count", "3:4", "--max-gen", "10",
+        ["sweep", "--mult", "3:3", "--count", "4:4", "--max-gen", "10",
          "--out", str(out_path)]
     )
     assert code == 0
     assert out_path.read_text() == ""
+    assert err == "sweep: wrote 0, filtered 0, resumed past 0\n"
 
 
 def test_text_format():
@@ -689,6 +691,24 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["dual_generator"] == "y*z*w + z^3"
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly():
+    # the sweep writes about 2.5 MB, far more than a pipe buffer holds, so
+    # a write after the reader has gone fails
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aperylef.cli", "sweep", "--mult", "2:8", "--max-gen", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert json.loads(first)["generators"] == [3, 4, 5]
+    assert err == b""
 
 
 # -- the input contract over a small grammar of valid and broken inputs --
@@ -771,6 +791,8 @@ def test_every_command_line_exits_with_a_one_line_message(tmp_path_factory, data
     (["sweep", "--mult=2:3:4", "--max-gen=9"], "argument --mult: '2:3:4': ranges look like LO:HI or N"),
     (["hessian", "--gens=3,5", "--d=x"], "argument --d: invalid int value: 'x'"),
     (["analyze"], "the following arguments are required: --gens"),
+    (["sweep", "--mult=3:2", "--max-gen=9"], "argument --mult: '3:2': LO is above HI"),
+    (["sweep", "--mult=3:4", "--count=4:3", "--max-gen=9"], "argument --count: '4:3': LO is above HI"),
 ])
 def test_a_command_line_the_parser_refuses_is_a_one_line_input_error(argv, message):
     err = io.StringIO()
