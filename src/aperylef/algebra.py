@@ -1,15 +1,22 @@
-"""Graded Artinian algebras with a combinatorial multiplication table.
+"""Graded Artinian algebras given by a basis and the action of the variables.
 
-Two constructions share one class.  An apery algebra has one basis label per
-apery element, graded by order; the product of two labels is their sum when
-that lands in the apery set with additive orders, else zero.  A box algebra
-has exponent-tuple labels inside a bounded box, multiplication adds
-exponents, optionally rewrites one pure power into a fixed mixed monomial,
-and truncates anything leaving the box.
+An algebra is its graded basis and one table: ``times[label][i]`` is the
+label times the i-th variable, a label of the next degree or None for zero.
+The actions commute and the variables generate, so the table fixes every
+product, and it is all this module reads: the maps, the socle, the exponent
+vectors, the colon ideals and the codimension-3 identification.
+
+Two constructions fill the table.  An apery algebra has one basis label per
+apery element, graded by order; a label times a variable (an element of
+order 1) is their sum when that is an apery element of the next order, else
+zero.  A box algebra has exponent-tuple labels inside a bounded box; a
+variable adds one to its exponent, optionally rewrites one pure power into a
+fixed mixed monomial, and truncates anything leaving the box.
 
 A colon quotient A/(0:x) is spanned by the labels of A outside the ideal
-(0:x), with A's product and that ideal sent to zero.  It is an algebra in
-its own right and builds its maps from its own product table, as every
+(0:x); its table is A's on those labels, with images in the ideal sent to
+zero and the columns of the variables the ideal holds dropped.  It is an
+algebra in its own right and builds its maps from its own table, as every
 algebra does.  Each algebra builds a map once, and an Apery table gives one
 algebra while anything holds it.
 
@@ -33,7 +40,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DegreeOutOfRange, InternalFault, InvalidStep, NotApplicable
 from .linalg import Matrix
@@ -49,13 +56,16 @@ def variable_names(codim: int) -> tuple[str, ...]:
 
 
 class GradedAlgebra:
-    """Finite graded algebra whose basis products are single labels or zero.
+    """Finite graded algebra: a basis and the action of its variables.
 
-    The product table is associative and commutative, and the variables
-    generate: every label of positive degree is a label times a variable.
-    The socle (the labels the variables kill) and the WLP middle-map
-    criterion of lefschetz.wlp_by_ranks rely on it; every construction here
-    keeps it.
+    ``times[label][i]`` is the label times the i-th variable (the label
+    ``var_labels[i]`` of degree 1): a label of the next degree, or None.
+    The actions commute, and the variables generate: every label of positive
+    degree is a label times a variable.  So the table is that of an
+    associative, commutative algebra, whose product of two labels walks one
+    along any word in the variables that reaches the other.  The socle (the
+    labels the variables kill) and the WLP middle-map criterion of
+    lefschetz.wlp_by_ranks rely on it; every construction here keeps it.
 
     A monomial algebra, k[x]/(monomial ideal), holds the exponent vector of
     each label in ``exponents`` (None otherwise) and builds its maps as
@@ -67,7 +77,7 @@ class GradedAlgebra:
         variables: tuple[str, ...],
         basis: list[list],
         var_labels: list,
-        product_fn: Callable,
+        times: dict,
         kind: str,
         monomial: bool = False,
     ):
@@ -77,12 +87,8 @@ class GradedAlgebra:
         self.variables = tuple(variables)
         self.basis = tuple(tuple(b) for b in basis)
         self.var_labels = tuple(var_labels)
-        self._product = product_fn
+        self.times = times
         self.kind = kind
-        self._degree = {}
-        for d, labels in enumerate(self.basis):
-            for lab in labels:
-                self._degree[lab] = d
         self._maps: dict[tuple[int, int], Matrix] = {}
         self._gorenstein: Optional[dict] = None
         self.exponents = _exponent_vectors(self) if monomial else None
@@ -104,23 +110,13 @@ class GradedAlgebra:
     def hilbert(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.basis)
 
-    def product(self, a, b):
-        """Product of two basis labels: a label of the sum degree, or None."""
-        if a not in self._degree or b not in self._degree:
-            raise KeyError("unknown basis label")
-        return self._product(a, b)
-
     def symbols(self) -> tuple[str, ...]:
         """Symbolic coefficient names for a generic linear form, one per variable."""
         return tuple(f"a{i}" for i in range(2, len(self.variables) + 2))
 
     def socle_labels(self) -> list:
-        out = []
-        for labels in self.basis:
-            for lab in labels:
-                if all(self._product(lab, v) is None for v in self.var_labels):
-                    out.append(lab)
-        return out
+        return [lab for labels in self.basis for lab in labels
+                if all(image is None for image in self.times[lab])]
 
     def gorenstein_info(self) -> dict:
         """Hilbert symmetry and socle dimension, reported separately."""
@@ -192,19 +188,15 @@ def _apery_algebra(table: AperyTable) -> GradedAlgebra:
     top = max(table.orders)
     basis = [sorted(table.elements_of_order(d)) for d in range(top + 1)]
     degree1 = basis[1] if top >= 1 else []
-    members = set(table.elements)
-
-    def product_fn(a, b):
-        s = a + b
-        if s in members and order_of[s] == order_of[a] + order_of[b]:
-            return s
-        return None
-
+    times = {
+        a: tuple(a + v if order_of.get(a + v) == d + 1 else None for v in degree1)
+        for a, d in order_of.items()
+    }
     return GradedAlgebra(
         variables=variable_names(len(degree1)),
         basis=basis,
         var_labels=degree1,
-        product_fn=product_fn,
+        times=times,
         kind="apery",
         monomial=len(degree1) <= 2,
     )
@@ -219,8 +211,8 @@ def box_algebra(
     """Monomial box algebra with an optional single pure-power rewrite.
 
     ``rewrite = (i, repl)`` sends the (bounds[i]+1)-th power of variable i to
-    the monomial with exponents ``repl``; repl must avoid variable i, so each
-    application strictly drops that exponent and rewriting terminates.
+    the monomial with exponents ``repl``; repl must avoid variable i, so one
+    rewrite of a label times variable i leaves that exponent 0.
     """
     bounds = tuple(int(b) for b in bounds)
     if rewrite is not None:
@@ -234,34 +226,23 @@ def box_algebra(
     basis: list[list] = [[] for _ in range(top + 1)]
     for lab in labels:
         basis[sum(lab)].append(lab)
-    var_labels = []
-    for j in range(len(variables)):
-        unit = tuple(1 if i == j else 0 for i in range(len(variables)))
-        var_labels.append(unit)
+    var_labels = [tuple(int(i == j) for i in range(len(variables))) for j in range(len(variables))]
     box = set(labels)
 
-    def normalize(exps):
-        if rewrite is not None:
-            ri, repl = rewrite
-            step = bounds[ri] + 1
-            exps = list(exps)
-            while exps[ri] > bounds[ri]:
-                exps[ri] -= step
-                for j, r in enumerate(repl):
-                    exps[j] += r
-            exps = tuple(exps)
+    def image(lab, i):
+        if rewrite is not None and i == rewrite[0] and lab[i] == bounds[i]:
+            # x_i^(bounds[i]+1) is repl, which avoids x_i
+            lab = tuple(0 if j == i else x + r for j, (x, r) in enumerate(zip(lab, rewrite[1])))
         else:
-            exps = tuple(exps)
-        return exps if exps in box else None
+            lab = lab[:i] + (lab[i] + 1,) + lab[i + 1:]
+        return lab if lab in box else None
 
-    def product_fn(a, b):
-        return normalize(tuple(x + y for x, y in zip(a, b)))
-
+    times = {lab: tuple(image(lab, i) for i in range(len(variables))) for lab in labels}
     return GradedAlgebra(
         variables=tuple(variables),
         basis=basis,
         var_labels=var_labels,
-        product_fn=product_fn,
+        times=times,
         kind=kind,
     )
 
@@ -356,11 +337,8 @@ def multiplication_matrix(alg: GradedAlgebra, L: LinearForm, d: int, power: int 
         for _ in range(power):
             nxt: dict = {}
             for lab, coeff in vec.items():
-                for vlab, cpoly in zip(alg.var_labels, coeff_polys):
-                    if not cpoly:
-                        continue
-                    target = alg.product(lab, vlab)
-                    if target is None:
+                for target, cpoly in zip(alg.times[lab], coeff_polys):
+                    if target is None or not cpoly:
                         continue
                     term = cpoly if coeff is unit else coeff * cpoly
                     known = nxt.get(target)
@@ -374,8 +352,8 @@ def multiplication_matrix(alg: GradedAlgebra, L: LinearForm, d: int, power: int 
 def _exponent_vectors(alg: GradedAlgebra) -> dict:
     """r(w) of every label: r(1) = 0 and r(w*x_i) = r(w) + e_i.
 
-    One walk over the product table in degree order.  The table of a
-    commutative, associative algebra generated in degree 1 is that of
+    One walk over the table in degree order.  The table of a commutative,
+    associative algebra generated in degree 1 is that of
     k[x]/(monomial ideal) exactly when this is well defined, so a label
     reached with two vectors, or not reached, raises InternalFault.  The
     zero ring, a colon quotient by a power that kills 1, has no labels.
@@ -386,8 +364,7 @@ def _exponent_vectors(alg: GradedAlgebra) -> dict:
             r = vectors.get(lab)
             if r is None:
                 raise InternalFault(f"label {lab!r} is not a product of the variables")
-            for i, x in enumerate(alg.var_labels):
-                target = alg._product(lab, x)
+            for i, target in enumerate(alg.times[lab]):
                 if target is None:
                     continue
                 v = r[:i] + (r[i] + 1,) + r[i + 1:]
@@ -444,8 +421,10 @@ def colon_by_power(alg: GradedAlgebra, variable: str, c: int) -> tuple[MonomialS
     """Annihilator of the c-th power of a variable, and the quotient.
 
     The annihilator is spanned by the basis labels killed by c successive
-    multiplications; the quotient keeps the complementary labels with the
-    induced table.  A name that is not a variable of alg raises InvalidStep.
+    multiplications; the quotient keeps the complementary labels, and the
+    restriction of alg's table to them, with an image in the annihilator
+    sent to zero and the column of a variable in it dropped.  A name that is
+    not a variable of alg raises InvalidStep.
     """
     if c < 0:
         raise ValueError("colon power must be >= 0")
@@ -453,13 +432,12 @@ def colon_by_power(alg: GradedAlgebra, variable: str, c: int) -> tuple[MonomialS
         raise InvalidStep(
             f"{variable!r} is not a variable of the algebra ({', '.join(alg.variables)})"
         )
-    vlabel = alg.var_labels[alg.variables.index(variable)]
+    column = alg.variables.index(variable)
 
     def killed(label) -> bool:
-        x = label
         for _ in range(c):
-            x = alg.product(x, vlabel)
-            if x is None:
+            label = alg.times[label][column]
+            if label is None:
                 return True
         return False
 
@@ -470,25 +448,60 @@ def colon_by_power(alg: GradedAlgebra, variable: str, c: int) -> tuple[MonomialS
     new_basis = [
         [lab for lab in labels if lab not in colon_set] for labels in alg.basis
     ]
-    surviving = [lab for lab in alg.var_labels if lab not in colon_set]
-    new_names = tuple(
-        alg.variables[alg.var_labels.index(lab)] for lab in surviving
-    )
-    base_product = alg._product
-
-    def product_fn(a, b):
-        r = base_product(a, b)
-        return None if r is None or r in colon_set else r
-
+    kept = [i for i, lab in enumerate(alg.var_labels) if lab not in colon_set]
+    times = {
+        lab: tuple(None if row[i] in colon_set else row[i] for i in kept)
+        for lab, row in alg.times.items()
+        if lab not in colon_set
+    }
     quotient = GradedAlgebra(
-        variables=new_names,
+        variables=tuple(alg.variables[i] for i in kept),
         basis=new_basis,
-        var_labels=surviving,
-        product_fn=product_fn,
+        var_labels=[alg.var_labels[i] for i in kept],
+        times=times,
         kind="quotient",
         monomial=alg.exponents is not None,
     )
     return MonomialSubspace(colon_by_deg), quotient
+
+
+def _same_graded_presentation(quotient: GradedAlgebra, A: GradedAlgebra, S) -> bool:
+    """Whether a box quotient is the apery algebra, by the value map.
+
+    The value of a label (an exponent tuple on the generators after the
+    first) must carry the quotient's labels onto A's degree by degree, one
+    to one.  The map must then commute with the action of each variable
+    (each label of degree 1), and every quotient label of positive degree
+    must be an image of that action.  Both tables are those of associative
+    algebras, so a graded bijection that commutes with the variables of an
+    algebra they generate commutes with every product: for y = y'v,
+    xy = (xy')v.  The tables are read last, so every label either table is
+    asked about is one of its own.
+    """
+    gens = S.generators
+    if quotient.hilbert() != A.hilbert():
+        return False
+    value = {
+        lab: sum(l * g for l, g in zip(lab, gens[1:]))
+        for labels in quotient.basis
+        for lab in labels
+    }
+    for q_labels, a_labels in zip(quotient.basis, A.basis):
+        if sorted(value[lab] for lab in q_labels) != list(a_labels):
+            return False
+    if len(set(value.values())) != A.dimension:
+        return False
+    columns = [A.var_labels.index(value[v]) for v in quotient.var_labels]
+    images = set()
+    for x in value:
+        for qp, j in zip(quotient.times[x], columns):
+            ap = A.times[value[x]][j]
+            if (qp is None) != (ap is None):
+                return False
+            if qp is not None and value[qp] != ap:
+                return False
+            images.add(qp)
+    return images - {None} == set(value) - set(quotient.basis[0])
 
 
 def relation_text(p: SparsePoly) -> str:

@@ -466,6 +466,14 @@ def _range_pair(text: str) -> tuple[int, int]:
     raise argparse.ArgumentTypeError(f"{text!r}: ranges look like LO:HI or N")
 
 
+def _count_range(text: str) -> tuple[int, int]:
+    """A --count range; the sweep skips counts below 2, so HI must reach 2."""
+    lo, hi = _range_pair(text)
+    if hi < 2:
+        raise argparse.ArgumentTypeError(f"{text!r}: HI is below 2, the fewest generators a sweep takes")
+    return lo, hi
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are one-line input errors
     (exit 2, as argparse's own); --help still prints the usage."""
@@ -543,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="batch analysis over generator tuples")
     p.add_argument("--mult", type=_range_pair, required=True, help="multiplicity LO:HI")
-    p.add_argument("--count", type=_range_pair, default=(3, 4), help="generator count LO:HI")
+    p.add_argument("--count", type=_count_range, default=(3, 4), help="generator count LO:HI")
     p.add_argument("--max-gen", type=int, required=True, help="largest allowed generator")
     p.add_argument("--method", choices=("ranks", "hessian", "both"), default="ranks")
     p.add_argument("--require-m-pure", action="store_true")

@@ -2,8 +2,9 @@
 
 Two independent exact routes decide the properties.  The rank route forms
 multiplication maps by a generic linear form (symbolic coefficients); an
-apery or box algebra supplies the maps through its product table, an algebra
-presented by a dual polynomial supplies them through the perfect pairing.
+apery or box algebra supplies the maps through the action of its variables,
+an algebra presented by a dual polynomial supplies them through the perfect
+pairing.
 The Hessian route reads the same verdicts off the ranks of Hessian
 matrices of the dual polynomial.  On a dual view both routes read
 one builder, the view's pairing of two of its bases: the map by the p-th
@@ -54,6 +55,7 @@ from typing import Callable, Optional, Sequence, Union
 from .algebra import (
     GradedAlgebra,
     IdealDescription,
+    _same_graded_presentation,
     build_algebra,
     build_gamma_algebra,
     codim3_defining_ideal,
@@ -695,46 +697,6 @@ def quotient_condition_codim3(
     }
     chain.wlp_established = chain.wlp_established and identified
     return chain
-
-
-def _same_graded_presentation(quotient: GradedAlgebra, A: GradedAlgebra, S) -> bool:
-    """Whether a box quotient is the apery algebra, by the value map.
-
-    The value of a label (an exponent tuple on the generators after the
-    first) must carry the quotient's labels onto A's degree by degree, one
-    to one.  The map must then commute with multiplication by each variable
-    (each label of degree 1), and every quotient label of positive degree
-    must be a label times a variable.  Both product tables are associative,
-    so a graded bijection that commutes with the variables of an algebra
-    they generate commutes with every product: for y = y'v, xy = (xy')v.
-    The products are compared last, so every label either table is asked
-    about is one of its own.
-    """
-    gens = S.generators
-    if quotient.hilbert() != A.hilbert():
-        return False
-    value = {
-        lab: sum(l * g for l, g in zip(lab, gens[1:]))
-        for labels in quotient.basis
-        for lab in labels
-    }
-    for q_labels, a_labels in zip(quotient.basis, A.basis):
-        if sorted(value[lab] for lab in q_labels) != list(a_labels):
-            return False
-    if len(set(value.values())) != A.dimension:
-        return False
-    variables = quotient.basis[1] if quotient.top_degree > 0 else ()
-    products = set()
-    for x in value:
-        for v in variables:
-            qp = quotient._product(x, v)
-            ap = A._product(value[x], value[v])
-            if (qp is None) != (ap is None):
-                return False
-            if qp is not None and value[qp] != ap:
-                return False
-            products.add(qp)
-    return products - {None} == set(value) - set(quotient.basis[0])
 
 
 @dataclass

@@ -37,11 +37,8 @@ def multiplication_matrix(alg: GradedAlgebra, L: LinearForm, d: int, power: int 
         for _ in range(power):
             nxt: dict = {}
             for lab, coeff in vec.items():
-                for vlab, cpoly in zip(alg.var_labels, coeff_polys):
-                    if not cpoly:
-                        continue
-                    target = alg.product(lab, vlab)
-                    if target is None:
+                for target, cpoly in zip(alg.times[lab], coeff_polys):
+                    if target is None or not cpoly:
                         continue
                     nxt[target] = nxt.get(target, zero) + coeff * cpoly
             vec = {lab: c for lab, c in nxt.items() if c}

@@ -77,10 +77,10 @@ def rref_relations(alg, d):
     landed = []
     for exps in monos:
         label = alg.basis[0][0]
-        for vlab, e in zip(alg.var_labels, exps):
+        for i, e in enumerate(exps):
             for _ in range(e):
                 if label is not None:
-                    label = alg.product(label, vlab)
+                    label = alg.times[label][i]
         landed.append(label)
     targets = alg.basis[d] if d <= alg.top_degree else ()
     rows = [[int(landed[j] == lab) for j in range(len(monos))] for lab in targets]
@@ -94,7 +94,7 @@ def brute_force_relations(alg: GradedAlgebra, max_degree: int) -> IdealDescripti
     """Degreewise kernels of the monomial evaluation map onto the algebra.
 
     For every degree d <= max_degree, abstract monomials in the degree-1
-    variables are multiplied out through the product table.  Each monomial
+    variables are multiplied out through the table of variable actions.  Each monomial
     lands on one label or on zero, so the kernel has a basis read off
     directly, in graded-lex descending order of its free monomial: a
     monomial that lands on zero alone, and a monomial minus the first one
@@ -112,8 +112,8 @@ def brute_force_relations(alg: GradedAlgebra, max_degree: int) -> IdealDescripti
         first: dict = {}  # label -> the first monomial landing on it
         for exps in monomials_of_degree(names, d):
             label = alg.basis[0][0]
-            for vlab in (v for v, e in zip(alg.var_labels, exps) for _ in range(e)):
-                label = alg.product(label, vlab)
+            for i in (i for i, e in enumerate(exps) for _ in range(e)):
+                label = alg.times[label][i]
                 if label is None:
                     break
             if label is None:

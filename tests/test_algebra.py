@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import bareiss_oracle
 import multiplication_oracle
+import product_oracle
 import relations_oracle
 from aperylef import algebra as algebra_module
 from aperylef import (
@@ -62,10 +63,18 @@ def test_graded_dimensions_8_10_11_12():
 
 def test_products_follow_apery_membership():
     A = algebra_of([8, 10, 11, 12])
-    assert A.product(10, 12) == 22
-    assert A.product(10, 10) is None  # 20 leaves the apery set
+    assert A.var_labels == (10, 11, 12)
+    assert A.times[10][2] == 22
+    assert A.times[10][0] is None  # 20 leaves the apery set
+    product = product_oracle.products(A)
     for label in (0, 10, 11, 12, 21, 22, 23, 33):
-        assert A.product(0, label) == label
+        assert product(0, label) == product(label, 0) == label
+    table = create_semigroup([8, 10, 11, 12]).apery_table()
+    order_of = table.order_of()
+    for a in table.elements:
+        for v, image in zip(A.var_labels, A.times[a]):
+            member = a + v in order_of and order_of[a + v] == order_of[a] + 1
+            assert image == (a + v if member else None)
 
 
 def test_hilbert_function_values():
@@ -94,7 +103,8 @@ def test_gamma_algebra_16_18_21_27():
     assert G.hilbert() == gaussian_hilbert((5, 3, 2))
     assert G.hilbert() == (1, 3, 5, 6, 6, 5, 3, 1)
     # the rewrite z^3 -> y^2*w in action
-    assert G.product((0, 2, 0), (0, 1, 0)) == (2, 0, 1)
+    assert G.var_labels[1] == (0, 1, 0)
+    assert G.times[(0, 2, 0)][1] == (2, 0, 1)
 
 
 def test_gamma_algebra_ci_cases_return_apery_algebra():
@@ -169,10 +179,21 @@ def test_a_one_step_map_does_no_polynomial_arithmetic(monkeypatch):
     multiplication_matrix(A, LinearForm.symbolic(A), 0, 2)
     # the second step multiplies once per nonzero product of two variables,
     # and adds once per such product that meets a path already there
-    products = [A.product(a, b) for a in A.var_labels for b in A.var_labels]
+    products = [image for a in A.var_labels for image in A.times[a]]
     products = [p for p in products if p is not None]
     assert calls.count("__mul__") == len(products)
     assert calls.count("__add__") == len(products) - len(set(products)) > 0
+
+
+def test_paths_that_cancel_leave_the_zero_entry():
+    """y*w, w*y and z^2 = y*w reach one label from 1, and at (1, 2, -2) the
+    three paths give 1*(-2) + (-2)*1 + 2*2 = 0: the entry is the zero
+    polynomial, with no term left standing."""
+    G = box_algebra(("y", "z", "w"), (1, 1, 1), rewrite=(1, (1, 0, 1)))
+    L = LinearForm.rational([1, 2, -2])
+    got = multiplication_matrix(G, L, 0, 2)
+    assert got.entries == multiplication_oracle.multiplication_matrix(G, L, 0, 2).entries
+    assert got.entries[got.row_labels.index((1, 0, 1))][0].terms == {}
 
 
 @st.composite
@@ -281,8 +302,7 @@ def test_colon_subspace_is_an_ideal(corpus):
             sub, Q = colon_by_power(A, var, 1)
             members = relations_oracle.all_labels(sub)
             for label in members:
-                for v in A.var_labels:
-                    image = A.product(label, v)
+                for image in A.times[label]:
                     assert image is None or image in members
             # dimension additivity in every degree
             padded = list(Q.hilbert()) + [0] * (A.top_degree + 1 - len(Q.hilbert()))
@@ -485,6 +505,36 @@ def test_colon_quotients_build_their_own_maps(root):
             want = multiplication_oracle.multiplication_matrix(Q, LinearForm.symbolic(Q), d, power)
             assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
             assert got.entries == want.entries, (Q, d, power)
+
+
+@given(quotient_roots())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_the_variable_actions_commute_and_generate(root):
+    """The table's contract, on the algebra, its chain quotients and its
+    colon quotients to depth 2: each variable sends a label to one of the
+    next degree or to None, times[times[w][i]][j] == times[times[w][j]][i]
+    with None absorbing, and every label of positive degree is an image."""
+    A, chain = root
+    algebras, layer = [A] + chain, [A]
+    for _ in range(2):
+        layer = [Q for P in layer for Q in map(P.colon_step, P.variables) if Q is not None]
+        algebras += layer
+    for alg in algebras:
+        degree = {lab: d for d, labels in enumerate(alg.basis) for lab in labels}
+        assert set(alg.times) == set(degree)
+
+        def act(w, i):
+            return None if w is None else alg.times[w][i]
+
+        n = len(alg.variables)
+        for w in degree:
+            assert len(alg.times[w]) == n
+            assert all(t is None or degree[t] == degree[w] + 1 for t in alg.times[w])
+            for i in range(n):
+                for j in range(i + 1, n):
+                    assert act(act(w, i), j) == act(act(w, j), i), (alg, w, i, j)
+        images = {t for w in degree for t in alg.times[w]} - {None}
+        assert images == {lab for lab, d in degree.items() if d > 0}, alg
 
 
 def test_a_colon_quotient_of_a_monomial_algebra_may_be_the_zero_ring():
@@ -695,14 +745,15 @@ def test_commutativity_and_associativity(corpus):
         if A.dimension > 100:
             continue
         labels = [lab for b in A.basis for lab in b]
+        product = product_oracle.products(A)
         for x in labels:
             for y in labels:
-                assert A.product(x, y) == A.product(y, x)
+                assert product(x, y) == product(y, x)
         for x in labels:
             for y in labels:
-                xy = A.product(x, y)
+                xy = product(x, y)
                 for z in labels:
-                    yz = A.product(y, z)
-                    left = A.product(xy, z) if xy is not None else None
-                    right = A.product(x, yz) if yz is not None else None
+                    yz = product(y, z)
+                    left = product(xy, z) if xy is not None else None
+                    right = product(x, yz) if yz is not None else None
                     assert left == right

@@ -207,8 +207,8 @@ def test_every_package_name_has_a_caller_outside_the_tests():
                 names = [node.id]
             elif isinstance(node, ast.Attribute):
                 names = [node.attr]
-            elif isinstance(node, ast.alias):
-                names = [node.name.rpartition(".")[2]]
+            elif isinstance(node, ast.alias):  # "import a.b as c" binds c
+                names = [node.asname or node.name.rpartition(".")[2]]
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names = node.value.split(".")  # perfbench binds "Class.method" by name
             else:
@@ -793,6 +793,8 @@ def test_every_command_line_exits_with_a_one_line_message(tmp_path_factory, data
     (["analyze"], "the following arguments are required: --gens"),
     (["sweep", "--mult=3:2", "--max-gen=9"], "argument --mult: '3:2': LO is above HI"),
     (["sweep", "--mult=3:4", "--count=4:3", "--max-gen=9"], "argument --count: '4:3': LO is above HI"),
+    (["sweep", "--mult=2:5", "--count=0:1", "--max-gen=10"],
+     "argument --count: '0:1': HI is below 2, the fewest generators a sweep takes"),
 ])
 def test_a_command_line_the_parser_refuses_is_a_one_line_input_error(argv, message):
     err = io.StringIO()

@@ -37,13 +37,14 @@ from aperylef import (
     wlp_by_hessian,
     wlp_by_ranks,
 )
-from aperylef import lefschetz, linalg
+from aperylef import algebra, lefschetz, linalg
 from aperylef.cli import classify, from_dual_record
 from aperylef.errors import InternalFault
 from aperylef.lefschetz import INCONCLUSIVE_STEP, TRANSFERRED, LefschetzReport
 from bareiss_oracle import exact_rank
 from dual_forms import dual_form_text
 import identification_oracle
+import product_oracle
 import relations_oracle
 
 CUBIC_5VAR = parse_polynomial("a^2*x + a*b*y + b^2*z")
@@ -305,10 +306,11 @@ def test_codim3_colon_ideal_is_generated_by_the_two_monomials():
     colon_labels = relations_oracle.all_labels(sub)
     generated = set()
     all_labels = [lab for b in G.basis for lab in b]
+    product = product_oracle.products(G)
     for gen in ((h2, h3, 0), (0, h3, h4)):
         assert gen in all_labels
         for b in all_labels:
-            image = G.product(gen, b)
+            image = product(gen, b)
             if image is not None:
                 generated.add(image)
     assert generated == colon_labels
@@ -652,7 +654,7 @@ def test_variable_products_identify_as_all_products_do(corpus):
         C = codim3_defining_ideal(S).data["C"]
         for c in (C - 1, C, C + 1):
             _, quotient = colon_by_power(G, "z", c)
-            got = lefschetz._same_graded_presentation(quotient, A, S)
+            got = algebra._same_graded_presentation(quotient, A, S)
             assert got == identification_oracle.same_graded_presentation(quotient, A, S), (S, c)
             assert got is (c == C), (S, c)
 
@@ -662,50 +664,53 @@ def test_variable_products_catch_a_wrong_product(wrong):
     # the value map of the paper's quotient with two products of degree-1
     # labels sent to zero, or swapped, is a graded bijection but no
     # isomorphism
+    from aperylef import GradedAlgebra
+
     S = create_semigroup([16, 18, 21, 27])
     frame = S.frame()
     A = build_algebra(frame.table)
     _, quotient = colon_by_power(build_gamma_algebra(frame), "z", 2)
-    assert lefschetz._same_graded_presentation(quotient, A, S)
-    product, d1 = quotient._product, quotient.basis[1]
-    pairs = [(a, b) for i, a in enumerate(d1) for b in d1[i:] if product(a, b) is not None]
+    assert algebra._same_graded_presentation(quotient, A, S)
+    times, d1 = {lab: list(row) for lab, row in quotient.times.items()}, quotient.var_labels
+
+    def at(pair):  # the product of two degree-1 labels, given by their indices
+        return times[d1[pair[0]]][pair[1]]
+
+    pairs = [(i, j) for i in range(len(d1)) for j in range(i, len(d1)) if at((i, j)) is not None]
     first = pairs[0]
-    second = next(p for p in pairs if product(*p) != product(*first))
+    second = next(p for p in pairs if at(p) != at(first))
     if wrong == "swapped":
-        image = {first: product(*second), second: product(*first)}
+        image = {first: at(second), second: at(first)}
     else:
         image = {first: None, second: None}
-
-    def wrong_product(a, b):
-        key = (a, b) if (a, b) in image else (b, a)
-        return image[key] if key in image else product(a, b)
-
-    quotient._product = wrong_product
-    assert not lefschetz._same_graded_presentation(quotient, A, S)
-    assert not identification_oracle.same_graded_presentation(quotient, A, S)
+    for (i, j), target in image.items():
+        times[d1[i]][j] = times[d1[j]][i] = target
+    wrong_table = GradedAlgebra(quotient.variables, quotient.basis, quotient.var_labels,
+                                {lab: tuple(row) for lab, row in times.items()}, "quotient")
+    assert not algebra._same_graded_presentation(wrong_table, A, S)
+    assert not identification_oracle.same_graded_presentation(wrong_table, A, S)
 
 
 def test_variable_products_prove_nothing_where_the_variables_do_not_generate():
-    # s = (0, 1) in degree 2 is no label times a variable, and s*s is s2 in
-    # the first table but zero in the second: the value map commutes with the
-    # one variable, yet it is no isomorphism
+    # s = (0, 1) in degree 2 is no label times the one variable, so the table
+    # fixes no product with s: the value map commutes with the variable, yet
+    # proves nothing (s*s could be s2 in one algebra and zero in the other)
     from types import SimpleNamespace
 
     from aperylef import GradedAlgebra
 
-    def table_algebra(basis, table, one):
-        def product(a, b):
-            if a == one or b == one:
-                return b if a == one else a
-            return table.get((a, b))
+    def table_algebra(basis):
+        times = {lab: (None,) for labels in basis for lab in labels}
+        times[basis[0][0]] = (basis[1][0],)
         return GradedAlgebra(variables=("y",), basis=basis, var_labels=[basis[1][0]],
-                             product_fn=product, kind="box")
+                             times=times, kind="box")
 
     S = SimpleNamespace(generators=(7, 1, 10))
-    Q = table_algebra([[(0, 0)], [(1, 0)], [(0, 1)], [], [(0, 2)]], {((0, 1), (0, 1)): (0, 2)}, (0, 0))
-    A = table_algebra([[0], [1], [10], [], [20]], {}, 0)
+    Q = table_algebra([[(0, 0)], [(1, 0)], [(0, 1)], [], [(0, 2)]])
+    A = table_algebra([[0], [1], [10], [], [20]])
+    assert (0, 1) not in product_oracle.words(Q)
     assert identification_oracle.same_graded_presentation(Q, A, S) is False
-    assert lefschetz._same_graded_presentation(Q, A, S) is False
+    assert algebra._same_graded_presentation(Q, A, S) is False
 
 
 # -- maps above the symbolic cap: certified by a point of full rank, or not at all --

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -14,3 +15,14 @@ def test_each_mutant_old_text_occurs_exactly_once(mutant):
     # a change that rewrites mutated code updates the catalogue with it
     assert (ROOT / mutant["file"]).read_text(encoding="utf-8").count(mutant["old"]) == 1
     assert mutant["new"] != mutant["old"] and mutant["tests"]
+
+
+@pytest.mark.parametrize("mutant", mutants.load(), ids=lambda m: m["name"])
+def test_each_mutant_test_names_a_test_function_of_its_file(mutant):
+    # pytest reports a node id it cannot find on stderr, where the script
+    # does not look, so a renamed test would read as a survived mutant
+    for node_id in mutant["tests"]:
+        path, _, name = node_id.partition("::")
+        tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert name.partition("[")[0] in defined, node_id
