@@ -110,10 +110,6 @@ class GradedAlgebra:
     def hilbert(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.basis)
 
-    def symbols(self) -> tuple[str, ...]:
-        """Symbolic coefficient names for a generic linear form, one per variable."""
-        return tuple(f"a{i}" for i in range(2, len(self.variables) + 2))
-
     def socle_labels(self) -> list:
         return [lab for labels in self.basis for lab in labels
                 if all(image is None for image in self.times[lab])]
@@ -143,7 +139,8 @@ class GradedAlgebra:
         change it: a monomial algebra gives the integer matrix M(1) of path
         counts, whose rank at every point with no zero coordinate is the
         symbolic map's (module docstring), and any other algebra runs
-        multiplication_matrix.
+        multiplication_matrix on LinearForm.symbolic, so the entries are
+        polynomials in the variables and a point of them is a linear form.
         """
         key = (d, power)
         if key not in self._maps:
@@ -291,7 +288,9 @@ class LinearForm:
 
     @classmethod
     def symbolic(cls, alg: GradedAlgebra) -> "LinearForm":
-        return cls(alg.symbols())
+        """The generic form: the coefficient of each variable is named by the
+        variable itself, so a witness point assigns the map's entries."""
+        return cls(alg.variables)
 
     @classmethod
     def rational(cls, values: Sequence) -> "LinearForm":
@@ -565,21 +564,15 @@ def ci_tilde_ideal(frame: FrameData) -> IdealDescription:
             p = p - SparsePoly.monomial(names, witness[1:])
         polys.append(p)
         degrees.append(frame.gamma[j] + 1)
-    g1 = frame.semigroup.multiplicity
     return IdealDescription(
         generators=polys,
         degrees=degrees,
         variables=names,
         data={
-            "beta": frame.beta,
-            "gamma": frame.gamma,
-            "rho": frame.rho,
             "is_ci": frame.is_ci(),
             "is_monomial_ci": frame.is_monomial_ci(),
             "box_gamma_points": frame.box_gamma_points(),
-            "box_b_points": frame.box_b_points(),
             "box_gamma_elements": len(set(frame.box_gamma)),
-            "multiplicity": g1,
         },
     )
 
@@ -642,7 +635,6 @@ def codim3_defining_ideal(S: NumericalSemigroup, tilde: Optional[IdealDescriptio
             "h4": h4,
             "omega_d": omega_d,
             "omega_e": omega_e,
-            "tilde_generators": tilde.generator_texts(),
         }
     )
     return IdealDescription(

@@ -40,7 +40,7 @@ from .errors import (
     PolyParseError,
     SizeLimit,
 )
-from .inverse_system import dual_algebra_view, dual_socle_generator, hessian
+from .inverse_system import dual_algebra_view, dual_socle_generator
 from .lefschetz import (
     conjecture_check,
     derive_seed,
@@ -164,8 +164,8 @@ def _record(S: NumericalSemigroup, method: str, seed_root: Optional[int], t0: Op
         slp["ranks"] = slp_by_ranks(A, seed=seed).to_dict()
     if method in ("hessian", "both"):
         if view is not None:
-            wlp["hessian"] = wlp_by_hessian(F, view, seed=seed).to_dict()
-            slp["hessian"] = slp_by_hessian(F, view, seed=seed).to_dict()
+            wlp["hessian"] = wlp_by_hessian(view, seed=seed).to_dict()
+            slp["hessian"] = slp_by_hessian(view, seed=seed).to_dict()
         elif m_pure:
             wlp["hessian"] = {"verdict": "holds", "notes": "trivial algebra"}
             slp["hessian"] = {"verdict": "holds", "notes": "trivial algebra"}
@@ -252,8 +252,8 @@ def from_dual_record(poly_text: str, seed_root: Optional[int] = None) -> dict:
     F = parse_polynomial(poly_text)
     view = dual_algebra_view(F, require_positive_degree=True)
     seed = _seed(seed_root, F)
-    wlp_h = wlp_by_hessian(F, view, seed=seed)
-    slp_h = slp_by_hessian(F, view, seed=seed)
+    wlp_h = wlp_by_hessian(view, seed=seed)
+    slp_h = slp_by_hessian(view, seed=seed)
     wlp_r = wlp_by_ranks(view, seed=seed)
     slp_r = slp_by_ranks(view, seed=seed)
     hess1_zero = None
@@ -613,18 +613,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             view = dual_algebra_view(F)
             if not 0 <= args.d <= view.socle_degree:
                 raise NotApplicable(f"degree {args.d} outside 0..{view.socle_degree}")
-            matrix = hessian(F, args.d, view.bases[args.d], view=view)
+            matrix = view.pairing(args.d, args.d)
+            basis = [str(SparsePoly.monomial(view.variables, e)) for e in matrix.row_labels]
             if args.format == "json":
                 record = {
                     "schema_version": SCHEMA_VERSION,
                     "generators": list(S.generators),
                     "degree": args.d,
-                    "basis": [str(b) for b in matrix.row_labels],
+                    "basis": basis,
                     "entries": [[str(e) for e in row] for row in matrix.entries],
                 }
                 _emit(record, "json", out)
             else:
-                out.write(f"basis: {[str(b) for b in matrix.row_labels]}\n")
+                out.write(f"basis: {basis}\n")
                 out.write(_matrix_text(matrix) + "\n")
         elif args.command == "classify":
             S = create_semigroup(_parse_gens(args.gens))

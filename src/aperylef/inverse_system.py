@@ -17,10 +17,11 @@ on its own bases.  By Maeno-Watanabe (2009) the map by the p-th power of a
 generic linear form from degree d has the rank of the pairing of degrees
 D-d-p and d, and the mixed Hessian of degrees (i, j) is the pairing of
 degrees i and j; a point of F's variables is the linear form with those
-coefficients.  The free functions `hessian` and `mixed_hessian` build the
-same pairing on bases a caller supplies, after checking them, off the
-table of a view of F when given one and otherwise off a table of just the
-derivatives they need.
+coefficients.  The Lefschetz routes and the `hessian` command take a view
+and read its pairing.  The free functions `hessian` and `mixed_hessian`
+build the same pairing on bases a caller supplies, after checking them, off
+the table of a view of F when given one and otherwise off a table of just
+the derivatives they need.
 """
 
 from __future__ import annotations
@@ -141,20 +142,14 @@ class DualAlgebraView:
     def is_gorenstein(self) -> bool:
         return True
 
-    def gorenstein_info(self) -> dict:
-        return {
-            "hilbert_symmetric": True,
-            "socle_dimension": 1,
-            "is_gorenstein": True,
-        }
-
     @property
     def codim(self) -> int:
         return self.hilbert[1] if len(self.hilbert) > 1 else 0
 
     def symbols(self) -> tuple[str, ...]:
-        """The generic coefficient of the variable x is x itself: a pairing
-        entry is a polynomial in F's variables."""
+        """The view's variables.  The Lefschetz routes read ``variables``; this
+        name stays because perfbench/checks.py assigns witness points
+        through it."""
         return self.variables
 
     def pairing(self, i: int, j: int) -> Matrix:
@@ -176,11 +171,8 @@ class DualAlgebraView:
             raise ValueError("map outside the graded range")
         return self.pairing(D - d - power, d)
 
-    # -- the protocol the Lefschetz routes share with GradedAlgebra -----------
-
-    def map_matrix(self, d: int, power: int) -> Matrix:
-        """Multiplication by the generic linear form^power, through the pairing."""
-        return self.pairing_matrix(d, power)
+    # the protocol the Lefschetz routes share with GradedAlgebra
+    map_matrix = pairing_matrix
 
     def colon_step(self, variable: str) -> Optional["DualAlgebraView"]:
         """Quotient by the annihilator of one variable; None for the zero ring.

@@ -1,17 +1,17 @@
 """Weak and Strong Lefschetz decision procedures.
 
 Two independent exact routes decide the properties.  The rank route forms
-multiplication maps by a generic linear form (symbolic coefficients); an
-apery or box algebra supplies the maps through the action of its variables,
-an algebra presented by a dual polynomial supplies them through the perfect
-pairing.
-The Hessian route reads the same verdicts off the ranks of Hessian
-matrices of the dual polynomial.  On a dual view both routes read
-one builder, the view's pairing of two of its bases: the map by the p-th
-power from degree d is the pairing of degrees D-d-p and d, and the
-(mixed) Hessian of degrees (i, j) is the pairing of degrees i and j, so
-every entry is a polynomial in the view's variables and a witness point
-assigns them directly.
+multiplication maps by a generic linear form, whose coefficient of each
+variable is named by that variable; an apery or box algebra supplies the
+maps through the action of its variables, an algebra presented by a dual
+polynomial supplies them through the perfect pairing.  The Hessian route
+takes a dual view and reads the same verdicts off the ranks of Hessian
+matrices of its dual polynomial.  On a dual view both routes read one
+builder, the view's pairing of two of its bases: the map by the p-th power
+from degree d is the pairing of degrees D-d-p and d, and the (mixed) Hessian
+of degrees (i, j) is the pairing of degrees i and j.  So every matrix entry,
+on either kind of algebra, is a polynomial in ``obj.variables``, and a
+witness point, a value per variable, assigns them directly.
 
 Both routes rank evaluate-first, in one loop over the witness points: full
 rank at a point is full generic rank, since no specialization raises the
@@ -70,9 +70,8 @@ from .errors import (
     NotCI,
     NotGorensteinAtStep,
 )
-from .inverse_system import DualAlgebraView, dual_algebra_view
+from .inverse_system import DualAlgebraView
 from .linalg import Matrix
-from .polynomial import SparsePoly
 from .semigroup import FrameData, NumericalSemigroup
 
 AlgebraLike = Union[GradedAlgebra, DualAlgebraView]
@@ -151,8 +150,8 @@ def _decide(
     is built only when it is ranked.  "holds" needs every rank maximal and
     carries a witness point at which every matrix has full rank; "fails"
     needs a certified (non-probabilistic) deficiency; anything else is
-    "inconclusive".  The matrix entries are polynomials in ``obj.symbols()``,
-    one per variable of ``obj``.
+    "inconclusive".  The matrix entries are polynomials in ``obj.variables``,
+    and a draw assigns each variable a value.
 
     One loop over the witness draws ranks, certifies and finds the witness.
     Every map is ranked at the first draw by its rank_at: full rank at one
@@ -181,17 +180,14 @@ def _decide(
             built[i] = checks[i][2]()
         return built[i]
 
-    symbols = obj.symbols()
     certified: dict[int, int] = {}  # check index -> generic rank
     best = [0] * len(checks)  # best point rank of a map not yet certified
     witness = None if checks else {}
     for attempt in range(WITNESS_ATTEMPTS if checks else 0):
-        draw = [rng.randint(1, WITNESS_RANGE) for _ in obj.variables]
-        point = dict(zip(obj.variables, draw))
-        assignment = dict(zip(symbols, draw))
+        point = {v: rng.randint(1, WITNESS_RANGE) for v in obj.variables}
         usable = point_filter is None or point_filter(point)
         if decisive is not None:
-            decisive_rank = matrix(decisive).rank_at(assignment)
+            decisive_rank = matrix(decisive).rank_at(point)
             if decisive_rank == checks[decisive][1]:
                 certified.update((i, required) for i, (_, required, _) in enumerate(checks))
                 if usable:
@@ -202,7 +198,7 @@ def _decide(
         for i, (_, required, _) in enumerate(checks):
             if attempt and i in certified and not (usable and full):
                 continue  # a certified map matters here only for the witness
-            rank = decisive_rank if i == decisive else matrix(i).rank_at(assignment)
+            rank = decisive_rank if i == decisive else matrix(i).rank_at(point)
             if rank == required:
                 certified[i] = rank
                 continue
@@ -242,7 +238,7 @@ def _decide(
         method=method,
         witness=witness,
         evidence=evidence,
-        gorenstein=obj.gorenstein_info()["is_gorenstein"],
+        gorenstein=obj.is_gorenstein(),
         socle_degree=D,
         k=D // 2,
         probabilistic=any(e["probabilistic"] for e in evidence),
@@ -281,7 +277,7 @@ def wlp_by_ranks(obj: AlgebraLike, seed: Optional[int] = None) -> LefschetzRepor
     decisive = None
     if D <= 0:
         notes = NO_MAPS
-    elif obj.gorenstein_info()["is_gorenstein"]:
+    elif obj.is_gorenstein():
         decisive = (D - 1) // 2
         notes = f"gorenstein middle-map shortcut: A_{decisive} -> A_{decisive + 1} decisive; all maps recorded"
     return _decide("WLP", "ranks", obj, _rank_checks(obj, [(i, 1) for i in range(D)]), seed, notes,
@@ -298,7 +294,7 @@ def slp_by_ranks(obj: AlgebraLike, seed: Optional[int] = None) -> LefschetzRepor
     D = obj.top_degree
     if D <= 0:
         maps, notes = [], NO_MAPS
-    elif obj.gorenstein_info()["is_gorenstein"]:
+    elif obj.is_gorenstein():
         maps = [(i, D - 2 * i) for i in range((D - 1) // 2 + 1)]
         notes = "narrow-sense check: power D-2i maps bijective"
     else:
@@ -307,27 +303,13 @@ def slp_by_ranks(obj: AlgebraLike, seed: Optional[int] = None) -> LefschetzRepor
     return _decide("SLP", "ranks", obj, _rank_checks(obj, maps), seed, notes)
 
 
-def _view_of(F: SparsePoly, view: Optional[DualAlgebraView]) -> DualAlgebraView:
-    """The dual view of F: the one given, which must present F, or a new one."""
-    if view is None:
-        return dual_algebra_view(F)
-    if view.F != F:
-        raise ValueError(f"the dual view presents {view.F}, not {F}")
-    return view
-
-
-def wlp_by_hessian(
-    F: SparsePoly,
-    view: Optional[DualAlgebraView] = None,
-    seed: Optional[int] = None,
-) -> LefschetzReport:
-    """Weak Lefschetz from the decisive Hessian of the dual polynomial.
+def wlp_by_hessian(view: DualAlgebraView, seed: Optional[int] = None) -> LefschetzReport:
+    """Weak Lefschetz from the decisive Hessian of the view's dual polynomial F.
 
     Odd socle degree: the middle Hessian must be nonsingular.  Even socle
     degree: the mixed Hessian pairing degrees k-1 and k must have maximal
-    rank.  The witness point additionally has F(a) nonzero.
+    rank.  The witness point a additionally has F(a) nonzero.
     """
-    view = _view_of(F, view)
     D = view.top_degree
     k = D // 2
     checks = []
@@ -339,21 +321,17 @@ def wlp_by_hessian(
         rows, cols = view.hilbert[i], view.hilbert[k]
         checks.append(({"check": kind, "rows": rows, "cols": cols}, min(rows, cols),
                        partial(view.pairing, i, k)))
-    return _decide("WLP", "hessian", view, checks, seed, notes, point_filter=F.evaluate)
+    return _decide("WLP", "hessian", view, checks, seed, notes, point_filter=view.F.evaluate)
 
 
-def slp_by_hessian(
-    F: SparsePoly,
-    view: Optional[DualAlgebraView] = None,
-    seed: Optional[int] = None,
-) -> LefschetzReport:
-    """Strong Lefschetz: every Hessian up to the middle degree is nonsingular."""
-    view = _view_of(F, view)
+def slp_by_hessian(view: DualAlgebraView, seed: Optional[int] = None) -> LefschetzReport:
+    """Strong Lefschetz: every Hessian up to the middle degree is nonsingular,
+    at a witness point a with F(a) nonzero."""
     h = view.hilbert
     checks = [({"check": f"hessian degree {d}", "size": h[d]}, h[d], partial(view.pairing, d, d))
               for d in range(1, view.top_degree // 2 + 1)]
     return _decide("SLP", "hessian", view, checks, seed, "hessians of degrees 1..k",
-                   point_filter=F.evaluate)
+                   point_filter=view.F.evaluate)
 
 
 def ci_degree_criterion(degrees: Sequence[int]) -> bool:
@@ -488,7 +466,7 @@ def transfer_wlp(
                           "quotient chain already reached the zero ring")
             )
             continue
-        if not current.gorenstein_info()["is_gorenstein"]:
+        if not current.is_gorenstein():
             raise NotGorensteinAtStep(
                 "quotient-chain step requires a gorenstein algebra"
             )

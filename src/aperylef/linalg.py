@@ -44,31 +44,6 @@ SYMBOLIC_RANK_LIMIT = 64
 POINT_PRIME = (1 << 61) - 1
 
 
-def _lift_rows(entries) -> tuple[tuple[str, ...], list[list[Fraction]] | None]:
-    """The variables of the entries, and their rows as Fractions unless one
-    entry is symbolic.
-
-    The variables are every name of a SparsePoly entry, in any fixed order,
-    since a rank does not depend on it; they are () when no entry is
-    symbolic.
-    """
-    names: set[str] = set()
-    symbolic = False
-    for row in entries:
-        for e in row:
-            if isinstance(e, SparsePoly):
-                if e.terms and not e.is_constant():
-                    symbolic = True
-                names.update(e.vars)
-    if symbolic:
-        return tuple(sorted(names)), None
-    rows = [
-        [e.constant_value() if isinstance(e, SparsePoly) else Fraction(e) for e in row]
-        for row in entries
-    ]
-    return (), rows
-
-
 def pivot_columns(rows: Sequence[Sequence[Fraction]]) -> list[int]:
     """Columns that are not combinations of the columns left of them.
 
@@ -114,11 +89,13 @@ def fraction_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def _pack_rows(entries, variables: tuple[str, ...]) -> tuple[list[list[dict[int, int]]], int]:
     """The entries as packed polynomials over variables: (rows, width).
 
-    Each row is multiplied by the LCM of its coefficient denominators, which
-    leaves the rank unchanged.  A monomial packs into fields of width bits:
-    its total degree in the top field, then one field per variable, the
-    first variable highest, so comparing the ints compares monomials in
-    graded-lex order.  Every entry of the elimination is a minor, and a
+    variables holds every name of a nonconstant entry; a constant entry
+    packs as the monomial 1 whatever its names.  Each row is multiplied by
+    the LCM of its coefficient denominators, which leaves the rank
+    unchanged.  A monomial packs into fields of width bits: its total
+    degree in the top field, then one field per variable, the first
+    variable highest, so comparing the ints compares monomials in graded-lex
+    order.  Every entry of the elimination is a minor, and a
     k x k minor of entries of degree at most e has degree at most k*e; a
     field holds that bound plus one guard bit, so a product of two minors
     adds its fields with no carry.
@@ -133,14 +110,14 @@ def _pack_rows(entries, variables: tuple[str, ...]) -> tuple[list[list[dict[int,
     for row in entries:
         polys = []
         for x in row:
-            if isinstance(x, SparsePoly):
+            if isinstance(x, SparsePoly) and not x.is_constant():
                 shifts = [shift[v] for v in x.vars]
                 polys.append({
                     sum(exps) << top | sum(a << b for a, b in zip(exps, shifts)): c
                     for exps, c in x.terms.items()
                 })
             else:
-                c = Fraction(x)
+                c = x.constant_value() if isinstance(x, SparsePoly) else Fraction(x)
                 polys.append({0: c} if c else {})
         lcm = math.lcm(1, *(c.denominator for poly in polys for c in poly.values()))
         rows.append([{m: c.numerator * (lcm // c.denominator) for m, c in poly.items()} for poly in polys])
@@ -257,6 +234,8 @@ class Matrix:
         return len(self.col_labels)
 
     def variables(self) -> tuple[str, ...]:
+        """Every name of a nonconstant entry, sorted; () for a matrix of
+        numbers."""
         names: set[str] = set()
         for row in self.entries:
             for e in row:
@@ -315,13 +294,14 @@ def rank_info(matrix: Matrix) -> tuple[int, bool]:
     """
     if matrix.nrows == 0 or matrix.ncols == 0:
         return 0, False
-    if above_symbolic_cap(matrix):
+    variables = matrix.variables()
+    if not variables:
+        return fraction_rank([[e.constant_value() if isinstance(e, SparsePoly) else e for e in row]
+                              for row in matrix.entries]), False
+    if max(matrix.nrows, matrix.ncols) > SYMBOLIC_RANK_LIMIT:
         raise SizeLimit(
             f"symbolic rank of a {matrix.nrows}x{matrix.ncols} matrix exceeds cap {SYMBOLIC_RANK_LIMIT}"
         )
-    variables, frac_rows = _lift_rows(matrix.entries)
-    if frac_rows is not None:
-        return fraction_rank(frac_rows), False
     rows, width = _pack_rows(matrix.entries, variables)
     return _bareiss(rows, _guard(len(variables), width)), False
 

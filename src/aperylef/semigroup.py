@@ -333,9 +333,6 @@ class FrameData:
     def box_gamma_points(self) -> int:
         return math.prod(g + 1 for g in self.gamma)
 
-    def box_b_points(self) -> int:
-        return math.prod(b + 1 for b in self.beta)
-
     def is_ci(self) -> bool:
         """Complete intersection: the gamma box adds no new elements."""
         return set(self.box_gamma) == set(self.table.elements)

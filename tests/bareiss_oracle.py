@@ -111,9 +111,9 @@ def bareiss(rows: list[list[SparsePoly]]) -> tuple[int, int, SparsePoly | None]:
 def exact_rank(matrix: linalg.Matrix) -> int:
     """The generic rank by fraction-free elimination at any size; a matrix
     with no symbolic entry is ranked by Gaussian elimination."""
-    _, frac_rows = linalg._lift_rows(matrix.entries)
-    if frac_rows is not None:
-        return linalg.fraction_rank(frac_rows)
+    if not matrix.is_symbolic():
+        return linalg.fraction_rank([[e.constant_value() if isinstance(e, SparsePoly) else Fraction(e)
+                                      for e in row] for row in matrix.entries])
     return bareiss(lift(matrix.entries))[0]
 
 

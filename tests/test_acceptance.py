@@ -109,7 +109,7 @@ def test_criterion_3_hessian_verdicts():
                 assert set(entry.terms) == support
                 assert all(c > 0 for c in entry.terms.values())
     view = dual_algebra_view(F)
-    assert slp_by_hessian(F, view, seed=2).verdict == "holds"
+    assert slp_by_hessian(view, seed=2).verdict == "holds"
     ok(3, "both hessians nonsingular (SLP holds); supports match the displays "
           "entry-for-entry with positive scalars")
 
@@ -183,10 +183,10 @@ def test_criterion_7_method_agreement_sweep():
         F = dual_socle_generator(table)
         view = dual_algebra_view(F)
         assert (
-            wlp_by_ranks(A, seed=1).verdict == wlp_by_hessian(F, view, seed=1).verdict
+            wlp_by_ranks(A, seed=1).verdict == wlp_by_hessian(view, seed=1).verdict
         ), S.generators
         assert (
-            slp_by_ranks(A, seed=1).verdict == slp_by_hessian(F, view, seed=1).verdict
+            slp_by_ranks(A, seed=1).verdict == slp_by_hessian(view, seed=1).verdict
         ), S.generators
         checked += 1
     assert checked >= 400

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aperylef import InternalFault, parse_polynomial
+from aperylef import (InternalFault, create_semigroup, dual_algebra_view, dual_socle_generator, hessian,
+                      parse_polynomial)
 from aperylef.cli import analyze_record, main
 from aperylef.linalg import POINT_PRIME
 from dual_forms import dual_form_text
@@ -336,6 +337,34 @@ def test_hessian_command():
     # auto-selected basis: first independent monomials in graded-lex order
     assert record["basis"] == ["y^2", "y*z", "y*w", "z^2"]
     assert record["entries"][2] == ["24*y", "0", "0", "0"]  # the y*w row
+    code, out, _ = run_cli(["hessian", "--gens", "16,18,21,27", "--d", "1", "--format", "text"])
+    assert code == 0
+    assert out == ("basis: ['y', 'z', 'w']\n"
+                   "[ 12*y^2*w + 2*z^3  6*y*z^2  4*y^3 ]\n"
+                   "[          6*y*z^2  6*y^2*z      0 ]\n"
+                   "[            4*y^3        0      0 ]\n")
+
+
+@pytest.mark.parametrize("gens", [[16, 18, 21, 27], [8, 10, 11, 12], [15, 21, 35], [6, 7, 8, 9, 10],
+                                  [6, 7], [12, 13, 15, 16, 18, 21], [102, 177, 192, 202]])
+def test_hessian_command_prints_the_hessian_on_the_view_basis(gens):
+    # every degree, in both formats, against the checked Hessian of the
+    # dual generator on the view's basis; a matrix past 10x10 is not drawn
+    F = dual_socle_generator(create_semigroup(gens).apery_table())
+    view = dual_algebra_view(F)
+    arg = ",".join(map(str, gens))
+    for d in range(view.socle_degree + 1):
+        want = hessian(F, d, view.bases[d])
+        basis = [str(m) for m in want.row_labels]
+        code, out, _ = run_cli(["hessian", "--gens", arg, "--d", str(d)])
+        assert code == 0
+        assert out == json.dumps({"schema_version": 1, "generators": gens, "degree": d, "basis": basis,
+                                  "entries": [[str(e) for e in row] for row in want.entries]}) + "\n"
+        code, out, _ = run_cli(["hessian", "--gens", arg, "--d", str(d), "--format", "text"])
+        drawn = want.to_text()
+        if want.nrows > 10:
+            drawn = f"[{want.nrows}x{want.ncols} matrix not rendered; larger than 10x10]"
+        assert code == 0 and out == f"basis: {basis}\n{drawn}\n", (gens, d)
 
 
 def test_classify_command():

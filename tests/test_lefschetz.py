@@ -111,7 +111,7 @@ def test_witness_recheck_is_exact():
 
 def test_wlp_by_hessian_odd_case():
     F, view = dual_of([16, 18, 21, 27])
-    report = wlp_by_hessian(F, view, seed=11)
+    report = wlp_by_hessian(view, seed=11)
     assert report.verdict == "holds"
     assert report.socle_degree == 5 and report.k == 2
     assert report.witness is not None
@@ -119,31 +119,48 @@ def test_wlp_by_hessian_odd_case():
 
 
 def test_wlp_by_hessian_fails_on_cubic_counterexample():
-    report = wlp_by_hessian(CUBIC_5VAR, seed=11)
+    report = wlp_by_hessian(dual_algebra_view(CUBIC_5VAR), seed=11)
     assert report.verdict == "fails"
     assert report.evidence[0]["singular"]
 
 
 def test_wlp_by_hessian_single_variable():
-    F = parse_polynomial("x^5")
-    assert wlp_by_hessian(F, seed=11).verdict == "holds"
+    assert wlp_by_hessian(dual_algebra_view(parse_polynomial("x^5")), seed=11).verdict == "holds"
 
 
 def test_slp_by_hessian():
-    F, view = dual_of([16, 18, 21, 27])
-    report = slp_by_hessian(F, view, seed=11)
+    _, view = dual_of([16, 18, 21, 27])
+    report = slp_by_hessian(view, seed=11)
     assert report.verdict == "holds"
     assert [e["check"] for e in report.evidence] == ["hessian degree 1", "hessian degree 2"]
-    assert slp_by_hessian(QUARTIC_5VAR, seed=11).verdict == "holds"
-    assert slp_by_hessian(CUBIC_5VAR, seed=11).verdict == "fails"
-    assert slp_by_hessian(parse_polynomial("x*y"), seed=11).verdict == "holds"
+    assert slp_by_hessian(dual_algebra_view(QUARTIC_5VAR), seed=11).verdict == "holds"
+    assert slp_by_hessian(dual_algebra_view(CUBIC_5VAR), seed=11).verdict == "fails"
+    assert slp_by_hessian(dual_algebra_view(parse_polynomial("x*y")), seed=11).verdict == "holds"
 
 
 def test_wlp_by_hessian_even_case():
-    report = wlp_by_hessian(QUARTIC_5VAR, seed=11)
+    report = wlp_by_hessian(dual_algebra_view(QUARTIC_5VAR), seed=11)
     assert report.socle_degree == 4
     assert report.verdict == "holds"
     assert "mixed" in report.evidence[0]["check"]
+
+
+def test_hessian_witness_is_a_point_where_the_form_does_not_vanish():
+    # F = b^3 x^3 - a^3 y^3 vanishes at the first draw (a, b), where its
+    # Hessian has full rank; so only the rule F(witness) != 0 passes that
+    # draw over on both routes
+    seed = 11
+    rng = random.Random(seed)
+    a, b = (rng.randint(1, lefschetz.WITNESS_RANGE) for _ in "xy")
+    F = parse_polynomial(f"{b ** 3}*x^3 - {a ** 3}*y^3")
+    view = dual_algebra_view(F)
+    first = {"x": a, "y": b}
+    assert view.variables == ("x", "y") and F.evaluate(first) == 0
+    assert view.pairing(1, 1).rank_at(first) == 2
+    for route in (wlp_by_hessian, slp_by_hessian):
+        report = route(view, seed=seed)
+        assert report.verdict == "holds"
+        assert report.witness != first and F.evaluate(report.witness) != 0
 
 
 # -- criteria ----------------------------------------------------------------------
@@ -365,16 +382,16 @@ def test_table_and_pairing_routes_give_identical_map_ranks():
 def test_methods_agree_on_paper_instances():
     for gens in ([8, 10, 11, 12], [16, 18, 21, 27], [15, 21, 35], [6, 7, 8, 9, 10]):
         A = algebra_of(gens)
-        F, view = dual_of(gens)
-        assert wlp_by_ranks(A, seed=3).verdict == wlp_by_hessian(F, view, seed=3).verdict
-        assert slp_by_ranks(A, seed=3).verdict == slp_by_hessian(F, view, seed=3).verdict
+        _, view = dual_of(gens)
+        assert wlp_by_ranks(A, seed=3).verdict == wlp_by_hessian(view, seed=3).verdict
+        assert slp_by_ranks(A, seed=3).verdict == slp_by_hessian(view, seed=3).verdict
 
 
 def test_hessian_witness_is_a_lefschetz_element_for_the_table_algebra():
     # the witness point from the hessian route, read as a linear form in the
     # table algebra, achieves bijectivity on every narrow-sense power map
-    F, view = dual_of([16, 18, 21, 27])
-    report = slp_by_hessian(F, view, seed=7)
+    _, view = dual_of([16, 18, 21, 27])
+    report = slp_by_hessian(view, seed=7)
     assert report.verdict == "holds"
     A = algebra_of([16, 18, 21, 27])
     values = [report.witness[v] for v in A.variables]
@@ -447,14 +464,6 @@ def test_view_pairing_is_the_hessian_and_the_map_pairing(data):
             assert view.pairing_matrix(d, p) == view.pairing(D - d - p, d)
 
 
-def test_hessian_routes_refuse_a_view_of_another_form():
-    F = parse_polynomial("y^4*w + y^2*z^3")
-    view = dual_algebra_view(parse_polynomial("y^4*w + 2*y^2*z^3"))
-    for route in (wlp_by_hessian, slp_by_hessian):
-        with pytest.raises(ValueError):
-            route(F, view)
-
-
 # -- the evaluate-first verdict core against a plain reference -----------------
 
 def reference_decide(property_name, method, obj, checks, seed, notes, point_filter=None, decisive=None):
@@ -478,7 +487,7 @@ def reference_decide(property_name, method, obj, checks, seed, notes, point_filt
     witness = None
     if all(e["maximal"] for e in evidence):
         verdict = "holds"
-        witness = reference_witness(obj.variables, targets, rng, obj.symbols(), point_filter) if targets else {}
+        witness = reference_witness(obj.variables, targets, rng, point_filter) if targets else {}
     elif any(not (e["maximal"] or e["probabilistic"]) for e in evidence):
         verdict = "fails"
     else:
@@ -486,20 +495,18 @@ def reference_decide(property_name, method, obj, checks, seed, notes, point_filt
     D = max(obj.top_degree, 0)
     return LefschetzReport(
         property=property_name, verdict=verdict, method=method, witness=witness,
-        evidence=evidence, gorenstein=obj.gorenstein_info()["is_gorenstein"],
+        evidence=evidence, gorenstein=obj.is_gorenstein(),
         socle_degree=D, k=D // 2, probabilistic=any(e["probabilistic"] for e in evidence),
         notes=notes,
     )
 
 
-def reference_witness(names, checks, rng, symbols, point_filter):
+def reference_witness(names, checks, rng, point_filter):
     for _ in range(lefschetz.WITNESS_ATTEMPTS):
-        draw = [rng.randint(1, lefschetz.WITNESS_RANGE) for _ in names]
-        point = dict(zip(names, draw))
+        point = {v: rng.randint(1, lefschetz.WITNESS_RANGE) for v in names}
         if point_filter is not None and not point_filter(point):
             continue
-        assignment = dict(zip(symbols, draw))
-        if all(rank_info(m.specialize(assignment))[0] == r for m, r in checks):
+        if all(rank_info(m.specialize(point))[0] == r for m, r in checks):
             return point
     raise InternalFault("failed to find a witness despite generic maximal ranks")
 
@@ -526,10 +533,10 @@ def m_pure_algebras(corpus):
 def all_reports(algebras, seed):
     """Every rank and Hessian report of the algebras, or the exception raised."""
     out = []
-    for A, F, view in algebras:
+    for A, _, view in algebras:
         for run in (lambda: wlp_by_ranks(A, seed=seed), lambda: slp_by_ranks(A, seed=seed),
-                    lambda: wlp_by_hessian(F, view, seed=seed),
-                    lambda: slp_by_hessian(F, view, seed=seed)):
+                    lambda: wlp_by_hessian(view, seed=seed),
+                    lambda: slp_by_hessian(view, seed=seed)):
             try:
                 out.append(run().to_dict())
             except Exception as exc:
@@ -587,6 +594,10 @@ def test_decisive_map_matches_every_map_on_apery_and_box_algebras(corpus, monkey
     algebras += [box_algebra(("y", "z"), (4, 2)), box_algebra(("y", "z", "w"), (2, 3, 1)),
                  box_algebra(("y", "z", "w"), (3, 1, 2), rewrite=(1, (1, 0, 1))),
                  build_gamma_algebra(compute_beta_gamma(create_semigroup([16, 18, 21, 27])))]
+    # Apery algebras with h = (1, 5, 5, 1) whose middle map is deficient at
+    # every point, while the map from degree 0 has full rank: a decisive map
+    # other than the middle one would certify it
+    algebras += [algebra_of(gens) for gens in ((12, 13, 15, 16, 18, 21), (12, 14, 15, 17, 18, 21))]
     objects = [q for A in algebras for q in colon_family(A)]
     assert sum(obj.is_gorenstein() for obj in objects) >= 100
     assert_decisive_map_matches_every_map(objects, seed=5)
@@ -728,9 +739,9 @@ def big_diagonal(entry, zero_rows=0):
 def test_a_map_above_the_cap_is_certified_by_a_later_draw():
     A = algebra_of([8, 10, 11, 12])
     seed = 7
-    first = random.Random(seed).randint(1, lefschetz.WITNESS_RANGE)  # a2 at the first draw
-    a2 = parse_polynomial("a2", A.symbols())
-    matrix = big_diagonal(a2 - first)  # rank 0 at the first draw, full elsewhere
+    first = random.Random(seed).randint(1, lefschetz.WITNESS_RANGE)  # y at the first draw
+    y = parse_polynomial("y", A.variables)
+    matrix = big_diagonal(y - first)  # rank 0 at the first draw, full elsewhere
     report = lefschetz._decide("WLP", "ranks", A, [({"check": "big"}, matrix.nrows, lambda: matrix)], seed, "")
     assert report.verdict == "holds" and not report.probabilistic
     assert report.evidence[0]["generic_rank"] == matrix.nrows
@@ -740,7 +751,7 @@ def test_a_map_above_the_cap_is_certified_by_a_later_draw():
 
 def test_a_map_above_the_cap_deficient_at_every_draw_is_inconclusive():
     A = algebra_of([8, 10, 11, 12])
-    matrix = big_diagonal(parse_polynomial("a2", A.symbols()), zero_rows=1)
+    matrix = big_diagonal(parse_polynomial("y", A.variables), zero_rows=1)
     report = lefschetz._decide("WLP", "ranks", A, [({"check": "big"}, matrix.nrows, lambda: matrix)], 7, "")
     assert report.verdict == "inconclusive" and report.probabilistic
     assert report.witness is None

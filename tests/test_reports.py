@@ -91,8 +91,8 @@ def test_semigroup_reports_serialize_like_the_generic_walk(data):
     F = dual_socle_generator(S.apery_table())
     view = dual_algebra_view(F)
     wlp = wlp_by_ranks(A, seed=seed)
-    reports = [wlp, slp_by_ranks(A, seed=seed), wlp_by_hessian(F, view, seed=seed),
-               slp_by_hessian(F, view, seed=seed)]
+    reports = [wlp, slp_by_ranks(A, seed=seed), wlp_by_hessian(view, seed=seed),
+               slp_by_hessian(view, seed=seed)]
     if kind == "codim3-structured":
         reports.append(quotient_condition_codim3(S, seed=seed))
     else:
@@ -114,8 +114,8 @@ def test_dual_form_reports_serialize_like_the_generic_walk(data):
     view = dual_algebra_view(F)
     seed = data.draw(st.integers(0, 3))
     wlp = wlp_by_ranks(view, seed=seed)
-    reports = [wlp, slp_by_ranks(view, seed=seed), wlp_by_hessian(F, view, seed=seed),
-               slp_by_hessian(F, view, seed=seed)]
+    reports = [wlp, slp_by_ranks(view, seed=seed), wlp_by_hessian(view, seed=seed),
+               slp_by_hessian(view, seed=seed)]
     steps = [(v, 1) for v in data.draw(st.lists(st.sampled_from(view.variables), min_size=1, max_size=2))]
     if data.draw(st.booleans()):
         wlp = distrusting(wlp)
