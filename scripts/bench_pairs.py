@@ -18,11 +18,14 @@ quartiles of each side, the relative change of the medians, whether that
 change goes the worse way by more than the metric's bound (the benchmark's
 gate; null when the base median is 0), the pairs the change wins and loses
 (ties count for neither), and whether the medians differ by more than the
-base side's interquartile range.  Each workload also holds, per side, every
-run's ``correct`` flag and its ``failed`` and ``attempted`` record counts: for the
-``analyze_*`` and ``dual_mix`` workloads ``attempted`` is the number of
-records perfbench held until the run ended, against which a ``peak_rss_mb``
-move can be read.
+base side's interquartile range, either way.  ``claim_rule_met`` is the rule
+a claimed gain is judged by: the change wins at least nine of every ten
+pairs, and its median beats the base median, in the metric's better
+direction, by more than the base side's interquartile range.  Each workload
+also holds, per side, every run's ``correct`` flag and its ``failed`` and
+``attempted`` record counts: for the ``analyze_*`` and ``dual_mix`` workloads
+``attempted`` is the number of records perfbench held until the run ended,
+against which a ``peak_rss_mb`` move can be read.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ def summarize(metric: dict, base: list[float], head: list[float]) -> dict:
     wins = sum((h > b) if higher else (h < b) for b, h in zip(base, head))
     losses = sum((h < b) if higher else (h > b) for b, h in zip(base, head))
     relative = hm / bm - 1 if bm else None
+    gain = hm - bm if higher else bm - hm
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -106,6 +110,7 @@ def summarize(metric: dict, base: list[float], head: list[float]) -> dict:
         "losses": losses,
         "ties": len(base) - wins - losses,
         "median_gap_exceeds_base_iqr": abs(hm - bm) > b3 - b1,
+        "claim_rule_met": 10 * wins >= 9 * len(base) and gain > b3 - b1,
     }
 
 

@@ -24,16 +24,25 @@ so the cap policy lives here alone.
 
 `point_rank` is the rank over Q of a matrix at one point.  It evaluates the
 entries modulo the prime POINT_PRIME = 2^61 - 1 straight from their terms and
-eliminates there: a nonzero minor mod p is a nonzero minor over Q, so a full
-rank mod p is the full rank over Q.  Only a rank deficient mod p, or a
-denominator that p divides, is ranked exactly on the specialized matrix.
+eliminates there.  A minor nonzero mod p is nonzero over Q at the point,
+and a minor nonzero at the point is a nonzero polynomial, so
+
+    rank mod p  <=  rank over Q at the point  <=  generic rank.
+
+A full rank mod p is therefore the rank at the point, and so is a deficient
+rank mod p that equals the certified generic rank; a Matrix keeps its generic
+rank once computed, so the verdict core's own generic_rank call on a
+deficient map costs nothing more.  Only where the two ranks differ (an
+unlucky point, where p divides a denominator or a minor, or a matrix above
+the symbolic cap, whose generic rank is None) is the specialized matrix
+ranked exactly.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -224,6 +233,8 @@ class Matrix:
     row_labels: list
     col_labels: list
     entries: list
+    # the certified generic rank, once generic_rank has computed it
+    _generic_rank: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def nrows(self) -> int:
@@ -260,14 +271,20 @@ class Matrix:
         return Matrix(list(self.row_labels), list(self.col_labels), out)
 
     def rank_at(self, assignment) -> int:
-        """The rank over Q with every symbol set to its value in assignment
-        (point_rank)."""
+        """The exact rank over Q with every symbol set to its value in
+        assignment (point_rank), which lies between the rank mod POINT_PRIME
+        and the generic rank."""
         return point_rank(self, assignment)
 
     def generic_rank(self) -> Optional[int]:
-        """The certified generic rank (rank_info), or None above the symbolic
-        cap, where only a point of full rank can certify the matrix."""
-        return None if above_symbolic_cap(self) else rank_info(self)[0]
+        """The certified generic rank (rank_info), the largest rank at any
+        point, or None above the symbolic cap, where only a point of full
+        rank can certify the matrix.  It is eliminated once and kept."""
+        if above_symbolic_cap(self):
+            return None
+        if self._generic_rank is None:
+            self._generic_rank = rank_info(self)[0]
+        return self._generic_rank
 
     def to_text(self) -> str:
         cells = [[str(e) for e in row] for row in self.entries]
@@ -378,9 +395,12 @@ def _rank_mod_p(m: list[list[int]]) -> int:
 def point_rank(matrix: Matrix, assignment) -> int:
     """Rank over Q of the matrix with every symbol set to its value in assignment.
 
-    The rank is taken modulo POINT_PRIME first; a full rank there is the full
-    rank over Q.  A deficient rank mod p, or an entry whose denominator the
-    prime divides, is ranked exactly: specialize, then fraction_rank.
+    The rank is taken modulo POINT_PRIME first.  Since rank mod p <= rank at
+    the point <= generic rank, a full rank mod p is the rank at the point, and
+    a deficient one is too when it equals the matrix's generic_rank.  A rank
+    mod p below the generic rank, a generic rank of None (above the symbolic
+    cap), or an entry whose denominator the prime divides is ranked exactly:
+    specialize, then fraction_rank.
     """
     full = min(matrix.nrows, matrix.ncols)
     if full == 0:
@@ -389,6 +409,8 @@ def point_rank(matrix: Matrix, assignment) -> int:
         rows = _rows_mod_p(matrix.entries, assignment)
     except ZeroDivisionError:  # a denominator the prime divides
         rows = None
-    if rows is not None and _rank_mod_p(rows) == full:
-        return full
+    if rows is not None:
+        rank = _rank_mod_p(rows)
+        if rank == full or rank == matrix.generic_rank():
+            return rank
     return fraction_rank(matrix.specialize(assignment).entries)

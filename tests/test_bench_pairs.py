@@ -20,6 +20,28 @@ def test_worse_than_bound_reads_the_gate_the_worse_way():
     assert bench_pairs.summarize(THROUGHPUT, [0.0] * 3, [1.0] * 3)["worse_than_bound"] is None
 
 
+def test_the_claim_rule_reads_the_better_direction():
+    base = [9.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 11.0]
+    faster = [12.0] * 10
+    assert bench_pairs.summarize(THROUGHPUT, base, faster)["claim_rule_met"] is True
+    # a change that got worse by as much clears the IQR gap, but not the rule
+    slower = bench_pairs.summarize(THROUGHPUT, base, [8.0] * 10)
+    assert slower["median_gap_exceeds_base_iqr"] is True and slower["claim_rule_met"] is False
+    assert bench_pairs.summarize(MEMORY, base, [8.0] * 10)["claim_rule_met"] is True
+    assert bench_pairs.summarize(MEMORY, base, faster)["claim_rule_met"] is False
+
+
+def test_the_claim_rule_needs_nine_wins_in_ten_and_a_gap_beyond_the_base_iqr():
+    base = [10.0] * 10
+    # eight wins and two ties: ties count for neither side
+    assert bench_pairs.summarize(THROUGHPUT, base, [12.0] * 8 + [10.0] * 2)["claim_rule_met"] is False
+    assert bench_pairs.summarize(THROUGHPUT, base, [12.0] * 9 + [10.0])["claim_rule_met"] is True
+    # every pair won, but the median gap is inside the base interquartile range
+    spread = [8.0, 9.0, 9.5, 10.0, 10.0, 10.0, 10.0, 10.5, 11.0, 12.0]
+    summary = bench_pairs.summarize(THROUGHPUT, spread, [x + 0.5 for x in spread])
+    assert summary["wins"] == 10 and summary["claim_rule_met"] is False
+
+
 def test_a_workload_keeps_each_runs_record_counts_per_side():
     names = [m["name"] for m in bench_pairs.BENCH["end_to_end"]]
 

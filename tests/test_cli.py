@@ -16,8 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aperylef import (InternalFault, create_semigroup, dual_algebra_view, dual_socle_generator, hessian,
-                      parse_polynomial)
-from aperylef.cli import analyze_record, main
+                      linalg, parse_polynomial)
+from aperylef.cli import analyze_record, from_dual_record, main
 from aperylef.linalg import POINT_PRIME
 from dual_forms import dual_form_text
 
@@ -318,6 +318,24 @@ def test_from_dual_holds_where_every_point_is_deficient_mod_the_point_prime(poly
             report = record[prop][route]
             assert report["verdict"] == "holds", (prop, route)
             assert set(report["witness"]) == {"x", "y"}
+
+
+@pytest.mark.parametrize("record", [
+    lambda: from_dual_record("a^2*x0 + a*b*x1 + b^2*x2"),
+    lambda: analyze_record([12, 13, 15, 16, 18, 21]),
+], ids=["perazzo", "apery-cubic"])
+def test_a_failing_record_specializes_no_map_and_eliminates_each_once(record, monkeypatch):
+    """A map deficient at its first point is certified by fraction-free
+    elimination, and that generic rank is its rank at the point too: no map
+    is specialized, and no map is eliminated twice."""
+    specialized, eliminated = [], []
+    specialize, rank_info = linalg.Matrix.specialize, linalg.rank_info
+    monkeypatch.setattr(linalg.Matrix, "specialize", lambda m, a: specialized.append(m) or specialize(m, a))
+    monkeypatch.setattr(linalg, "rank_info", lambda m: eliminated.append(m) or rank_info(m))
+    assert record()["wlp"]["ranks"]["verdict"] == "fails"
+    assert specialized == [] and eliminated
+    # the list keeps every matrix alive, so no two of them share an id
+    assert len({id(m) for m in eliminated}) == len(eliminated)
 
 
 def test_apery_and_dual_commands():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aperylef import Matrix, SparsePoly, rank_info
+from aperylef import Matrix, SparsePoly, linalg, rank_info
 from aperylef.errors import InternalFault, SizeLimit
 from aperylef.linalg import (
     POINT_PRIME,
@@ -150,10 +150,14 @@ def test_point_rank_is_the_rank_of_the_specialized_matrix(nrows, ncols, data):
         elif ncols > 1:
             for row in entries:
                 row[-1] = row[0]
-    # values and coefficients from a small range, so points are often deficient
+    # values and coefficients from a small range, so points are often
+    # deficient, and values the prime divides (or whose denominator it
+    # divides), so the rank mod p is often below the rank over Q
+    unlucky = st.sampled_from([0, POINT_PRIME, 2 * POINT_PRIME, POINT_PRIME + 1, Fraction(1, POINT_PRIME)])
     point = {
-        "a2": Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3))),
-        "a3": data.draw(st.integers(-3, 3)),
+        "a2": data.draw(st.one_of(
+            st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), unlucky)),
+        "a3": data.draw(st.one_of(st.integers(-3, 3), unlucky)),
     }
     m = matrix(entries)
     assert point_rank(m, point) == fraction_rank(m.specialize(point).entries)
@@ -206,3 +210,45 @@ def test_point_rank_falls_back_to_the_exact_rank():
     assert point_rank(matrix([[a2, 1], [1, a3]]), {"a2": Fraction(1, POINT_PRIME), "a3": 1}) == 2
     assert point_rank(matrix([[a2]]), {"a2": 0, "a3": 0}) == 0
     assert point_rank(Matrix([], [0, 1], []), {}) == 0
+
+
+def test_point_rank_is_the_generic_rank_where_the_rank_mod_p_reaches_it(monkeypatch):
+    a2, a3 = sym("a2"), sym("a3")
+    zero = SparsePoly.zero(("a2", "a3"))
+    deficient = matrix([[a2, a3, zero], [a2 * 2, a3 * 2, zero], [zero, zero, zero]])
+    assert generic_rank(deficient) == 1
+    monkeypatch.setattr(Matrix, "specialize", lambda m, a: pytest.fail("specialized"))
+    assert point_rank(deficient, {"a2": 2, "a3": 3}) == 1
+
+
+def test_point_rank_specializes_where_the_rank_mod_p_is_below_the_rank_over_q():
+    a2 = sym("a2")
+    zero = SparsePoly.zero(("a2", "a3"))
+    # rank 0 mod p, rank 2 over Q and generically
+    m = matrix([[a2, zero, zero], [zero, a2, zero], [zero, zero, zero]])
+    assert point_rank(m, {"a2": POINT_PRIME, "a3": 1}) == 2
+
+
+def test_point_rank_at_a_point_deficient_over_q():
+    a2, a3 = sym("a2"), sym("a3")
+    zero = SparsePoly.zero(("a2", "a3"))
+    # generically full, rank 1 where a2 = a3
+    assert point_rank(matrix([[a2, a3], [a3, a2]]), {"a2": 2, "a3": 2}) == 1
+    # generically of rank 2, rank 1 where a2 = a3 and rank 0 where both vanish
+    deficient = matrix([[a2, a3, zero], [a3, a2, zero], [zero, zero, zero]])
+    assert point_rank(deficient, {"a2": 1, "a3": 1}) == 1
+    assert point_rank(deficient, {"a2": 0, "a3": 0}) == 0
+    assert point_rank(deficient, {"a2": 1, "a3": 2}) == 2
+
+
+def test_a_matrix_eliminates_its_generic_rank_once(monkeypatch):
+    a2, a3 = sym("a2"), sym("a3")
+    entries = [[a2, a3], [a2, a3]]
+    m = matrix(entries)
+    calls = []
+    monkeypatch.setattr(linalg, "rank_info", lambda x: calls.append(x) or rank_info(x))
+    assert point_rank(m, {"a2": 1, "a3": 2}) == 1
+    assert m.generic_rank() == m.generic_rank() == 1
+    assert len(calls) == 1 and calls[0] is m
+    # the kept rank is no part of the matrix's value
+    assert m == matrix(entries) and repr(m) == repr(matrix(entries))
