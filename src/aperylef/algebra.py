@@ -394,7 +394,8 @@ def _words(top: tuple, bottom: tuple) -> int:
     return count
 
 
-def _check_map_degrees(alg: GradedAlgebra, d: int, power: int) -> None:
+def _check_map_degrees(alg, d: int, power: int) -> None:
+    """The degree check of a map on either algebra kind, GradedAlgebra or dual view."""
     if power < 1:
         raise DegreeOutOfRange("power must be >= 1")
     if d < 0 or d + power > alg.top_degree:

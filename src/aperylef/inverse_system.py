@@ -13,7 +13,8 @@ equals its size.  `_pairing` looks up the products of two monomial bases, so its
 entries are polynomials in F's variables.
 
 A view reads every matrix off one pairing, `DualAlgebraView.pairing(i, j)`
-on its own bases.  By Maeno-Watanabe (2009) the map by the p-th power of a
+on its own bases, built once per (i, j) and kept by the view, as an algebra
+keeps its maps.  By Maeno-Watanabe (2009) the map by the p-th power of a
 generic linear form from degree d has the rank of the pairing of degrees
 D-d-p and d, and the mixed Hessian of degrees (i, j) is the pairing of
 degrees i and j; a point of F's variables is the linear form with those
@@ -32,11 +33,11 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Optional, Sequence
 
-from .errors import DependentBasis, InternalFault, InvalidDualGenerator, NotGorenstein, SizeLimit
+from .algebra import _check_map_degrees, variable_names
+from .errors import DegreeOutOfRange, DependentBasis, InternalFault, InvalidDualGenerator, NotGorenstein, SizeLimit
 from .linalg import Matrix, fraction_rank, pivot_columns
 from .polynomial import SparsePoly, monomials_of_degree
 from .semigroup import AperyTable
-from .algebra import variable_names
 
 # The monomials of degree at most D that dual_algebra_view scans, once as
 # operators and once as targets; C(D + n, n) for a degree-D form in n
@@ -125,7 +126,7 @@ class DualAlgebraView:
     independent; the basis sizes are the catalecticant ranks and form a
     symmetric Hilbert vector.  derivatives maps every exponent tuple a with
     |a| <= D to (x^a)(X)F: the images behind the bases and every pairing
-    entry are read off it.
+    entry are read off it.  Each pairing is built once and kept.
     """
 
     F: SparsePoly
@@ -134,6 +135,7 @@ class DualAlgebraView:
     hilbert: tuple[int, ...]
     socle_degree: int
     derivatives: dict[tuple[int, ...], SparsePoly] = field(compare=False, repr=False)
+    _pairings: dict[tuple[int, int], Matrix] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def top_degree(self) -> int:
@@ -154,9 +156,20 @@ class DualAlgebraView:
 
     def pairing(self, i: int, j: int) -> Matrix:
         """Entries (m*m')(X)F for m in bases[i] (rows) and m' in bases[j]
-        (columns); rows and columns are labelled by exponent tuples."""
-        rows, cols = self.bases[i], self.bases[j]
-        return Matrix(list(rows), list(cols), _pairing(self.derivatives, self.variables, rows, cols))
+        (columns); rows and columns are labelled by exponent tuples.
+
+        Built once per (i, j) and shared by every caller, who must not change
+        it; a degree outside 0..D raises DegreeOutOfRange.
+        """
+        key = (i, j)
+        if key not in self._pairings:
+            for d in key:
+                if not 0 <= d <= self.socle_degree:
+                    raise DegreeOutOfRange(f"degree {d} leaves 0..{self.socle_degree}")
+            rows, cols = self.bases[i], self.bases[j]
+            entries = _pairing(self.derivatives, self.variables, rows, cols)
+            self._pairings[key] = Matrix(list(rows), list(cols), entries)
+        return self._pairings[key]
 
     def pairing_matrix(self, d: int, power: int) -> Matrix:
         """Symbolic matrix with the rank of multiplication by a generic form.
@@ -166,10 +179,8 @@ class DualAlgebraView:
         degrees D-d-power and d.  The overall factorial scalar is dropped;
         only ranks are read off this matrix.
         """
-        D = self.socle_degree
-        if power < 1 or d < 0 or d + power > D:
-            raise ValueError("map outside the graded range")
-        return self.pairing(D - d - power, d)
+        _check_map_degrees(self, d, power)
+        return self.pairing(self.socle_degree - d - power, d)
 
     # the protocol the Lefschetz routes share with GradedAlgebra
     map_matrix = pairing_matrix

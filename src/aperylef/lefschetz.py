@@ -20,22 +20,21 @@ rank_at, the rank over Q at a point, and generic_rank, the certified generic
 rank or None above the symbolic cap.  Only a matrix deficient at the first
 point asks for its generic rank, which tells a deficient point from a
 deficient map and certifies the latter; a matrix above the cap is instead
-ranked again at the later points.  The maps of an algebra are built once and
-shared by its reports; a colon quotient is an algebra of its own and builds
-its own.  A monomial algebra (an Apery algebra of codimension at most 2, or
+ranked again at the later points.  Each algebra, of either kind, builds a
+map once and shares it with its reports, so a map's generic rank is
+certified once; a colon quotient is an algebra of its own and builds its
+own.  A monomial algebra (an Apery algebra of codimension at most 2, or
 a colon quotient of one) gives the integer path-count matrices M(1) as its
 maps (algebra module docstring): the symbolic map is
 diag(t^r(w')) M(1) diag(t^-r(w)), so at every witness draw, none of whose
 coordinates is zero, its rank is rank M(1), which is also its generic rank.
 
 Verdicts: "holds" always carries a rational witness verified exactly, on
-a monomial algebra by that identity.  A WLP rank report on a Gorenstein
-algebra verifies its witness on the decisive map, the map from degree
-(D-1)//2; every other map then has full rank at the witness by the
-propagation lemma (wlp_by_ranks), so it is neither built nor ranked.  "fails" always carries a symbolic generic-rank deficiency;
-"inconclusive" appears when a map above the symbolic cap is deficient at
-every witness point (its rank is then probabilistic) or when a quotient
-step's hypotheses cannot be checked.
+a monomial algebra by that identity and for a Gorenstein WLP rank report
+on the middle map (wlp_by_ranks).  "fails" always carries a symbolic
+generic-rank deficiency; "inconclusive" appears when a map above the
+symbolic cap is deficient at every witness point (its rank is then
+probabilistic) or when a quotient step's hypotheses cannot be checked.
 
 Reports serialize field by field: each to_dict builds a new JSON-ready dict
 in field order, with tuples as lists and nested reports as their own dicts,
@@ -47,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
@@ -141,13 +140,12 @@ def _decide(
     seed: Optional[int],
     notes: str,
     point_filter=None,
-    decisive: Optional[int] = None,
 ) -> LefschetzReport:
     """The verdict core both routes share: generic ranks, verdict, witness.
 
     Each check is an evidence head, the rank its matrix must reach (maximal
-    rank, min(rows, cols)) and a function that builds the matrix; a matrix
-    is built only when it is ranked.  "holds" needs every rank maximal and
+    rank, min(rows, cols)) and a function that returns the matrix, which
+    its algebra builds once and keeps.  "holds" needs every rank maximal and
     carries a witness point at which every matrix has full rank; "fails"
     needs a certified (non-probabilistic) deficiency; anything else is
     "inconclusive".  The matrix entries are polynomials in ``obj.variables``,
@@ -162,50 +160,26 @@ def _decide(
     rank as probabilistic.  The witness is the first draw that the point
     filter passes with every map at full rank; a draw the filter rejects
     still counts as an attempt.
-
-    ``decisive`` names a check whose full rank at a point gives every check
-    full rank at that point, as the middle map does for the maps of a
-    standard graded Gorenstein algebra (wlp_by_ranks).  It is ranked first
-    at each draw; where it has full rank, every check is certified maximal
-    with no other map built or ranked, and where it is deficient the draw
-    goes on as above with its rank.  The first draw with every map at full
-    rank is the first with the decisive map at full rank, so the witness
-    and the evidence are those of ranking every map.
     """
     rng = random.Random(0 if seed is None else seed)
-    built: dict[int, Matrix] = {}
-
-    def matrix(i: int) -> Matrix:
-        if i not in built:
-            built[i] = checks[i][2]()
-        return built[i]
-
     certified: dict[int, int] = {}  # check index -> generic rank
     best = [0] * len(checks)  # best point rank of a map not yet certified
     witness = None if checks else {}
     for attempt in range(WITNESS_ATTEMPTS if checks else 0):
         point = {v: rng.randint(1, WITNESS_RANGE) for v in obj.variables}
         usable = point_filter is None or point_filter(point)
-        if decisive is not None:
-            decisive_rank = matrix(decisive).rank_at(point)
-            if decisive_rank == checks[decisive][1]:
-                certified.update((i, required) for i, (_, required, _) in enumerate(checks))
-                if usable:
-                    witness = point
-                    break
-                continue
-        full = decisive is None  # every map ranked at this draw has full rank
-        for i, (_, required, _) in enumerate(checks):
+        full = True  # every map ranked at this draw has full rank
+        for i, (_, required, matrix) in enumerate(checks):
             if attempt and i in certified and not (usable and full):
                 continue  # a certified map matters here only for the witness
-            rank = decisive_rank if i == decisive else matrix(i).rank_at(point)
+            rank = matrix().rank_at(point)
             if rank == required:
                 certified[i] = rank
                 continue
             full = False
             if i in certified:
                 continue
-            generic = matrix(i).generic_rank()
+            generic = matrix().generic_rank()
             if generic is None:
                 best[i] = max(best[i], rank)
             else:
@@ -215,14 +189,8 @@ def _decide(
             break
         if any(rank < checks[i][1] for i, rank in certified.items()):
             break  # a certified deficiency
-    evidence = []
-    for i, (head, required, _) in enumerate(checks):
-        rank = certified.get(i, best[i])
-        entry = dict(head, required_rank=required, generic_rank=rank, maximal=rank == required)
-        if method == "hessian":
-            entry["singular"] = rank != required
-        entry["probabilistic"] = i not in certified
-        evidence.append(entry)
+    evidence = [_evidence(method, head, required, certified.get(i, best[i]), i not in certified)
+                for i, (head, required, _) in enumerate(checks)]
     if all(e["maximal"] for e in evidence):
         if witness is None:
             raise InternalFault("failed to find a witness despite generic maximal ranks")
@@ -246,6 +214,15 @@ def _decide(
     )
 
 
+def _evidence(method: str, head: dict, required: int, rank: int, probabilistic: bool) -> dict:
+    """The evidence entry of one check: its head, then its ranks and flags."""
+    entry = dict(head, required_rank=required, generic_rank=rank, maximal=rank == required)
+    if method == "hessian":
+        entry["singular"] = rank != required
+    entry["probabilistic"] = probabilistic
+    return entry
+
+
 NO_MAPS = "no multiplication maps in degree range"
 
 
@@ -265,23 +242,29 @@ def _rank_checks(obj: AlgebraLike, maps: list[tuple[int, int]]) -> list[tuple[di
 def wlp_by_ranks(obj: AlgebraLike, seed: Optional[int] = None) -> LefschetzReport:
     """Weak Lefschetz via generic ranks of every one-step multiplication map.
 
-    On a Gorenstein algebra the map from degree (D-1)//2 decides: at a point
-    where it has full rank every map has full rank.  Surjectivity goes up,
-    since A_{j+1} = A_1 A_j: l A_j = A_{j+1} gives l A_{j+1} = A_{j+2}.  And
-    the map A_j -> A_{j+1} is the transpose of A_{D-j-1} -> A_{D-j} under
-    the perfect pairing into A_D, so injectivity goes down.  Every map is
-    still recorded; the others are certified maximal by that lemma.
+    On a Gorenstein algebra the middle map, from degree (D-1)//2, decides:
+    at a point where it has full rank every map has full rank.  Surjectivity
+    goes up, since A_{j+1} = A_1 A_j: l A_j = A_{j+1} gives l A_{j+1} =
+    A_{j+2}.  And the map A_j -> A_{j+1} is the transpose of A_{D-j-1} ->
+    A_{D-j} under the perfect pairing into A_D, so injectivity goes down.
+    So the middle map is decided alone first.  Where it holds, every map is
+    recorded as certified maximal at its witness, the first draw at which
+    every map has full rank, and no other map is built or ranked.  Where it
+    does not, every map is decided with the same seed; the middle map and
+    its generic rank are kept, so that costs one more rank at a point.
+    Either way the report is that of deciding every map.
     """
     D = obj.top_degree
-    notes = ""
-    decisive = None
-    if D <= 0:
-        notes = NO_MAPS
-    elif obj.is_gorenstein():
-        decisive = (D - 1) // 2
-        notes = f"gorenstein middle-map shortcut: A_{decisive} -> A_{decisive + 1} decisive; all maps recorded"
-    return _decide("WLP", "ranks", obj, _rank_checks(obj, [(i, 1) for i in range(D)]), seed, notes,
-                   decisive=decisive)
+    checks = _rank_checks(obj, [(d, 1) for d in range(D)])
+    notes = NO_MAPS if D <= 0 else ""
+    if D >= 1 and obj.is_gorenstein():
+        middle = (D - 1) // 2
+        notes = f"gorenstein middle-map shortcut: A_{middle} -> A_{middle + 1} decisive; all maps recorded"
+        report = _decide("WLP", "ranks", obj, checks[middle:middle + 1], seed, notes)
+        if report.holds:
+            return replace(report, evidence=[_evidence("ranks", head, required, required, False)
+                                             for head, required, _ in checks])
+    return _decide("WLP", "ranks", obj, checks, seed, notes)
 
 
 def slp_by_ranks(obj: AlgebraLike, seed: Optional[int] = None) -> LefschetzReport:
@@ -652,8 +635,7 @@ def quotient_condition_codim3(
     identified = _same_graded_presentation(quotient, A, S)
     degrees = sorted(g + 1 for g in frame.gamma)
     criterion = ci_degree_criterion(degrees)
-    base = wlp_by_ranks(G, seed=seed)
-    chain = transfer_wlp(G, [("z", 1)] * C, base_report=base, seed=seed)
+    chain = transfer_wlp(G, [("z", 1)] * C, seed=seed)
     chain.kind = "codim3_quotient"
     texts = ideal.generator_texts()
     chain.extras = {

@@ -338,6 +338,22 @@ def test_a_failing_record_specializes_no_map_and_eliminates_each_once(record, mo
     assert len({id(m) for m in eliminated}) == len(eliminated)
 
 
+@pytest.mark.parametrize("poly", ["a^2*x + a*b*y + b^2*z", "a^3*x + a^2*b*y + b^3*z + a*b^3"],
+                         ids=["cubic", "quartic"])
+def test_a_failing_dual_record_eliminates_each_pairing_once(poly, monkeypatch):
+    """A dual view keeps each pairing it builds, so the Hessian and ranks
+    routes, for WLP and SLP, eliminate each of its pairings once (the cubic
+    took four eliminations of one pairing when the view rebuilt it)."""
+    eliminated = []
+    rank_info = linalg.rank_info
+    monkeypatch.setattr(linalg, "rank_info",
+                        lambda m: eliminated.append((tuple(m.row_labels), tuple(m.col_labels))) or rank_info(m))
+    record = from_dual_record(poly)
+    assert record["slp"]["hessian"]["verdict"] == record["slp"]["ranks"]["verdict"] == "fails"
+    # the record has one view, so the row and column labels name its pairing
+    assert eliminated and len(set(eliminated)) == len(eliminated)
+
+
 def test_apery_and_dual_commands():
     code, out, _ = run_cli(["apery", "--gens", "8,10,11,12"])
     record = json.loads(out)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aperylef import (
+    DegreeOutOfRange,
     DependentBasis,
     InvalidDualGenerator,
     NotGorenstein,
@@ -463,3 +464,30 @@ def test_hessian_det_zero_iff_rank_deficient():
         H = hessian(F, d, basis)
         det = determinant(H)
         assert (not det) == (rank_info(H)[0] < H.nrows)
+
+
+@pytest.mark.parametrize("d, power", [(0, 9), (-1, 1), (3, 1), (2, 2), (0, 0), (1, -1)])
+def test_both_algebra_kinds_reject_the_same_map_degrees(d, power):
+    # both have socle degree 3: the view of x^2*y + y^3 and the Apery algebra
+    view = dual_algebra_view(parse_polynomial("x^2*y + y^3"))
+    A = build_algebra(create_semigroup([8, 10, 11, 12]).apery_table())
+    assert view.socle_degree == A.top_degree == 3
+    for obj in (view, A):
+        with pytest.raises(DegreeOutOfRange):
+            obj.map_matrix(d, power)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (4, 0), (5, 0), (0, 4)])
+def test_view_pairing_rejects_degrees_outside_the_socle_range(i, j):
+    view = dual_algebra_view(parse_polynomial("x^2*y + y^3"))
+    with pytest.raises(DegreeOutOfRange):
+        view.pairing(i, j)
+
+
+def test_view_builds_each_pairing_once():
+    view = dual_algebra_view(parse_polynomial("x^2*y + y^3"))
+    assert view.pairing(1, 2) is view.pairing(1, 2)
+    assert view.pairing_matrix(0, 1) is view.pairing(2, 0)
+    # the kept pairings do not enter a view's equality or repr
+    assert view == dual_algebra_view(view.F)
+    assert "_pairings" not in repr(view)

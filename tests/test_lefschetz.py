@@ -466,11 +466,11 @@ def test_view_pairing_is_the_hessian_and_the_map_pairing(data):
 
 # -- the evaluate-first verdict core against a plain reference -----------------
 
-def reference_decide(property_name, method, obj, checks, seed, notes, point_filter=None, decisive=None):
+def reference_decide(property_name, method, obj, checks, seed, notes, point_filter=None):
     """The verdict core without evaluation first: every map is built and
     ranked by fraction-free elimination, then witness points are drawn and
     every map is ranked at each.  A deficient map above the symbolic cap reads
-    probabilistic, since no point can certify it.  No map is decisive."""
+    probabilistic, since no point can certify it."""
     rng = random.Random(0 if seed is None else seed)
     evidence, targets = [], []
     for head, _, build in checks:
@@ -564,7 +564,7 @@ def test_evaluate_first_matches_reference_core(m_pure_algebras, monkeypatch, see
 
 
 def wlp_ranking_every_map(obj, seed, notes):
-    """wlp_by_ranks with no decisive map: the verdict core ranks every map."""
+    """wlp_by_ranks without the middle-map lemma: the verdict core ranks every map."""
     checks = lefschetz._rank_checks(obj, [(d, 1) for d in range(max(obj.top_degree, 0))])
     return lefschetz._decide("WLP", "ranks", obj, checks, seed, notes)
 
