@@ -43,13 +43,11 @@ from .algebra import (
     GradedAlgebra,
     IdealDescription,
     LinearForm,
-    MonomialSubspace,
     box_algebra,
     build_algebra,
     build_gamma_algebra,
     ci_tilde_ideal,
     codim3_defining_ideal,
-    colon_by_power,
     multiplication_matrix,
     variable_names,
 )

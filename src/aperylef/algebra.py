@@ -17,8 +17,10 @@ A colon quotient A/(0:x) is spanned by the labels of A outside the ideal
 (0:x); its table is A's on those labels, with images in the ideal sent to
 zero and the columns of the variables the ideal holds dropped.  It is an
 algebra in its own right and builds its maps from its own table, as every
-algebra does.  Each algebra builds a map once, and an Apery table gives one
-algebra while anything holds it.
+algebra does.  A power is a chain of such steps: (0:x^(c+1)) in A is (0:x)
+in A/(0:x^c), so GradedAlgebra.colon_step is the only colon quotient.  Each
+algebra builds a map once, and an Apery table gives one algebra while
+anything holds it.
 
 The Apery algebra of a semigroup with at most three minimal generators is
 monomial: each Apery element has one maximal representation r(w), so the
@@ -29,7 +31,7 @@ M(t) = diag(t^r(w')) M(1) diag(t^-r(w)) with M(1) the integer matrix of
 path counts (the torus argument, Migliore-Miro-Roig-Nagel 2011, Prop. 2.2).
 Such an algebra's maps are M(1): at a point with no zero coordinate the
 symbolic map has the rank of M(1), and that is its generic rank.  A colon
-quotient of a monomial algebra is monomial too, since (0:x^c) is spanned by
+quotient of a monomial algebra is monomial too, since (0:x) is spanned by
 monomials, so it finds its own exponent vectors and path counts.
 """
 
@@ -42,7 +44,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Optional, Sequence
 
-from .errors import DegreeOutOfRange, InternalFault, InvalidStep, NotApplicable
+from .errors import DegreeOutOfRange, InternalFault, NotApplicable
 from .linalg import Matrix
 from .polynomial import SparsePoly, grlex_key
 from .semigroup import AperyTable, FrameData, NumericalSemigroup
@@ -153,12 +155,29 @@ class GradedAlgebra:
     def colon_step(self, variable: str) -> Optional["GradedAlgebra"]:
         """Quotient by the annihilator of one variable; None for the zero ring.
 
+        The annihilator (0:x) is spanned by the labels x sends to None; the
+        quotient keeps the other labels and this table on them, with an image
+        in (0:x) sent to None and the column of a variable in (0:x) dropped.
         A variable an earlier colon step killed is zero here, so its
         annihilator is the whole algebra.
         """
         if variable not in self.variables:
             return None
-        _, quotient = colon_by_power(self, variable, 1)
+        column = self.variables.index(variable)
+        ideal = {lab for lab, row in self.times.items() if row[column] is None}
+        kept = [i for i, lab in enumerate(self.var_labels) if lab not in ideal]
+        quotient = GradedAlgebra(
+            variables=tuple(self.variables[i] for i in kept),
+            basis=[[lab for lab in labels if lab not in ideal] for labels in self.basis],
+            var_labels=[self.var_labels[i] for i in kept],
+            times={
+                lab: tuple(None if row[i] in ideal else row[i] for i in kept)
+                for lab, row in self.times.items()
+                if lab not in ideal
+            },
+            kind="quotient",
+            monomial=self.exponents is not None,
+        )
         return quotient if quotient.dimension else None
 
     def __repr__(self) -> str:
@@ -355,7 +374,7 @@ def _exponent_vectors(alg: GradedAlgebra) -> dict:
     associative algebra generated in degree 1 is that of
     k[x]/(monomial ideal) exactly when this is well defined, so a label
     reached with two vectors, or not reached, raises InternalFault.  The
-    zero ring, a colon quotient by a power that kills 1, has no labels.
+    zero ring, which a colon step that kills 1 builds, has no labels.
     """
     vectors = {lab: (0,) * len(alg.var_labels) for labels in alg.basis[:1] for lab in labels}
     for labels in alg.basis:
@@ -402,67 +421,6 @@ def _check_map_degrees(alg, d: int, power: int) -> None:
         raise DegreeOutOfRange(
             f"map from degree {d} by power {power} leaves 0..{alg.top_degree}"
         )
-
-
-@dataclass(frozen=True)
-class MonomialSubspace:
-    """Basis labels of a monomial ideal, grouped by degree."""
-
-    labels_by_degree: tuple[tuple, ...]
-
-    def dimension(self) -> int:
-        return sum(len(labels) for labels in self.labels_by_degree)
-
-    def hilbert(self) -> tuple[int, ...]:
-        return tuple(len(labels) for labels in self.labels_by_degree)
-
-
-def colon_by_power(alg: GradedAlgebra, variable: str, c: int) -> tuple[MonomialSubspace, GradedAlgebra]:
-    """Annihilator of the c-th power of a variable, and the quotient.
-
-    The annihilator is spanned by the basis labels killed by c successive
-    multiplications; the quotient keeps the complementary labels, and the
-    restriction of alg's table to them, with an image in the annihilator
-    sent to zero and the column of a variable in it dropped.  A name that is
-    not a variable of alg raises InvalidStep.
-    """
-    if c < 0:
-        raise ValueError("colon power must be >= 0")
-    if variable not in alg.variables:
-        raise InvalidStep(
-            f"{variable!r} is not a variable of the algebra ({', '.join(alg.variables)})"
-        )
-    column = alg.variables.index(variable)
-
-    def killed(label) -> bool:
-        for _ in range(c):
-            label = alg.times[label][column]
-            if label is None:
-                return True
-        return False
-
-    colon_by_deg = tuple(
-        tuple(lab for lab in labels if killed(lab)) for labels in alg.basis
-    )
-    colon_set = {lab for labels in colon_by_deg for lab in labels}
-    new_basis = [
-        [lab for lab in labels if lab not in colon_set] for labels in alg.basis
-    ]
-    kept = [i for i, lab in enumerate(alg.var_labels) if lab not in colon_set]
-    times = {
-        lab: tuple(None if row[i] in colon_set else row[i] for i in kept)
-        for lab, row in alg.times.items()
-        if lab not in colon_set
-    }
-    quotient = GradedAlgebra(
-        variables=tuple(alg.variables[i] for i in kept),
-        basis=new_basis,
-        var_labels=[alg.var_labels[i] for i in kept],
-        times=times,
-        kind="quotient",
-        monomial=alg.exponents is not None,
-    )
-    return MonomialSubspace(colon_by_deg), quotient
 
 
 def _same_graded_presentation(quotient: GradedAlgebra, A: GradedAlgebra, S) -> bool:

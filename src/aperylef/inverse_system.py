@@ -189,8 +189,11 @@ class DualAlgebraView:
         """Quotient by the annihilator of one variable; None for the zero ring.
 
         The annihilator of the derivative of F by the variable is the colon of
-        the annihilator of F, so the derivative presents the quotient.
+        the annihilator of F, so the derivative presents the quotient.  A
+        name that is not a variable gives None, as on a GradedAlgebra.
         """
+        if variable not in self.variables:
+            return None
         idx = self.variables.index(variable)
         derived = self.derivatives.get(tuple(int(i == idx) for i in range(len(self.variables))))
         return dual_algebra_view(derived) if derived else None

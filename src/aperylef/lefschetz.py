@@ -58,7 +58,6 @@ from .algebra import (
     build_algebra,
     build_gamma_algebra,
     codim3_defining_ideal,
-    colon_by_power,
 )
 from .errors import (
     DegreeTooSmall,
@@ -619,11 +618,12 @@ def quotient_condition_codim3(
 
     Builds the gamma box algebra, computes the drop C between its socle and
     the apery socle, verifies that the colon quotient by the C-th power of
-    the middle variable is the apery algebra (its labels map onto the apery
-    set degree by degree, one to one, and that map commutes with each
-    variable), and transfers WLP down the C-step chain.  ``ideal`` is S's
-    codim3_defining_ideal when the caller already has it; otherwise it is
-    built here, which checks that the construction applies.
+    the middle variable, reached by C colon steps by it, is the apery
+    algebra (its labels map onto the apery set degree by degree, one to
+    one, and that map commutes with each variable), and transfers WLP down
+    the same C-step chain.  ``ideal`` is S's codim3_defining_ideal when the
+    caller already has it; otherwise it is built here, which checks that the
+    construction applies.
     """
     if ideal is None:
         ideal = codim3_defining_ideal(S)
@@ -631,8 +631,12 @@ def quotient_condition_codim3(
     A = build_algebra(frame.table)
     G = build_gamma_algebra(frame)
     C = ideal.data["C"]
-    _, quotient = colon_by_power(G, "z", C)
-    identified = _same_graded_presentation(quotient, A, S)
+    quotient = G
+    for _ in range(C):
+        if quotient is None:
+            break
+        quotient = quotient.colon_step("z")
+    identified = quotient is not None and _same_graded_presentation(quotient, A, S)
     degrees = sorted(g + 1 for g in frame.gamma)
     criterion = ci_degree_criterion(degrees)
     chain = transfer_wlp(G, [("z", 1)] * C, seed=seed)

@@ -29,7 +29,6 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import product as iter_product
 from typing import Iterator, Optional, Sequence
 
 from .errors import EmptyInput, GcdNotOne, InternalFault, InvalidGenerator, NotInSemigroup, SizeLimit
@@ -245,9 +244,11 @@ class AperyTable:
     """The apery set of S w.r.t. its multiplicity, with orders and maximal reps.
 
     elements are the least semigroup members of each residue class mod g_1,
-    sorted increasingly; orders[i] = ord(elements[i]); max_reps[i] lists the
-    exponent tuple of every maximal representation of elements[i] (all have
-    first exponent 0), built on first access.
+    sorted increasingly; orders[i] = ord(elements[i]); socle_degree is the
+    largest order, the top degree of the graded algebra (the largest element
+    may have a smaller order); max_reps[i] lists the exponent tuple of every
+    maximal representation of elements[i] (all have first exponent 0), built
+    on first access.
     """
 
     semigroup: NumericalSemigroup
@@ -288,7 +289,7 @@ def _build_apery_table(S: NumericalSemigroup) -> AperyTable:
         semigroup=S,
         elements=elements,
         orders=orders,
-        socle_degree=orders[-1],
+        socle_degree=max(orders),
     )
 
 
@@ -402,7 +403,10 @@ def compute_beta_gamma(S: NumericalSemigroup) -> FrameData:
 
 
 def _box_values(gens: tuple[int, ...], bounds: Sequence[int]) -> tuple[int, ...]:
-    values = set()
-    for exps in iter_product(*(range(b + 1) for b in bounds)):
-        values.add(sum(l * g for l, g in zip(exps, gens[1:])))
+    """The values l.g of the exponent tuples l in the box 0 <= l_i <= bounds[i],
+    built one generator at a time, so the work follows the values, not the
+    tuples, whose number is exponential in the codimension."""
+    values = {0}
+    for g, b in zip(gens[1:], bounds):
+        values = {v + k * g for v in values for k in range(b + 1)}
     return tuple(sorted(values))

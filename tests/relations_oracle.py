@@ -19,11 +19,6 @@ from aperylef.polynomial import SparsePoly, monomials_of_degree
 BRUTE_FORCE_DIM_LIMIT = 200
 
 
-def all_labels(subspace) -> set:
-    """Every basis label of a MonomialSubspace."""
-    return {lab for labels in subspace.labels_by_degree for lab in labels}
-
-
 def rref(rows):
     """Reduced row echelon form of rows and its pivot columns."""
     m = [[Fraction(x) for x in row] for row in rows]

@@ -8,13 +8,14 @@ is not a sum of two nonzero elements.  `minimal_tuples` is the sweep's old
 filter: every tuple `itertools.combinations` lists, kept when it is its own
 minimal generating set.  `representations` lists every representation of
 an element, which the package never needs: it walks only the maximal ones.
-Tests compare the kernel and the walks against them.
+`box_values` is the frame's old box walk, over every exponent tuple of the
+box.  Tests compare the kernel and the walks against them.
 """
 
 import heapq
 import math
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 
 from aperylef import EmptyInput, GcdNotOne, InvalidGenerator, NotInSemigroup
 
@@ -87,3 +88,10 @@ def representations(S, s):
 
     recurse(0, s, ())
     return out
+
+
+def box_values(gens, bounds):
+    """The sorted distinct values l.g over every exponent tuple l of the box
+    0 <= l_i <= bounds[i], on the generators after the first."""
+    tuples = product(*(range(b + 1) for b in bounds))
+    return tuple(sorted({sum(l * g for l, g in zip(exps, gens[1:])) for exps in tuples}))

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bareiss_oracle
+import colon_oracle
 import multiplication_oracle
 import product_oracle
 import relations_oracle
@@ -25,12 +26,12 @@ from aperylef import (
     build_gamma_algebra,
     ci_tilde_ideal,
     codim3_defining_ideal,
-    colon_by_power,
     compute_beta_gamma,
     create_semigroup,
     multiplication_matrix,
     parse_polynomial,
     rank_info,
+    transfer_wlp,
 )
 from aperylef.cli import analyze_record
 from aperylef.linalg import fraction_rank, point_rank
@@ -264,32 +265,35 @@ def test_maps_equal_the_reference_builder(A, values):
 
 def test_colon_monomial_box():
     G = box_algebra(("y", "z"), (4, 2))  # K[y,z]/(y^5, z^3)
-    sub, Q = colon_by_power(G, "z", 1)
+    Q = G.colon_step("z")
     assert Q.hilbert() == (1, 2, 2, 2, 2, 1)
-    assert sub.dimension() + Q.dimension == G.dimension
+    ideal = colon_oracle.annihilator(G, Q)
+    assert ideal == [[(y, 2) for y, z in labels if z == 2] for labels in G.basis]
+    assert sum(map(len, ideal)) + Q.dimension == G.dimension
 
 
 def test_colon_large_power_gives_zero_quotient():
     G = box_algebra(("y", "z"), (4, 2))
-    sub, Q = colon_by_power(G, "z", G.top_degree + 1)
-    assert Q.dimension == 0
-    assert sub.dimension() == G.dimension
+    assert colon_oracle.colon_steps(G, "z", 2) is not None
+    assert colon_oracle.colon_steps(G, "z", 3) is None
+    assert colon_oracle.colon_steps(G, "z", G.top_degree + 1) is None
 
 
 def test_colon_by_a_name_that_is_not_a_variable_is_an_invalid_step():
+    # a colon step by such a name is None, as by a killed variable; a
+    # quotient chain refuses the name
     G = box_algebra(("y", "z"), (4, 2))
-    for name in ("w", "Y", ""):
-        with pytest.raises(InvalidStep, match="not a variable"):
-            colon_by_power(G, name, 1)
     A = algebra_of([8, 10, 11, 12])
-    with pytest.raises(InvalidStep):
-        colon_by_power(A, "x2", 1)
+    for alg, name in [(G, "w"), (G, "Y"), (G, ""), (A, "x2")]:
+        assert alg.colon_step(name) is None
+        with pytest.raises(InvalidStep, match="not a variable"):
+            transfer_wlp(alg, [(name, 1)], seed=0)
 
 
 def test_colon_reproduces_apery_algebra_from_gamma_box():
     S = create_semigroup([16, 18, 21, 27])
     G = build_gamma_algebra(compute_beta_gamma(S))
-    _, Q = colon_by_power(G, "z", 2)
+    Q = G.colon_step("z").colon_step("z")
     assert Q.hilbert() == build_algebra(S.apery_table()).hilbert() == (1, 3, 4, 4, 3, 1)
 
 
@@ -299,15 +303,18 @@ def test_colon_subspace_is_an_ideal(corpus):
         if A.top_degree < 1:
             continue
         for var in A.variables[:2]:
-            sub, Q = colon_by_power(A, var, 1)
-            members = relations_oracle.all_labels(sub)
+            Q = A.colon_step(var)
+            ideal = colon_oracle.annihilator(A, Q)
+            members = {lab for labels in ideal for lab in labels}
             for label in members:
                 for image in A.times[label]:
                     assert image is None or image in members
+                # (0:x) is what x kills
+                assert A.times[label][A.variables.index(var)] is None
             # dimension additivity in every degree
             padded = list(Q.hilbert()) + [0] * (A.top_degree + 1 - len(Q.hilbert()))
             for d in range(A.top_degree + 1):
-                assert len(sub.labels_by_degree[d]) + padded[d] == A.hilbert()[d]
+                assert len(ideal[d]) + padded[d] == A.hilbert()[d]
 
 
 # -- maps of colon quotients -------------------------------------------------------
@@ -341,7 +348,7 @@ def slice_cases(corpus):
             continue
         C = codim3_defining_ideal(S).data["C"]
         G = build_gamma_algebra(frame)
-        yield G, colon_by_power(G, "z", C)[1]
+        yield G, colon_oracle.colon_by_power(G, "z", C)
         step = G
         for _ in range(C):
             Q = step.colon_step("z")
@@ -468,7 +475,7 @@ def quotient_roots(draw):
     S = create_semigroup(list(draw(st.sampled_from(GAMMA_INSTANCES))))
     G = build_gamma_algebra(S.frame())
     C = codim3_defining_ideal(S).data["C"]
-    return G, [colon_by_power(G, "z", k)[1] for k in range(1, C + 1)]
+    return G, [colon_oracle.colon_steps(G, "z", k) for k in range(1, C + 1)]
 
 
 @given(quotient_roots())
@@ -540,8 +547,28 @@ def test_the_variable_actions_commute_and_generate(root):
 def test_a_colon_quotient_of_a_monomial_algebra_may_be_the_zero_ring():
     A = algebra_of([8, 10, 11])
     assert A.exponents is not None
-    _, Q = colon_by_power(A, "y", A.top_degree + 1)
+    assert colon_oracle.colon_steps(A, "y", A.top_degree + 1) is None
+    Q = colon_oracle.colon_by_power(A, "y", A.top_degree + 1)
     assert Q.dimension == 0 and Q.exponents == {}
+
+
+@given(quotient_roots())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_colon_steps_are_the_colon_by_the_power(root):
+    """(0:x^(c+1)) in A is (0:x) in A/(0:x^c): c colon steps by x give the
+    one-shot quotient by x^c, for c = 0 to past the top degree, and None
+    where that quotient is the zero ring."""
+    A, _ = root
+    for x in A.variables:
+        for c in range(A.top_degree + 2):
+            want = colon_oracle.colon_by_power(A, x, c)
+            got = colon_oracle.colon_steps(A, x, c)
+            if not want.dimension:
+                assert got is None, (A, x, c)
+                continue
+            assert got is not None, (A, x, c)
+            assert (got.variables, got.basis, got.var_labels) == (want.variables, want.basis, want.var_labels)
+            assert got.times == want.times and got.exponents == want.exponents, (A, x, c)
 
 
 @st.composite

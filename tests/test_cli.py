@@ -49,6 +49,33 @@ def test_analyze_16_18_21_27():
     assert record["conjecture"]["all_wlp"] is True
 
 
+def test_the_record_socle_degree_is_the_top_degree(corpus):
+    # the Apery orders of <4,5,11> are (0, 1, 2, 1): its largest element has
+    # order 1, but its algebra, h = (1, 2, 1), has top degree 2
+    for gens in [(4, 5, 11)] + [S.generators for S in corpus]:
+        record = analyze_record(list(gens), seed_root=0)
+        reports = [r for prop in ("wlp", "slp") for r in record[prop].values() if "socle_degree" in r]
+        assert reports, gens
+        assert record["socle_degree"] == len(record["hilbert"]) - 1, gens
+        assert all(r["socle_degree"] == record["socle_degree"] for r in reports), gens
+    code, out, _ = run_cli(["apery", "--gens", "4,5,11"])
+    assert code == 0 and json.loads(out)["socle_degree"] == 2
+
+
+def test_classify_many_generators_returns_promptly():
+    # the gamma and beta boxes of 30 generators hold 2^29 exponent tuples but
+    # few values, and the frame walks the values
+    gens = ",".join(map(str, range(30, 60)))
+    result = subprocess.run(
+        [sys.executable, "-m", "aperylef.cli", "classify", "--gens", gens],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_analyze_8_10_11_12_classification():
     code, out, _ = run_cli(["analyze", "--gens", "8,10,11,12"])
     record = json.loads(out)

@@ -477,6 +477,15 @@ def test_both_algebra_kinds_reject_the_same_map_degrees(d, power):
             obj.map_matrix(d, power)
 
 
+@pytest.mark.parametrize("name", ["q", "", "X", "x2"])
+def test_both_algebra_kinds_give_no_colon_step_by_a_name_that_is_not_a_variable(name):
+    view = dual_algebra_view(parse_polynomial("x^2*y + y^3"))
+    A = build_algebra(create_semigroup([8, 10, 11, 12]).apery_table())
+    for obj in (view, A):
+        assert name not in obj.variables
+        assert obj.colon_step(name) is None
+
+
 @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (4, 0), (5, 0), (0, 4)])
 def test_view_pairing_rejects_degrees_outside_the_socle_range(i, j):
     view = dual_algebra_view(parse_polynomial("x^2*y + y^3"))

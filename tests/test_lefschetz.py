@@ -17,7 +17,6 @@ from aperylef import (
     ci_degree_criterion,
     ci_hilbert,
     ci_quotient_plan,
-    colon_by_power,
     compute_beta_gamma,
     conjecture_check,
     create_semigroup,
@@ -43,9 +42,9 @@ from aperylef.errors import InternalFault
 from aperylef.lefschetz import INCONCLUSIVE_STEP, TRANSFERRED, LefschetzReport
 from bareiss_oracle import exact_rank
 from dual_forms import dual_form_text
+import colon_oracle
 import identification_oracle
 import product_oracle
-import relations_oracle
 
 CUBIC_5VAR = parse_polynomial("a^2*x + a*b*y + b^2*z")
 QUARTIC_5VAR = parse_polynomial("a^2*x*z + a*b*y*z + 1/2*b^2*z^2")
@@ -319,8 +318,8 @@ def test_codim3_colon_ideal_is_generated_by_the_two_monomials():
     h2, h3, h4 = ideal.data["h2"], ideal.data["h3"], ideal.data["h4"]
     C = ideal.data["C"]
     G = build_gamma_algebra(compute_beta_gamma(S))
-    sub, _ = colon_by_power(G, "z", C)
-    colon_labels = relations_oracle.all_labels(sub)
+    Q = colon_oracle.colon_steps(G, "z", C)
+    colon_labels = {lab for labels in colon_oracle.annihilator(G, Q) for lab in labels}
     generated = set()
     all_labels = [lab for b in G.basis for lab in b]
     product = product_oracle.products(G)
@@ -411,9 +410,9 @@ def test_transfer_rejects_non_gorenstein_base():
 
 def test_colon_power_zero_is_identity():
     A = algebra_of([8, 10, 11, 12])
-    sub, Q = colon_by_power(A, "y", 0)
-    assert sub.dimension() == 0
-    assert Q.hilbert() == A.hilbert()
+    chain = transfer_wlp(A, [("y", 0)], seed=3)
+    assert chain.steps == []
+    assert chain.final_hilbert == A.hilbert()
 
 
 def test_slp_implies_wlp_on_examples():
@@ -433,7 +432,7 @@ def test_transfer_conclusions_are_sound():
     current = G
     chain = transfer_wlp(G, [("z", 1), ("z", 1)], seed=11)
     for step in chain.steps:
-        _, current = colon_by_power(current, step.variable, 1)
+        current = current.colon_step(step.variable)
         if step.conclusion == TRANSFERRED:
             assert wlp_by_ranks(current, seed=11).verdict == "holds"
 
@@ -664,7 +663,7 @@ def test_variable_products_identify_as_all_products_do(corpus):
         A, G = build_algebra(frame.table), build_gamma_algebra(frame)
         C = codim3_defining_ideal(S).data["C"]
         for c in (C - 1, C, C + 1):
-            _, quotient = colon_by_power(G, "z", c)
+            quotient = colon_oracle.colon_by_power(G, "z", c)
             got = algebra._same_graded_presentation(quotient, A, S)
             assert got == identification_oracle.same_graded_presentation(quotient, A, S), (S, c)
             assert got is (c == C), (S, c)
@@ -680,7 +679,7 @@ def test_variable_products_catch_a_wrong_product(wrong):
     S = create_semigroup([16, 18, 21, 27])
     frame = S.frame()
     A = build_algebra(frame.table)
-    _, quotient = colon_by_power(build_gamma_algebra(frame), "z", 2)
+    quotient = build_gamma_algebra(frame).colon_step("z").colon_step("z")
     assert algebra._same_graded_presentation(quotient, A, S)
     times, d1 = {lab: list(row) for lab, row in quotient.times.items()}, quotient.var_labels
 

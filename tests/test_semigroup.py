@@ -402,6 +402,19 @@ def test_box_elements_paper_cases():
 
 # -- randomized invariant suite ----------------------------------------------------
 
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=5).flatmap(
+        lambda rest: st.tuples(st.just((1,) + tuple(rest)),
+                               st.lists(st.integers(0, 5), min_size=len(rest), max_size=len(rest)))
+    )
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_box_values_are_the_values_of_every_box_tuple(case):
+    # the first generator takes no part, as in the frame's boxes
+    gens, bounds = case
+    assert semigroup._box_values(gens, bounds) == semigroup_oracle.box_values(gens, bounds)
+
+
 def test_randomized_invariants(corpus):
     rng = random.Random(7)
     assert len(corpus) >= 200
