@@ -19,8 +19,8 @@ zero and the columns of the variables the ideal holds dropped.  It is an
 algebra in its own right and builds its maps from its own table, as every
 algebra does.  A power is a chain of such steps: (0:x^(c+1)) in A is (0:x)
 in A/(0:x^c), so GradedAlgebra.colon_step is the only colon quotient.  Each
-algebra builds a map once, and an Apery table gives one algebra while
-anything holds it.
+algebra builds a map and a colon quotient once, and an Apery table gives one
+algebra while anything holds it.
 
 The Apery algebra of a semigroup with at most three minimal generators is
 monomial: each Apery element has one maximal representation r(w), so the
@@ -91,7 +91,9 @@ class GradedAlgebra:
         self.var_labels = tuple(var_labels)
         self.times = times
         self.kind = kind
+        self._hilbert = tuple(len(b) for b in self.basis)
         self._maps: dict[tuple[int, int], Matrix] = {}
+        self._colons: dict[str, Optional[GradedAlgebra]] = {}
         self._gorenstein: Optional[dict] = None
         self.exponents = _exponent_vectors(self) if monomial else None
 
@@ -110,7 +112,7 @@ class GradedAlgebra:
         return len(self.basis[1]) if len(self.basis) > 1 else 0
 
     def hilbert(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.basis)
+        return self._hilbert
 
     def socle_labels(self) -> list:
         return [lab for labels in self.basis for lab in labels
@@ -159,10 +161,16 @@ class GradedAlgebra:
         quotient keeps the other labels and this table on them, with an image
         in (0:x) sent to None and the column of a variable in (0:x) dropped.
         A variable an earlier colon step killed is zero here, so its
-        annihilator is the whole algebra.
+        annihilator is the whole algebra.  Built once per variable and shared
+        by every caller, as the maps are.
         """
         if variable not in self.variables:
             return None
+        if variable not in self._colons:
+            self._colons[variable] = self._colon(variable)
+        return self._colons[variable]
+
+    def _colon(self, variable: str) -> Optional["GradedAlgebra"]:
         column = self.variables.index(variable)
         ideal = {lab for lab, row in self.times.items() if row[column] is None}
         kept = [i for i, lab in enumerate(self.var_labels) if lab not in ideal]
@@ -467,7 +475,8 @@ def relation_text(p: SparsePoly) -> str:
 
     A binomial like a pure power minus a mixed monomial reads better with
     the pure power leading, so that term is pulled to the front; everything
-    else keeps canonical graded-lex order.
+    else keeps canonical graded-lex order.  Both parts are the terms of p,
+    clean already, so they are built as they are.
     """
     pure = [
         (e, c) for e, c in p.terms.items()
@@ -476,8 +485,8 @@ def relation_text(p: SparsePoly) -> str:
     if len(pure) != 1 or len(p.terms) == 1:
         return str(p)
     (pe, pc) = pure[0]
-    rest = SparsePoly(p.vars, {e: c for e, c in p.terms.items() if e != pe})
-    head = str(SparsePoly.monomial(p.vars, pe, pc))
+    rest = SparsePoly._from_clean(p.vars, {e: c for e, c in p.terms.items() if e != pe})
+    head = str(SparsePoly._from_clean(p.vars, {pe: pc}))
     tail = str(rest)
     if tail.startswith("-"):
         return f"{head} - {tail[1:]}"
@@ -507,21 +516,23 @@ def ci_tilde_ideal(frame: FrameData) -> IdealDescription:
 
     One generator per variable: the (gamma_i+1)-th pure power, minus the
     double-representation monomial when gamma_i < beta_i.  This generates the
-    whole defining ideal exactly in the complete intersection case.
+    whole defining ideal exactly in the complete intersection case.  That
+    monomial avoids variable i (compute_beta_gamma checks it), so the two
+    terms are distinct and clean as built.
     """
     gens = frame.semigroup.generators
     codim = len(gens) - 1
     names = variable_names(codim)
+    one = Fraction(1)
     polys = []
     degrees = []
     for j in range(codim):
         exps = [0] * codim
         exps[j] = frame.gamma[j] + 1
-        p = SparsePoly.monomial(names, exps)
+        terms = {tuple(exps): one}
         if frame.rho[j]:
-            witness = frame.gamma_witness[j + 1]
-            p = p - SparsePoly.monomial(names, witness[1:])
-        polys.append(p)
+            terms[frame.gamma_witness[j + 1][1:]] = -one
+        polys.append(SparsePoly._from_clean(names, terms))
         degrees.append(frame.gamma[j] + 1)
     return IdealDescription(
         generators=polys,
@@ -579,9 +590,10 @@ def codim3_defining_ideal(S: NumericalSemigroup, tilde: Optional[IdealDescriptio
     if h3 < 1:
         raise InternalFault(f"exponent h3 = {h3} of the extra generators is below 1")
     names = tilde.variables
+    one = Fraction(1)
     extra = [
-        SparsePoly.monomial(names, (h2, h3, 0)),
-        SparsePoly.monomial(names, (0, h3, h4)),
+        SparsePoly._from_clean(names, {(h2, h3, 0): one}),
+        SparsePoly._from_clean(names, {(0, h3, h4): one}),
     ]
     data = dict(tilde.data)
     data.update(

@@ -13,6 +13,7 @@ does; that exit prints nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -57,6 +58,10 @@ from .polynomial import SparsePoly, parse_polynomial
 from .semigroup import AperyTable, NumericalSemigroup, create_semigroup, minimal_tuples
 
 SCHEMA_VERSION = 1
+
+# A sweep's records are trees of fresh dicts and lists (the to_dict rule of
+# the report classes), so the encoder need not look for cycles.
+_RECORD_ENCODER = json.JSONEncoder(check_circular=False)
 
 
 def _parse_gens(text: str) -> list[int]:
@@ -398,6 +403,10 @@ def _ends_mid_line(path: str) -> bool:
 
 
 def sweep(args) -> int:
+    if args.method == "hessian" and not args.require_m_pure:
+        # the Hessian route needs the dual generator of an m-pure semigroup,
+        # and a sweep that met a candidate without one would stop there
+        raise ConflictingInput("--method hessian needs --require-m-pure in a sweep")
     lo, hi = args.mult
     clo, chi = args.count
     written = skipped = resumed = 0
@@ -429,7 +438,7 @@ def sweep(args) -> int:
                             skipped += 1
                             continue
                     record = _record(S, args.method, args.seed)
-                    out.write(json.dumps(record) + "\n")
+                    out.write(_RECORD_ENCODER.encode(record) + "\n")
                     out.flush()
                     keys.add(key)
                     written += 1
@@ -561,9 +570,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process; parse_args keeps no state
+    in it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     out = sys.stdout
     close_out = False
     try:

@@ -73,6 +73,8 @@ def dual_socle_generator(table: AperyTable) -> SparsePoly:
     """Sum of the monomials of all maximal representations of the apery top.
 
     Requires the order-symmetric (Gorenstein) case; every coefficient is 1.
+    The representations are distinct and all have first exponent 0, so the
+    terms are clean as built.
     """
     if not table.m_pure_verdict():
         raise NotGorenstein(
@@ -80,8 +82,8 @@ def dual_socle_generator(table: AperyTable) -> SparsePoly:
         )
     codim = len(table.semigroup.generators) - 1
     names = variable_names(codim)
-    terms = {rep[1:]: Fraction(1) for rep in table.max_reps[-1]}
-    return SparsePoly(names, terms)
+    one = Fraction(1)
+    return SparsePoly._from_clean(names, {rep[1:]: one for rep in table.max_reps[-1]})
 
 
 def _derivatives(F: SparsePoly, exps) -> dict[tuple[int, ...], SparsePoly]:

@@ -338,13 +338,16 @@ def _rows_mod_p(entries, assignment) -> list[list[int]]:
     """The entries at the point, modulo POINT_PRIME, read off their terms.
 
     The residues of the point's values and of each monomial are kept per
-    variable tuple, so a monomial shared by many entries is raised once.  An
-    int entry, as every entry of a path-count map is, is read first.
+    variable tuple, so a monomial shared by many entries is raised once.  A
+    zero entry, as most entries of a sparse map are, reads 0 before any
+    lookup, and an int entry, as every entry of a path-count map is, next.
     """
     p = POINT_PRIME
     by_vars: dict = {}  # variable tuple -> (value residues, monomial residues)
 
     def residue(e) -> int:
+        if not e:
+            return 0
         if isinstance(e, int):
             return e % p
         if not isinstance(e, SparsePoly):

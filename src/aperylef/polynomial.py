@@ -229,14 +229,16 @@ class SparsePoly:
             mono = "*".join(
                 v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, exps) if e
             )
-            mag = abs(coeff)
-            if mono and mag == 1:
+            # the magnitude as str(abs(coeff)) spells it, from the two ints
+            num, den = coeff.numerator, coeff.denominator
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            if mono and mag == "1":
                 body = mono
             elif mono:
                 body = f"{mag}*{mono}"
             else:
-                body = str(mag)
-            pieces.append(("-" if coeff < 0 else "+", body))
+                body = mag
+            pieces.append(("-" if num < 0 else "+", body))
         sign, body = pieces[0]
         out = ("-" if sign == "-" else "") + body
         for sign, body in pieces[1:]:

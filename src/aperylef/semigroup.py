@@ -12,7 +12,8 @@ Liptak 2007): adding g walks each of the gcd(g, g_1) cycles r -> r + g of the
 residues once, from the cycle's least entry, and relaxes every entry by g, so
 one step costs O(g_1).  A sweep carries the Apery list of a generator prefix
 down the tuple tree the same way.  Every w - g in S of an Apery element w is
-another Apery element, so the orders of the Apery set cost O(n*g_1).
+a smaller Apery element, so the orders of the Apery set come from one pass
+over its sorted elements, at a cost of O(n*g_1).
 
 A representation of s is its exponent tuple over the generators.  A maximal
 representation (one of total degree ord(s)) less one generator g is one of
@@ -283,8 +284,20 @@ class AperyTable:
 
 
 def _build_apery_table(S: NumericalSemigroup) -> AperyTable:
+    """The table, with the orders of the Apery set from one pass over it.
+
+    w - g in S makes w - g a smaller Apery element for an Apery element w,
+    so over the sorted elements every order the recurrence reads is already
+    memoized.  The memo then holds at most its old entries and the elements
+    (0 is in both), which ORDERS_LIMIT caps before the pass.
+    """
     elements = tuple(sorted(S._apery))
-    orders = tuple(S.order(e) for e in elements)
+    memo, gens, contains = S._orders, S.generators, S.contains
+    if len(memo) + len(elements) - 1 > ORDERS_LIMIT:
+        raise SizeLimit(f"the orders of the apery set of {S!r} exceed cap {ORDERS_LIMIT}")
+    for w in elements[1:]:
+        memo[w] = 1 + max(memo[w - g] for g in gens if contains(w - g))
+    orders = tuple(memo[w] for w in elements)
     return AperyTable(
         semigroup=S,
         elements=elements,
@@ -335,11 +348,13 @@ class FrameData:
         return math.prod(g + 1 for g in self.gamma)
 
     def is_ci(self) -> bool:
-        """Complete intersection: the gamma box adds no new elements."""
-        return set(self.box_gamma) == set(self.table.elements)
+        """Complete intersection: the gamma box adds no new elements.  The
+        boxes hold distinct values and contain the apery set, so equal sizes
+        are equal sets."""
+        return len(self.box_gamma) == len(self.table.elements)
 
     def is_monomial_ci(self) -> bool:
-        return set(self.box_b) == set(self.table.elements)
+        return len(self.box_b) == len(self.table.elements)
 
     def gamma_minus_apery(self) -> tuple[int, ...]:
         apery = set(self.table.elements)

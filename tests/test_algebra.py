@@ -290,6 +290,18 @@ def test_colon_by_a_name_that_is_not_a_variable_is_an_invalid_step():
             transfer_wlp(alg, [(name, 1)], seed=0)
 
 
+def test_a_colon_step_is_built_once_per_variable():
+    # an algebra keeps each quotient as it keeps each map, so a chain and the
+    # codim-3 identification walk the same quotients
+    for alg in (box_algebra(("y", "z"), (4, 2)), algebra_of([16, 18, 21, 27]), algebra_of([8, 10, 11, 12])):
+        for v in alg.variables:
+            Q = alg.colon_step(v)
+            assert Q is not None and alg.colon_step(v) is Q
+            assert Q.hilbert() == tuple(len(b) for b in Q.basis)
+    G = box_algebra(("y", "z"), (1, 0))
+    assert G.colon_step("z") is None and G.colon_step("z") is None
+
+
 def test_colon_reproduces_apery_algebra_from_gamma_box():
     S = create_semigroup([16, 18, 21, 27])
     G = build_gamma_algebra(compute_beta_gamma(S))

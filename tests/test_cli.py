@@ -723,6 +723,26 @@ def test_sweep_rejects_a_nonpositive_multiplicity(mult, tmp_path):
     assert err == "input error: generators must be positive integers\n"
 
 
+def test_a_hessian_sweep_needs_m_pure_candidates(tmp_path):
+    # the Hessian route needs the dual generator of an m-pure semigroup, and
+    # <3, 4, 5> is not m-pure: the sweep is refused before it writes anything
+    out_path = tmp_path / "hessian.jsonl"
+    for out in ([], ["--out", str(out_path)]):
+        code, stdout, err = run_cli(["sweep", "--mult", "3:4", "--count", "3:3", "--max-gen", "8",
+                                     "--method", "hessian", *out])
+        assert (code, stdout) == (2, "")
+        assert err == "input error: --method hessian needs --require-m-pure in a sweep\n"
+    assert not out_path.exists()
+    code, stdout, err = run_cli(["--seed", "3", "sweep", "--mult", "3:6", "--count", "3:3", "--max-gen", "12",
+                                 "--method", "hessian", "--require-m-pure"])
+    lines = stdout.splitlines()
+    assert code == 0 and len(lines) >= 3
+    for line in lines:
+        record = json.loads(line)
+        assert record["m_pure_symmetric"] and set(record["wlp"]) == {"hessian"}
+        assert line == json.dumps(analyze_record(record["generators"], method="hessian", seed_root=3))
+
+
 def test_empty_sweep(tmp_path):
     # no semigroup of multiplicity 3 has 4 minimal generators
     out_path = tmp_path / "empty.jsonl"

@@ -559,6 +559,45 @@ def test_evaluate_first_matches_reference_core(m_pure_algebras, monkeypatch, see
     assert got == all_reports(m_pure_algebras, seed)
 
 
+# -- the witness draws -------------------------------------------------------------
+
+DRAW_CALLS = st.lists(
+    st.tuples(st.sampled_from([None, 0, 5, 13]), st.integers(1, 5),
+              st.integers(1, lefschetz.WITNESS_ATTEMPTS), st.sampled_from([None, 2, 7])),
+    min_size=1, max_size=5,
+)
+
+
+@given(DRAW_CALLS)
+@settings(max_examples=60, deadline=None)
+def test_the_draws_are_those_of_a_fresh_generator_per_report(calls):
+    # the reports of a seed share one stream of draws; each still sees, at
+    # its k-th attempt, the k-th n values of random.Random(seed), whatever
+    # seed, variable count or WITNESS_RANGE the reports before it used, and
+    # only the last (seed, WITNESS_RANGE) keeps a stream
+    for seed, n, attempts, witness_range in calls:
+        with pytest.MonkeyPatch.context() as mp:
+            if witness_range is not None:
+                mp.setattr(lefschetz, "WITNESS_RANGE", witness_range)
+            obj = box_algebra(tuple(f"x{i}" for i in range(n)), (1,) * n)
+            seen = []
+
+            def usable(point):
+                seen.append(point)
+                return len(seen) == attempts
+
+            unit = linalg.Matrix([0], [0], [[1]])
+            report = lefschetz._decide("WLP", "ranks", obj, [({}, 1, lambda: unit)], seed, "", usable)
+            rng = random.Random(0 if seed is None else seed)
+            expected = [{v: rng.randint(1, lefschetz.WITNESS_RANGE) for v in obj.variables}
+                        for _ in range(attempts)]
+            assert seen == expected
+            assert report.witness == expected[-1]
+            key, values, _ = lefschetz._stream
+            assert key == (0 if seed is None else seed, lefschetz.WITNESS_RANGE)
+            assert len(values) >= attempts * n
+
+
 # -- the decisive middle map against ranking every map --------------------------------
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from aperylef import PolyParseError, SparsePoly, monomials_of_degree, parse_polynomial
 from inverse_system_oracle import partial
+import printer_oracle
 
 VARS = ("y", "z", "w")
 
@@ -152,3 +153,21 @@ def test_the_public_constructor_still_validates():
     p = SparsePoly(("u", "v"), {(1, 0): 2, (0, 1): 0, (0, 2): 0.5})
     assert p.terms == {(1, 0): Fraction(2), (0, 2): Fraction(1, 2)}
     assert_clean(p)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_printer_reads_each_coefficient_from_its_two_ints(data):
+    # the printer spells a coefficient from its numerator and denominator;
+    # it prints what abs, comparison and str of the Fraction printed, and an
+    # int coefficient (a _from_clean caller may hand one) as its Fraction
+    variables = data.draw(st.sampled_from([(), ("u",), ("u", "v"), VARS]))
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 5))):
+        exps = tuple(data.draw(st.integers(0, 3)) for _ in variables)
+        num = data.draw(st.integers(-12, 12).filter(bool))
+        den = data.draw(st.sampled_from([1, 1, 2, 3, 7, 10]))
+        terms[exps] = num if data.draw(st.booleans()) and den == 1 else Fraction(num, den)
+    p = SparsePoly._from_clean(variables, terms)
+    assert str(p) == printer_oracle.text(p)
+    assert str(p) == str(SparsePoly(variables, terms))

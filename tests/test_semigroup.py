@@ -236,6 +236,31 @@ def test_order_size_limit(monkeypatch):
     assert S.order(90) == 45  # what the walk memoized before the cap stays
 
 
+@given(st.lists(st.integers(2, 40), min_size=1, max_size=5), st.integers(0, 60), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_the_table_orders_are_those_of_the_order_walk(gens, past, asked_first):
+    # the table takes the orders of the Apery set in one pass over its sorted
+    # elements; they are S.order's, also on a semigroup whose memo already
+    # holds orders off the Apery set (s is above its largest element)
+    gens = gens + [gens[0] + 1]
+    S = create_semigroup(gens)
+    if asked_first:
+        S.order(max(S._apery) + 1 + past)
+    table = S.apery_table()
+    walk = create_semigroup(gens)
+    assert table.orders == tuple(walk.order(e) for e in table.elements)
+    assert table.orders == tuple(S.order(e) for e in table.elements)
+    assert table.socle_degree == max(table.orders)
+
+
+def test_apery_table_size_limit(monkeypatch):
+    # the table's pass holds one order per Apery element
+    monkeypatch.setattr(semigroup, "ORDERS_LIMIT", 12)
+    assert create_semigroup([12, 13]).apery_table().orders[-1] == 11
+    with pytest.raises(SizeLimit):
+        create_semigroup([13, 14]).apery_table()
+
+
 def test_order_rejects_non_members():
     S = create_semigroup([8, 10, 11, 12])
     with pytest.raises(NotInSemigroup):
