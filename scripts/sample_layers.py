@@ -45,6 +45,8 @@ INTERVAL = 0.001
 LAYERS = ("semigroup", "algebra build", "map build and rank", "report machinery", "texts", "JSON", "other")
 
 # (module, qualified function name) -> layer, where it is not the module's.
+# A test checks that each names a live function, so a rename fails there
+# instead of moving its samples to another layer.
 FUNCTIONS = {
     ("aperylef.polynomial", "SparsePoly.__str__"): "texts",
     ("aperylef.algebra", "relation_text"): "texts",
@@ -85,7 +87,7 @@ def layer_of(frame) -> str:
     return "other"
 
 
-def sample(argv: list[str], interval: float = INTERVAL) -> tuple[int, dict[str, float], int, float]:
+def sample(argv: list[str]) -> tuple[int, dict[str, float], int, float]:
     """Run cli.main(argv) under the timer: (exit status, share of each layer
     in LAYERS, samples, CPU seconds).  The shares are empty when the command
     ended before the first sample."""
@@ -96,7 +98,7 @@ def sample(argv: list[str], interval: float = INTERVAL) -> tuple[int, dict[str, 
 
     previous = signal.signal(signal.SIGPROF, on_sample)
     start = time.process_time()
-    signal.setitimer(signal.ITIMER_PROF, interval, interval)
+    signal.setitimer(signal.ITIMER_PROF, INTERVAL, INTERVAL)
     try:
         with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
             code = cli.main(argv)

@@ -77,14 +77,9 @@ AlgebraLike = Union[GradedAlgebra, DualAlgebraView]
 WITNESS_RANGE = 10_000
 WITNESS_ATTEMPTS = 25
 
-# The witness draws of the last seed asked for: its key (seed,
-# WITNESS_RANGE), the values drawn so far and the generator that continues
-# them.  One stream only, since every report of a record shares the record's
-# seed, and one generator, reseeded in place: a generator made anew for each
-# seed outlives its record, and around records a caller holds that left the
-# heap fragmented (+2 MB peak RSS over 7,304 held dual_mix records on
-# Python 3.11.7).
-_stream: list = [None, [], random.Random()]
+# The generator of every report's witness draws, reseeded in place by each
+# report rather than built anew.
+_rng = random.Random()
 
 
 def root_seed() -> int:
@@ -134,24 +129,6 @@ class LefschetzReport:
         }
 
 
-def _draws(seed: int, count: int) -> list[int]:
-    """At least the first count values of randint(1, WITNESS_RANGE) drawn from
-    random.Random(seed), the stream's own list, which callers must not change.
-
-    A new seed or range starts a new stream in place of the last one; the
-    same seed extends it as far as a report asks.
-    """
-    key = (seed, WITNESS_RANGE)
-    _, values, rng = _stream
-    if _stream[0] != key:
-        _stream[0] = key
-        values.clear()
-        rng.seed(seed)  # the state random.Random(seed) starts from
-    while len(values) < count:
-        values.append(rng.randint(1, WITNESS_RANGE))
-    return values
-
-
 def _hilbert(obj: AlgebraLike) -> tuple[int, ...]:
     """The Hilbert vector: a method of GradedAlgebra, a field of DualAlgebraView."""
     h = obj.hilbert
@@ -185,17 +162,16 @@ def _decide(
     until one gives it full rank, and if none does it reports its best point
     rank as probabilistic.  The witness is the first draw that the point
     filter passes with every map at full rank; a draw the filter rejects
-    still counts as an attempt.  Draw k assigns the variables, in order, the
-    values k*n .. k*n + n - 1 of the seed's stream (_draws), the values a
-    fresh random.Random(seed) gives its k-th n draws.
+    still counts as an attempt.  The draws are those of a fresh
+    random.Random(seed), each assigning the variables in order.
     """
-    seed = 0 if seed is None else seed
-    names, n = obj.variables, len(obj.variables)
+    rng = _rng
+    rng.seed(0 if seed is None else seed)  # the state random.Random(seed) starts from
     certified: dict[int, int] = {}  # check index -> generic rank
     best = [0] * len(checks)  # best point rank of a map not yet certified
     witness = None if checks else {}
     for attempt in range(WITNESS_ATTEMPTS if checks else 0):
-        point = dict(zip(names, _draws(seed, (attempt + 1) * n)[attempt * n:]))
+        point = {v: rng.randint(1, WITNESS_RANGE) for v in obj.variables}
         usable = point_filter is None or point_filter(point)
         full = True  # every map ranked at this draw has full rank
         for i, (_, required, matrix) in enumerate(checks):

@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import math
 from pathlib import Path
@@ -34,3 +35,14 @@ def test_a_frame_takes_the_layer_of_the_innermost_frame_that_names_one():
     assert sample_layers.layer_of(Frame("aperylef.algebra", "_apery_algebra", record)) == "algebra build"
     assert sample_layers.layer_of(Frame("json.encoder", "JSONEncoder.encode", record)) == "JSON"
     assert sample_layers.layer_of(Frame("argparse", "ArgumentParser.parse_args")) == "other"
+
+
+def test_every_function_and_module_of_the_layer_map_exists():
+    # a renamed function would otherwise hand its samples to its module's layer
+    for module, qualname in sample_layers.FUNCTIONS:
+        obj = importlib.import_module(module)
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        assert obj.__code__.co_qualname == qualname and obj.__module__ == module
+    for module in sample_layers.MODULES:
+        importlib.import_module(module)
