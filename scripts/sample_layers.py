@@ -60,6 +60,9 @@ FUNCTIONS = {
     ("aperylef.algebra", "_words"): "map build and rank",
     ("aperylef.algebra", "_check_map_degrees"): "map build and rank",
     ("aperylef.algebra", "LinearForm.symbolic"): "map build and rank",
+    ("aperylef.algebra", "OneStepMap.__init__"): "map build and rank",
+    ("aperylef.algebra", "OneStepMap._symbolic_entries"): "map build and rank",
+    ("aperylef.algebra", "OneStepMap.rank_at"): "map build and rank",
 }
 
 MODULES = {

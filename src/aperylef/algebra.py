@@ -22,6 +22,14 @@ in A/(0:x^c), so GradedAlgebra.colon_step is the only colon quotient.  Each
 algebra builds a map and a colon quotient once, and an Apery table gives one
 algebra while anything holds it.
 
+The map of one step by the generic form is the table itself: its entry
+(w', w) is the sum of the variables that carry w to w' (the torus form of a
+one-step map, Migliore-Miro-Roig-Nagel 2011).  So a OneStepMap keeps those
+cells and ranks itself at a point modulo linalg.POINT_PRIME straight from
+them; only a rank below full there builds its polynomial entries and goes
+to linalg.point_rank.  A map of two or more steps walks the table
+(multiplication_matrix).
+
 The Apery algebra of a semigroup with at most three minimal generators is
 monomial: each Apery element has one maximal representation r(w), so the
 algebra is k[y, z]/(monomial ideal) with basis the monomials x^r(w).  The
@@ -45,7 +53,7 @@ from itertools import product as iter_product
 from typing import Optional, Sequence
 
 from .errors import DegreeOutOfRange, InternalFault, NotApplicable
-from .linalg import Matrix
+from .linalg import POINT_PRIME, Matrix, _mod_p, _rank_mod_p, point_rank
 from .polynomial import SparsePoly, grlex_key
 from .semigroup import AperyTable, FrameData, NumericalSemigroup
 
@@ -115,8 +123,8 @@ class GradedAlgebra:
         return self._hilbert
 
     def socle_labels(self) -> list:
-        return [lab for labels in self.basis for lab in labels
-                if all(image is None for image in self.times[lab])]
+        n, times = len(self.var_labels), self.times
+        return [lab for labels in self.basis for lab in labels if times[lab].count(None) == n]
 
     def gorenstein_info(self) -> dict:
         """Hilbert symmetry and socle dimension, reported separately."""
@@ -132,7 +140,9 @@ class GradedAlgebra:
         return dict(self._gorenstein)
 
     def is_gorenstein(self) -> bool:
-        return self.gorenstein_info()["is_gorenstein"]
+        if self._gorenstein is None:
+            self.gorenstein_info()
+        return self._gorenstein["is_gorenstein"]
 
     # -- the protocol the Lefschetz routes share with DualAlgebraView ---------
 
@@ -142,14 +152,17 @@ class GradedAlgebra:
         Built once per (d, power) and shared by every caller, who must not
         change it: a monomial algebra gives the integer matrix M(1) of path
         counts, whose rank at every point with no zero coordinate is the
-        symbolic map's (module docstring), and any other algebra runs
-        multiplication_matrix on LinearForm.symbolic, so the entries are
-        polynomials in the variables and a point of them is a linear form.
+        symbolic map's (module docstring).  Any other algebra gives the map
+        by LinearForm.symbolic, whose entries are polynomials in the
+        variables, so a point of them is a linear form: a OneStepMap read
+        off the table for power 1, multiplication_matrix's walk above it.
         """
         key = (d, power)
         if key not in self._maps:
             if self.exponents is not None:
                 self._maps[key] = _path_count_map(self, d, power)
+            elif power == 1:
+                self._maps[key] = OneStepMap(self, d)
             else:
                 self._maps[key] = multiplication_matrix(self, LinearForm.symbolic(self), d, power)
         return self._maps[key]
@@ -209,8 +222,10 @@ def build_algebra(table: AperyTable) -> GradedAlgebra:
 
 def _apery_algebra(table: AperyTable) -> GradedAlgebra:
     order_of = table.order_of()
-    top = max(table.orders)
-    basis = [sorted(table.elements_of_order(d)) for d in range(top + 1)]
+    top = table.socle_degree
+    basis: list[list[int]] = [[] for _ in range(top + 1)]
+    for e, d in order_of.items():  # the elements in increasing order
+        basis[d].append(e)
     degree1 = basis[1] if top >= 1 else []
     times = {
         a: tuple(a + v if order_of.get(a + v) == d + 1 else None for v in degree1)
@@ -373,6 +388,65 @@ def multiplication_matrix(alg: GradedAlgebra, L: LinearForm, d: int, power: int 
         for lab, coeff in vec.items():
             entries[row_index[lab]][j] = coeff
     return Matrix(rows, cols, entries)
+
+
+class OneStepMap(Matrix):
+    """The map by the generic form from degree d to d + 1, as table cells.
+
+    A cell (t, c, i) says that the i-th variable carries column label c to
+    row label t, so entry (t, c) is the sum of the variables of its cells.
+    rank_at reads the point's values into the cells modulo POINT_PRIME,
+    with no polynomial built.  A full rank there is the rank at the point;
+    a lower one goes to point_rank, which reads the symbolic entries and
+    certifies it as for any map.  Those entries, the map that
+    multiplication_matrix builds by LinearForm.symbolic, are built from the
+    cells when first read.  The map holds its cells and the variable names,
+    not the algebra, which holds its maps.
+    """
+
+    def __init__(self, alg: GradedAlgebra, d: int):
+        _check_map_degrees(alg, d, 1)
+        self.row_labels = list(alg.basis[d + 1])
+        self.col_labels = list(alg.basis[d])
+        self.names = alg.variables
+        row_of = {lab: t for t, lab in enumerate(self.row_labels)}
+        times = alg.times
+        self.cells = [(row_of[target], c, i)
+                      for c, col in enumerate(self.col_labels)
+                      for i, target in enumerate(times[col]) if target is not None]
+        self._entries = None
+        self._generic_rank = None
+
+    @property
+    def entries(self) -> list:
+        if self._entries is None:
+            self._entries = self._symbolic_entries()
+        return self._entries
+
+    def _symbolic_entries(self) -> list:
+        """Each variable's polynomial where its cell is; only two cells at
+        one entry add, as in multiplication_matrix."""
+        names = self.names
+        zero = SparsePoly.zero(names)
+        forms = [SparsePoly.variable(names, v) for v in names]
+        entries = [[zero] * self.ncols for _ in self.row_labels]
+        for t, c, i in self.cells:
+            known = entries[t][c]
+            entries[t][c] = forms[i] if known is zero else known + forms[i]
+        return entries
+
+    def rank_at(self, assignment) -> int:
+        full = min(self.nrows, self.ncols)
+        try:
+            values = [_mod_p(assignment[v]) for v in self.names]
+        except ZeroDivisionError:  # a denominator the prime divides
+            return point_rank(self, assignment)
+        rows = [[0] * self.ncols for _ in self.row_labels]
+        for t, c, i in self.cells:
+            rows[t][c] = (rows[t][c] + values[i]) % POINT_PRIME
+        if full and _rank_mod_p(rows) == full:
+            return full
+        return point_rank(self, assignment)
 
 
 def _exponent_vectors(alg: GradedAlgebra) -> dict:

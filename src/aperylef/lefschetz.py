@@ -28,6 +28,10 @@ a colon quotient of one) gives the integer path-count matrices M(1) as its
 maps (algebra module docstring): the symbolic map is
 diag(t^r(w')) M(1) diag(t^-r(w)), so at every witness draw, none of whose
 coordinates is zero, its rank is rank M(1), which is also its generic rank.
+Any other algebra gives its one-step maps, all that WLP ranks, as the cells
+of its table (algebra.OneStepMap): rank_at reads a draw into them modulo
+the point prime, and builds the symbolic entries only for a rank below
+full, where rank_at and generic_rank go on as for any map.
 
 Verdicts: "holds" always carries a rational witness verified exactly, on
 a monomial algebra by that identity and for a Gorenstein WLP rank report

@@ -24,8 +24,9 @@ so the cap policy lives here alone.
 
 `point_rank` is the rank over Q of a matrix at one point.  It evaluates the
 entries modulo the prime POINT_PRIME = 2^61 - 1 straight from their terms and
-eliminates there.  A minor nonzero mod p is nonzero over Q at the point,
-and a minor nonzero at the point is a nonzero polynomial, so
+eliminates there, fraction-free, so no inverse is taken (`_rank_mod_p`).  A
+minor nonzero mod p is nonzero over Q at the point, and a minor nonzero at
+the point is a nonzero polynomial, so
 
     rank mod p  <=  rank over Q at the point  <=  generic rank.
 
@@ -35,7 +36,9 @@ rank once computed, so the verdict core's own generic_rank call on a
 deficient map costs nothing more.  Only where the two ranks differ (an
 unlucky point, where p divides a denominator or a minor, or a matrix above
 the symbolic cap, whose generic rank is None) is the specialized matrix
-ranked exactly.
+ranked exactly.  A one-step map of an algebra (algebra.OneStepMap) reads
+its entries mod p off the algebra's table instead, and hands any rank below
+full to point_rank.
 """
 
 from __future__ import annotations
@@ -372,8 +375,15 @@ def _rows_mod_p(entries, assignment) -> list[list[int]]:
 
 
 def _rank_mod_p(m: list[list[int]]) -> int:
-    """Rank over the field of integers modulo POINT_PRIME, by Gaussian
-    elimination in place."""
+    """Rank over the field of integers modulo POINT_PRIME of residues in
+    0..POINT_PRIME-1, by fraction-free elimination in place.
+
+    Each row below the pivot row becomes a*row - x*(pivot row), where a is
+    the pivot and x the row's entry in the pivot column.  a is nonzero mod
+    p, so the rows span the same space as after Gaussian elimination, with
+    no inverse taken.  Columns left of the pivot are zero in both rows and
+    stay zero.
+    """
     p = POINT_PRIME
     nrows, ncols = len(m), len(m[0])
     rank = 0
@@ -382,13 +392,12 @@ def _rank_mod_p(m: list[list[int]]) -> int:
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank][col:]
-        inv = pow(top[0], -1, p)
+        top = m[rank]
+        a = top[col]
         for r in range(rank + 1, nrows):
             x = m[r][col]
             if x:
-                f = x * inv % p
-                m[r][col:] = [(a - f * b) % p for a, b in zip(m[r][col:], top)]
+                m[r] = [(a * u - x * v) % p for u, v in zip(m[r], top)]
         rank += 1
         if rank == nrows:
             break

@@ -74,13 +74,14 @@ class NumericalSemigroup:
     def is_symmetric(self) -> bool:
         """Whether exactly one of s and F - s is in S for every integer s.
 
-        On the Apery list: w_max - w is an Apery element for every Apery
-        element w.  An m-pure semigroup is symmetric (Kunz 1970), so this
-        rejects most of a sweep before any order is computed.
+        That is, the genus g is (F + 1)/2 (Rosales and Garcia-Sanchez
+        2009), and Selmer's formula g = sum(Ap)/m - (m - 1)/2 with
+        F = max(Ap) - m turns it into 2*sum(Ap) == m*max(Ap).  An m-pure
+        semigroup is symmetric (Kunz 1970), so this rejects most of a sweep
+        before any order is computed.
         """
-        ap, m = self._apery, self.multiplicity
-        top = self.frobenius + m
-        return all(ap[(top - w) % m] == top - w for w in ap)
+        m = self.multiplicity
+        return 2 * sum(self._apery) == m * (self.frobenius + m)
 
     def order(self, s: int) -> int:
         """Largest total degree over all representations of s."""
@@ -274,9 +275,6 @@ class AperyTable:
     def order_of(self) -> dict[int, int]:
         return dict(zip(self.elements, self.orders))
 
-    def elements_of_order(self, d: int) -> list[int]:
-        return [e for e, o in zip(self.elements, self.orders) if o == d]
-
     def m_pure_verdict(self) -> MPureVerdict:
         if self._m_pure is None:
             self._m_pure = _m_pure_check(self)
@@ -366,6 +364,15 @@ class FrameData:
 
 
 def compute_beta_gamma(S: NumericalSemigroup) -> FrameData:
+    """The frame of S, from one scan of h = 1, 2, ... per generator g.
+
+    The h with h*g an Apery element of order h are 1..beta: (h-1)*g divides
+    h*g in S, so it is an Apery element too, and the order is superadditive,
+    so ord((h-1)*g) <= ord(h*g) - 1 = h - 1, which the representation
+    (h-1)*g attains.  The scan stops at the first h that fails.  A unique
+    maximal representation of h*g holds for 1..gamma: a second one of
+    (h-1)*g plus g is a second one of h*g.
+    """
     table = S.apery_table()
     gens = S.generators
     apery_orders = table.order_of()
@@ -380,10 +387,10 @@ def compute_beta_gamma(S: NumericalSemigroup) -> FrameData:
         for h in range(1, omega_max // g + 1):
             v = h * g
             if apery_orders.get(v) != h:
-                continue
-            b = max(b, h)
+                break  # and so does every larger h (docstring)
+            b = h
             if len(S.maximal_representations(v)) == 1:
-                gm = max(gm, h)
+                gm = h
         beta.append(b)
         gamma.append(gm)
         rho.append(0 if b == gm else 1)

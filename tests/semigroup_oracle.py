@@ -95,3 +95,35 @@ def box_values(gens, bounds):
     0 <= l_i <= bounds[i], on the generators after the first."""
     tuples = product(*(range(b + 1) for b in bounds))
     return tuple(sorted({sum(l * g for l, g in zip(exps, gens[1:])) for exps in tuples}))
+
+
+def frame_by_full_scan(S):
+    """(beta, gamma, rho, gamma_witness) of S by the frame's old scan: every
+    h from 1 to max(Ap) // g for each generator g after the first, keeping
+    the largest h with h*g an Apery element of order h, and the largest of
+    those with a unique maximal representation."""
+    table = S.apery_table()
+    orders = dict(zip(table.elements, table.orders))
+    beta, gamma, witness = [], [], {}
+    for idx, g in enumerate(S.generators[1:], start=1):
+        b = gm = 0
+        for h in range(1, table.elements[-1] // g + 1):
+            if orders.get(h * g) == h:
+                b = max(b, h)
+                if len(S.maximal_representations(h * g)) == 1:
+                    gm = max(gm, h)
+        beta.append(b)
+        gamma.append(gm)
+        if gm < b:
+            pure = tuple(gm + 1 if j == idx else 0 for j in range(len(S.generators)))
+            witness[idx] = next(r for r in S.maximal_representations((gm + 1) * g) if r != pure)
+    rho = tuple(int(b != gm) for b, gm in zip(beta, gamma))
+    return tuple(beta), tuple(gamma), rho, witness
+
+
+def is_symmetric_by_pairing(S):
+    """The Apery pairing test: max(Ap) - w is an Apery element for every
+    Apery element w."""
+    ap, m = S._apery, S.multiplicity
+    top = max(ap)
+    return all(ap[(top - w) % m] == top - w for w in ap)

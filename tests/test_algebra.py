@@ -34,7 +34,7 @@ from aperylef import (
     transfer_wlp,
 )
 from aperylef.cli import analyze_record
-from aperylef.linalg import fraction_rank, point_rank
+from aperylef.linalg import POINT_PRIME, fraction_rank, point_rank
 from relations_oracle import brute_force_relations, same_ideal_through_degree
 
 
@@ -426,16 +426,22 @@ def check_torus_identity(alg, d, power, rng):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The kinds of the algebras whose maps the package builds with
-    multiplication_matrix; the tests' own calls are not counted."""
+    """The kinds of the algebras whose symbolic maps the package builds, a
+    one-step map off the table or a longer one with multiplication_matrix;
+    the tests' own calls of multiplication_matrix are not counted."""
     kinds = []
-    original = algebra_module.multiplication_matrix
+    original, one_step = algebra_module.multiplication_matrix, algebra_module.OneStepMap.__init__
 
     def recording(alg, L, d, power=1):
         kinds.append(alg.kind)
         return original(alg, L, d, power)
 
+    def recording_one_step(self, alg, d):
+        kinds.append(alg.kind)
+        one_step(self, alg, d)
+
     monkeypatch.setattr(algebra_module, "multiplication_matrix", recording)
+    monkeypatch.setattr(algebra_module.OneStepMap, "__init__", recording_one_step)
     return kinds
 
 
@@ -524,6 +530,63 @@ def test_colon_quotients_build_their_own_maps(root):
             want = multiplication_oracle.multiplication_matrix(Q, LinearForm.symbolic(Q), d, power)
             assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
             assert got.entries == want.entries, (Q, d, power)
+
+
+def one_step_draws(alg, rng):
+    """Points for a one-step map: witness-sized values; values in 0..2,
+    where many maps are deficient; values that vanish modulo the point
+    prime or have it in their denominator, where the rank mod p can fall
+    below the rank over Q; and rational values."""
+    unlucky = [POINT_PRIME, 2 * POINT_PRIME, POINT_PRIME + 1, Fraction(1, POINT_PRIME), 1, 2]
+    for values in (lambda: rng.randint(1, 10_000), lambda: rng.randint(0, 2),
+                   lambda: rng.choice(unlucky), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))):
+        for _ in range(3):
+            yield {v: values() for v in alg.variables}
+
+
+@given(quotient_roots())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_one_step_maps_are_the_builders_maps_read_off_the_table(root):
+    """Every one-step map of a non-monomial algebra, on the algebra, its
+    chain quotients and its colon quotients to depth 2, is read off the
+    table: at each draw its rank_at is point_rank of the map that
+    multiplication_matrix builds by the generic form, the independent
+    builder, and then its symbolic entries are that map's entries."""
+    A, chain = root
+    algebras, layer = [A] + chain, [A]
+    for _ in range(2):
+        layer = [Q for P in layer for Q in map(P.colon_step, P.variables) if Q is not None]
+        algebras += layer
+    rng = random.Random(repr(A))
+    for alg in algebras:
+        if alg.exponents is not None:
+            continue
+        for d in range(alg.top_degree):
+            got = alg.map_matrix(d, 1)
+            want = multiplication_matrix(alg, LinearForm.symbolic(alg), d, 1)
+            assert isinstance(got, algebra_module.OneStepMap)
+            for point in one_step_draws(alg, rng):
+                assert got.rank_at(point) == point_rank(want, point), (alg, d, point)
+            assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
+            assert got.entries == want.entries, (alg, d)
+
+
+def test_a_one_step_map_of_full_rank_at_a_point_builds_no_polynomial(monkeypatch):
+    """A one-step map reads a point into its cells modulo the point prime;
+    its symbolic entries are built only for a rank below full there, and
+    then point_rank certifies it."""
+    built = []
+    original = algebra_module.OneStepMap._symbolic_entries
+    monkeypatch.setattr(algebra_module.OneStepMap, "_symbolic_entries",
+                        lambda self: built.append(self) or original(self))
+    A = algebra_of([16, 18, 21, 27])
+    point = {"y": 3, "z": 5, "w": 7}
+    maps = [A.map_matrix(d, 1) for d in range(A.top_degree)]
+    assert [m.rank_at(point) for m in maps] == [1, 3, 4, 3, 1] and built == []
+    B = algebra_of([7, 8, 10, 19])  # Hilbert (1, 3, 3), a 3 x 3 map of generic rank 2
+    maps = [B.map_matrix(d, 1) for d in range(B.top_degree)]
+    assert [m.rank_at(point) for m in maps] == [1, 2] and built == maps[1:]
+    assert maps[1].generic_rank() == 2
 
 
 @given(quotient_roots())

@@ -660,15 +660,17 @@ def test_decisive_map_matches_every_map_where_wlp_fails():
 def test_a_holding_gorenstein_wlp_report_builds_and_ranks_one_map(make, monkeypatch):
     obj = make()
     built, ranked = [], []
-    map_matrix, rank_at = obj.map_matrix, linalg.point_rank
+    map_matrix = obj.map_matrix
 
     def build(d, power):
+        # every map is ranked at a point through its rank_at, which a
+        # one-step map read off the table overrides
         built.append((d, power))
-        return map_matrix(d, power)
+        matrix = map_matrix(d, power)
+        monkeypatch.setattr(matrix, "rank_at", lambda a, f=matrix.rank_at: ranked.append(matrix) or f(a))
+        return matrix
 
-    # every map is ranked at a point through Matrix.rank_at, which calls point_rank
     monkeypatch.setattr(obj, "map_matrix", build)
-    monkeypatch.setattr(linalg, "point_rank", lambda m, a: ranked.append(m) or rank_at(m, a))
     report = wlp_by_ranks(obj, seed=5)
     D = obj.top_degree
     assert report.verdict == "holds" and obj.is_gorenstein() and D >= 2

@@ -10,7 +10,8 @@ spec.loader.exec_module(sample_layers)
 
 
 def test_a_sampled_sweep_exits_0_with_shares_that_sum_to_1(capsys):
-    argv = ["sweep", "--mult", "4:6", "--count", "3:3", "--max-gen", "14", "--require-m-pure"]
+    # about 0.1 s of CPU, so dozens of samples on a 4 ms kernel tick
+    argv = ["sweep", "--mult", "4:9", "--count", "3:4", "--max-gen", "20", "--require-m-pure"]
     assert sample_layers.main(argv) == 0
     head, *rows = capsys.readouterr().out.splitlines()
     samples = int(head.split()[3])

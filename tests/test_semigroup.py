@@ -405,6 +405,35 @@ def test_beta_gamma_oracle_16_18_21_27():
         assert frame.gamma[pos - 1] == max(valid_gamma)
 
 
+def small_minimal_tuples():
+    """The semigroups minimally generated by m < g_2 < ... <= m + 14, for
+    m = 2..11 and 2 to 5 generators: codimensions 1 to 4."""
+    for m in range(2, 12):
+        for count in range(2, 6):
+            yield from semigroup.minimal_tuples(m, count, m + 14)
+
+
+def test_the_frame_scan_stops_at_the_first_h_that_fails():
+    # the h with h*g an Apery element of order h are 1..beta, and those
+    # with a unique maximal representation 1..gamma, so the scan that stops
+    # at the first failing h gives the frame of the scan over every h
+    cases = gapped = 0
+    for S in small_minimal_tuples():
+        frame = S.frame()
+        got = (frame.beta, frame.gamma, frame.rho, frame.gamma_witness)
+        assert got == semigroup_oracle.frame_by_full_scan(S), S
+        cases += 1
+        gapped += any(b >= g + 2 for b, g in zip(frame.beta, frame.gamma))
+    assert cases > 3000 and gapped > 50
+
+
+def test_symmetry_by_the_apery_sum_is_the_pairing_test():
+    # 2*sum(Ap) == m*max(Ap) is g == (F + 1)/2 by Selmer's formula
+    verdicts = [(S.is_symmetric(), semigroup_oracle.is_symmetric_by_pairing(S)) for S in small_minimal_tuples()]
+    assert all(got == want for got, want in verdicts)
+    assert 100 < sum(got for got, _ in verdicts) < len(verdicts)
+
+
 def test_box_elements_paper_cases():
     f1 = compute_beta_gamma(create_semigroup([8, 10, 11, 12]))
     assert set(f1.box_gamma) == set(f1.table.elements)  # Gamma = Ap
