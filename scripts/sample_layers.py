@@ -63,6 +63,9 @@ FUNCTIONS = {
     ("aperylef.algebra", "OneStepMap.__init__"): "map build and rank",
     ("aperylef.algebra", "OneStepMap._symbolic_entries"): "map build and rank",
     ("aperylef.algebra", "OneStepMap.rank_at"): "map build and rank",
+    ("aperylef.lefschetz", "_witness_draws"): "report machinery",
+    ("aperylef.semigroup", "_apery_max_reps"): "semigroup",
+    ("aperylef.semigroup", "NumericalSemigroup._add_max_reps"): "semigroup",
 }
 
 MODULES = {

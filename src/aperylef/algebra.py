@@ -3,8 +3,8 @@
 An algebra is its graded basis and one table: ``times[label][i]`` is the
 label times the i-th variable, a label of the next degree or None for zero.
 The actions commute and the variables generate, so the table fixes every
-product, and it is all this module reads: the maps, the socle, the exponent
-vectors, the colon ideals and the codimension-3 identification.
+product, and it is all this module reads for the maps, the socle, the colon
+ideals and the codimension-3 identification.
 
 Two constructions fill the table.  An apery algebra has one basis label per
 apery element, graded by order; a label times a variable (an element of
@@ -40,7 +40,8 @@ path counts (the torus argument, Migliore-Miro-Roig-Nagel 2011, Prop. 2.2).
 Such an algebra's maps are M(1): at a point with no zero coordinate the
 symbolic map has the rank of M(1), and that is its generic rank.  A colon
 quotient of a monomial algebra is monomial too, since (0:x) is spanned by
-monomials, so it finds its own exponent vectors and path counts.
+monomials; its exponent vectors are its parent's on its labels, less the
+coordinates of the variables it drops (0 there).
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ class GradedAlgebra:
     lefschetz.wlp_by_ranks rely on it; every construction here keeps it.
 
     A monomial algebra, k[x]/(monomial ideal), holds the exponent vector of
-    each label in ``exponents`` (None otherwise) and builds its maps as
-    integer path-count matrices.
+    each label in ``exponents`` (None otherwise), which its builder gives,
+    and builds its maps as integer path-count matrices.
     """
 
     def __init__(
@@ -89,7 +90,7 @@ class GradedAlgebra:
         var_labels: list,
         times: dict,
         kind: str,
-        monomial: bool = False,
+        exponents: Optional[dict] = None,
     ):
         # Trim empty top degrees so top_degree is the real socle degree.
         while basis and not basis[-1]:
@@ -103,7 +104,7 @@ class GradedAlgebra:
         self._maps: dict[tuple[int, int], Matrix] = {}
         self._colons: dict[str, Optional[GradedAlgebra]] = {}
         self._gorenstein: Optional[dict] = None
-        self.exponents = _exponent_vectors(self) if monomial else None
+        self.exponents = exponents
 
     # -- structure ----------------------------------------------------------
 
@@ -172,10 +173,10 @@ class GradedAlgebra:
 
         The annihilator (0:x) is spanned by the labels x sends to None; the
         quotient keeps the other labels and this table on them, with an image
-        in (0:x) sent to None and the column of a variable in (0:x) dropped.
-        A variable an earlier colon step killed is zero here, so its
-        annihilator is the whole algebra.  Built once per variable and shared
-        by every caller, as the maps are.
+        in (0:x) sent to None and the column (and exponent) of a variable in
+        (0:x) dropped, in one pass.  A variable an earlier colon step killed
+        is zero here, so its annihilator is the whole algebra.  Built once
+        per variable and shared by every caller, as the maps are.
         """
         if variable not in self.variables:
             return None
@@ -185,21 +186,35 @@ class GradedAlgebra:
 
     def _colon(self, variable: str) -> Optional["GradedAlgebra"]:
         column = self.variables.index(variable)
-        ideal = {lab for lab, row in self.times.items() if row[column] is None}
-        kept = [i for i, lab in enumerate(self.var_labels) if lab not in ideal]
-        quotient = GradedAlgebra(
+        times, parent = self.times, self.exponents
+        # a variable whose label a box bound of 0 leaves out of the basis is kept
+        kept = [i for i, lab in enumerate(self.var_labels) if lab not in times or times[lab][column] is not None]
+        dropped = len(kept) < len(self.var_labels)
+        basis, table, exponents = [], {}, None if parent is None else {}
+        for labels in self.basis:
+            level = []
+            for lab in labels:
+                row = times[lab]
+                if row[column] is None:
+                    continue  # lab is in (0:x)
+                level.append(lab)
+                if dropped:
+                    row = [row[i] for i in kept]
+                table[lab] = tuple([None if t is None or times[t][column] is None else t for t in row])
+                if parent is not None:
+                    r = parent[lab]
+                    exponents[lab] = tuple([r[i] for i in kept]) if dropped else r
+            basis.append(level)
+        if not table:
+            return None
+        return GradedAlgebra(
             variables=tuple(self.variables[i] for i in kept),
-            basis=[[lab for lab in labels if lab not in ideal] for labels in self.basis],
+            basis=basis,
             var_labels=[self.var_labels[i] for i in kept],
-            times={
-                lab: tuple(None if row[i] in ideal else row[i] for i in kept)
-                for lab, row in self.times.items()
-                if lab not in ideal
-            },
+            times=table,
             kind="quotient",
-            monomial=self.exponents is not None,
+            exponents=exponents,
         )
-        return quotient if quotient.dimension else None
 
     def __repr__(self) -> str:
         return f"GradedAlgebra(kind={self.kind!r}, hilbert={self.hilbert()})"
@@ -221,7 +236,7 @@ def build_algebra(table: AperyTable) -> GradedAlgebra:
 
 
 def _apery_algebra(table: AperyTable) -> GradedAlgebra:
-    order_of = table.order_of()
+    order_of = table.order_of
     top = table.socle_degree
     basis: list[list[int]] = [[] for _ in range(top + 1)]
     for e, d in order_of.items():  # the elements in increasing order
@@ -231,13 +246,20 @@ def _apery_algebra(table: AperyTable) -> GradedAlgebra:
         a: tuple(a + v if order_of.get(a + v) == d + 1 else None for v in degree1)
         for a, d in order_of.items()
     }
+    exponents = None
+    if len(degree1) <= 2:  # monomial: r(w) is the one maximal representation of w, less g_1's exponent
+        exponents = {}
+        for e, reps in zip(table.elements, table.max_reps):
+            if len(reps) != 1:
+                raise InternalFault(f"apery element {e} of a monomial algebra has {len(reps)} maximal representations")
+            exponents[e] = reps[0][1:]
     return GradedAlgebra(
         variables=variable_names(len(degree1)),
         basis=basis,
         var_labels=degree1,
         times=times,
         kind="apery",
-        monomial=len(degree1) <= 2,
+        exponents=exponents,
     )
 
 
@@ -447,30 +469,6 @@ class OneStepMap(Matrix):
         if full and _rank_mod_p(rows) == full:
             return full
         return point_rank(self, assignment)
-
-
-def _exponent_vectors(alg: GradedAlgebra) -> dict:
-    """r(w) of every label: r(1) = 0 and r(w*x_i) = r(w) + e_i.
-
-    One walk over the table in degree order.  The table of a commutative,
-    associative algebra generated in degree 1 is that of
-    k[x]/(monomial ideal) exactly when this is well defined, so a label
-    reached with two vectors, or not reached, raises InternalFault.  The
-    zero ring, which a colon step that kills 1 builds, has no labels.
-    """
-    vectors = {lab: (0,) * len(alg.var_labels) for labels in alg.basis[:1] for lab in labels}
-    for labels in alg.basis:
-        for lab in labels:
-            r = vectors.get(lab)
-            if r is None:
-                raise InternalFault(f"label {lab!r} is not a product of the variables")
-            for i, target in enumerate(alg.times[lab]):
-                if target is None:
-                    continue
-                v = r[:i] + (r[i] + 1,) + r[i + 1:]
-                if vectors.setdefault(target, v) != v:
-                    raise InternalFault(f"label {target!r} is reached with exponents {vectors[target]} and {v}")
-    return vectors
 
 
 def _path_count_map(alg: GradedAlgebra, d: int, power: int) -> Matrix:

@@ -139,8 +139,8 @@ def _record(S: NumericalSemigroup, method: str, seed_root: Optional[int], t0: Op
     """
     seed = _seed(seed_root, S)
     table = S.apery_table()
+    max_reps = _max_representations(table)  # before any rank, and before the frame reads them
     frame = S.frame()
-    max_reps = _max_representations(table)  # a SizeLimit here comes before any rank
     A = build_algebra(table)
     ginfo = A.gorenstein_info()
     m_pure = table.m_pure_verdict()
@@ -341,10 +341,7 @@ def _human(record: dict, indent: int = 0) -> str:
 
 def _matrix_text(matrix) -> str:
     if matrix.nrows > 10 or matrix.ncols > 10:
-        return (
-            f"[{matrix.nrows}x{matrix.ncols} matrix not rendered; "
-            "larger than 10x10]"
-        )
+        return f"[{matrix.nrows}x{matrix.ncols} matrix not rendered; larger than 10x10]"
     return matrix.to_text()
 
 
@@ -448,15 +445,9 @@ def sweep(args) -> int:
     finally:
         if args.out:
             out.close()
-    print(
-        f"sweep: wrote {written}, filtered {skipped}, resumed past {resumed}",
-        file=sys.stderr,
-    )
+    print(f"sweep: wrote {written}, filtered {skipped}, resumed past {resumed}", file=sys.stderr)
     if flagged:
-        print(
-            "sweep: conjecture counterexample candidates: " + "; ".join(flagged),
-            file=sys.stderr,
-        )
+        print("sweep: conjecture counterexample candidates: " + "; ".join(flagged), file=sys.stderr)
     return 0
 
 
@@ -586,12 +577,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out = _open_out(args.out, "w")
             close_out = True
         if args.command == "analyze":
-            record = analyze_record(
-                _parse_gens(args.gens),
-                method=args.method,
-                seed_root=args.seed,
-                with_timings=args.timings,
-            )
+            record = analyze_record(_parse_gens(args.gens), args.method, args.seed, args.timings)
             _emit(record, args.format, out)
         elif args.command == "from-dual":
             record = from_dual_record(args.poly, seed_root=args.seed)
@@ -613,15 +599,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "dual":
             S = create_semigroup(_parse_gens(args.gens))
             F = dual_socle_generator(S.apery_table())
-            _emit(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "generators": list(S.generators),
-                    "dual_generator": str(F),
-                },
-                args.format,
-                out,
-            )
+            record = {"schema_version": SCHEMA_VERSION, "generators": list(S.generators), "dual_generator": str(F)}
+            _emit(record, args.format, out)
         elif args.command == "hessian":
             S = create_semigroup(_parse_gens(args.gens))
             F = dual_socle_generator(S.apery_table())

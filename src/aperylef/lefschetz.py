@@ -81,9 +81,10 @@ AlgebraLike = Union[GradedAlgebra, DualAlgebraView]
 WITNESS_RANGE = 10_000
 WITNESS_ATTEMPTS = 25
 
-# The generator of every report's witness draws, reseeded in place by each
-# report rather than built anew.
+# The generator of the witness draws, reseeded in place rather than built
+# anew, and the first draw of the last seed and range: ((seed, range), values).
 _rng = random.Random()
+_first_draw: tuple = (None, [])
 
 
 def root_seed() -> int:
@@ -169,13 +170,12 @@ def _decide(
     still counts as an attempt.  The draws are those of a fresh
     random.Random(seed), each assigning the variables in order.
     """
-    rng = _rng
-    rng.seed(0 if seed is None else seed)  # the state random.Random(seed) starts from
+    draws = _witness_draws(obj.variables, 0 if seed is None else seed)
     certified: dict[int, int] = {}  # check index -> generic rank
     best = [0] * len(checks)  # best point rank of a map not yet certified
     witness = None if checks else {}
     for attempt in range(WITNESS_ATTEMPTS if checks else 0):
-        point = {v: rng.randint(1, WITNESS_RANGE) for v in obj.variables}
+        point = next(draws)
         usable = point_filter is None or point_filter(point)
         full = True  # every map ranked at this draw has full rank
         for i, (_, required, matrix) in enumerate(checks):
@@ -223,6 +223,25 @@ def _decide(
     )
 
 
+def _witness_draws(variables: Sequence[str], seed: int):
+    """The witness points of one report: those of a fresh random.Random(seed),
+    each assigning the variables in order.  The reports of a record share its
+    seed, so their first points are prefixes of one draw, kept for the last
+    seed and WITNESS_RANGE and drawn anew only for more variables than it
+    holds.  A second point reseeds the generator and replays the first."""
+    global _first_draw
+    key = (seed, WITNESS_RANGE)
+    if _first_draw[0] != key or len(_first_draw[1]) < len(variables):
+        _rng.seed(seed)
+        _first_draw = (key, [_rng.randint(1, WITNESS_RANGE) for _ in variables])
+    yield dict(zip(variables, _first_draw[1]))
+    _rng.seed(seed)
+    for _ in variables:
+        _rng.randint(1, WITNESS_RANGE)
+    while True:
+        yield {v: _rng.randint(1, WITNESS_RANGE) for v in variables}
+
+
 def _evidence(method: str, head: dict, required: int, rank: int, probabilistic: bool) -> dict:
     """The evidence entry of one check: its head, then its ranks and flags."""
     entry = dict(head, required_rank=required, generic_rank=rank, maximal=rank == required)
@@ -257,24 +276,25 @@ def wlp_by_ranks(obj: AlgebraLike, seed: Optional[int] = None) -> LefschetzRepor
     A_{j+2}.  And the map A_j -> A_{j+1} is the transpose of A_{D-j-1} ->
     A_{D-j} under the perfect pairing into A_D, so injectivity goes down.
     So the middle map is decided alone first.  Where it holds, every map is
-    recorded as certified maximal at its witness, the first draw at which
-    every map has full rank, and no other map is built or ranked.  Where it
-    does not, every map is decided with the same seed; the middle map and
-    its generic rank are kept, so that costs one more rank at a point.
-    Either way the report is that of deciding every map.
+    recorded, off the Hilbert vector, as certified maximal at its witness,
+    and no other map is built or ranked.  Where it does not, every map is
+    decided with the same seed; the middle map and its generic rank are
+    kept, so that costs one more rank at a point.  Either way the report is
+    that of deciding every map.
     """
     D = obj.top_degree
-    checks = _rank_checks(obj, [(d, 1) for d in range(D)])
     notes = NO_MAPS if D <= 0 else ""
     if D >= 1 and obj.is_gorenstein():
         middle = (D - 1) // 2
         notes = f"gorenstein middle-map shortcut: A_{middle} -> A_{middle + 1} decisive; all maps recorded"
-        report = _decide("WLP", "ranks", obj, checks[middle:middle + 1], seed, notes)
+        report = _decide("WLP", "ranks", obj, _rank_checks(obj, [(middle, 1)]), seed, notes)
         if report.holds:
-            report.evidence = [_evidence("ranks", head, required, required, False)
-                               for head, required, _ in checks]
+            h = _hilbert(obj)  # the evidence of every check of _rank_checks at full rank
+            report.evidence = [{"from_degree": d, "power": 1, "source_dim": h[d], "target_dim": h[d + 1],
+                                "required_rank": r, "generic_rank": r, "maximal": True, "probabilistic": False}
+                               for d in range(D) for r in (min(h[d], h[d + 1]),)]
             return report
-    return _decide("WLP", "ranks", obj, checks, seed, notes)
+    return _decide("WLP", "ranks", obj, _rank_checks(obj, [(d, 1) for d in range(D)]), seed, notes)
 
 
 def slp_by_ranks(obj: AlgebraLike, seed: Optional[int] = None) -> LefschetzReport:
@@ -443,9 +463,7 @@ def transfer_wlp(
     expanded: list[str] = []
     for variable, power in steps:
         if variable not in G.variables:
-            raise InvalidStep(
-                f"step {variable!r}: not a variable of the algebra ({', '.join(G.variables)})"
-            )
+            raise InvalidStep(f"step {variable!r}: not a variable of the algebra ({', '.join(G.variables)})")
         expanded.extend([variable] * int(power))
     if base_report is None:
         base_report = wlp_by_ranks(G, seed=seed)
@@ -454,15 +472,11 @@ def transfer_wlp(
     records: list[ChainStep] = []
     for variable in expanded:
         if current is None:
-            records.append(
-                ChainStep(variable, 1, -1, "zero", (), (), 0, 0, True, True, None,
-                          "quotient chain already reached the zero ring")
-            )
+            records.append(ChainStep(variable, 1, -1, "zero", (), (), 0, 0, True, True, None,
+                                     "quotient chain already reached the zero ring"))
             continue
         if not current.is_gorenstein():
-            raise NotGorensteinAtStep(
-                "quotient-chain step requires a gorenstein algebra"
-            )
+            raise NotGorensteinAtStep("quotient-chain step requires a gorenstein algebra")
         h = _hilbert(current)
         D = current.top_degree
         codim_before = current.codim
@@ -474,7 +488,6 @@ def transfer_wlp(
         direct = None
         if have_wlp and codim_equal and parity_ok:
             conclusion = TRANSFERRED
-            have_wlp = True
         else:
             conclusion = INCONCLUSIVE_STEP
             if quotient is not None:
@@ -655,13 +668,7 @@ def quotient_condition_codim3(
     texts = ideal.generator_texts()
     chain.extras = {
         "C": C,
-        "mu2": ideal.data["mu2"],
-        "mu4": ideal.data["mu4"],
-        "h2": ideal.data["h2"],
-        "h3": ideal.data["h3"],
-        "h4": ideal.data["h4"],
-        "omega_d": ideal.data["omega_d"],
-        "omega_e": ideal.data["omega_e"],
+        **{k: ideal.data[k] for k in ("mu2", "mu4", "h2", "h3", "h4", "omega_d", "omega_e")},
         "gamma": list(frame.gamma),
         "g_degrees": degrees,
         "g_degree_criterion": criterion,

@@ -18,10 +18,10 @@ over its sorted elements, at a cost of O(n*g_1).
 A representation of s is its exponent tuple over the generators.  A maximal
 representation (one of total degree ord(s)) less one generator g is one of
 s - g, where ord(s - g) = ord(s) - 1, and g added to any of those gives
-one of s.  So the maximal representations come from a memoized walk down the
-same recurrence, at a cost in proportion to how many there are;
-MAXIMAL_REPS_LIMIT caps how many one semigroup builds, and ORDERS_LIMIT caps
-the orders it holds.
+one of s.  So they come from a memoized walk down the same recurrence, at
+a cost in proportion to how many there are, and those of the Apery set from
+one pass over it, as the orders do.  MAXIMAL_REPS_LIMIT caps how many one
+semigroup builds, and ORDERS_LIMIT caps the orders it holds.
 """
 
 from __future__ import annotations
@@ -118,14 +118,22 @@ class NumericalSemigroup:
                 stack += missing
                 continue
             stack.pop()
-            reps = {e[:i] + (e[i] + 1,) + e[i + 1:] for i, u in below for e in memo[u]}
-            self._reps_built += len(reps)
-            if self._reps_built > MAXIMAL_REPS_LIMIT:
-                raise SizeLimit(
-                    f"{self!r} needs more than {MAXIMAL_REPS_LIMIT} maximal representations"
-                )
-            memo[t] = tuple(sorted(reps, reverse=True))
+            self._add_max_reps(t, below)
         return list(memo[s])
+
+    def _add_max_reps(self, t: int, below: list[tuple[int, int]]) -> None:
+        """Memoize those of t, from those of each (i, t - g_i) in below,
+        counting each toward MAXIMAL_REPS_LIMIT."""
+        reps = set()
+        for i, u in below:
+            for e in self._max_reps[u]:
+                e = list(e)
+                e[i] += 1
+                reps.add(tuple(e))
+        self._reps_built += len(reps)
+        if self._reps_built > MAXIMAL_REPS_LIMIT:
+            raise SizeLimit(f"{self!r} needs more than {MAXIMAL_REPS_LIMIT} maximal representations")
+        self._max_reps[t] = tuple(sorted(reps, reverse=True))
 
     def apery_table(self) -> "AperyTable":
         if self._apery_table is None:
@@ -246,16 +254,18 @@ class AperyTable:
     """The apery set of S w.r.t. its multiplicity, with orders and maximal reps.
 
     elements are the least semigroup members of each residue class mod g_1,
-    sorted increasingly; orders[i] = ord(elements[i]); socle_degree is the
-    largest order, the top degree of the graded algebra (the largest element
-    may have a smaller order); max_reps[i] lists the exponent tuple of every
-    maximal representation of elements[i] (all have first exponent 0), built
-    on first access.
+    sorted increasingly; orders[i] = ord(elements[i]), and order_of is the
+    one dict of both, which its readers share and must not change;
+    socle_degree is the largest order, the top degree of the graded algebra
+    (the largest element may have a smaller order); max_reps[i] lists the
+    exponent tuple of every maximal representation of elements[i] (all have
+    first exponent 0), built on first access.
     """
 
     semigroup: NumericalSemigroup
     elements: tuple[int, ...]
     orders: tuple[int, ...]
+    order_of: dict[int, int]
     socle_degree: int
     _m_pure: Optional[MPureVerdict] = field(default=None, repr=False)
     # a weak reference to the table's graded algebra (algebra.build_algebra)
@@ -263,17 +273,7 @@ class AperyTable:
 
     @cached_property
     def max_reps(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        S = self.semigroup
-        rows = tuple(tuple(S.maximal_representations(e)) for e in self.elements)
-        # w - g_1 is not in S for an apery element w, so no representation
-        # of w uses g_1
-        for e, row in zip(self.elements, rows):
-            if any(r[0] for r in row):
-                raise InternalFault(f"a maximal representation of apery element {e} uses g_1")
-        return rows
-
-    def order_of(self) -> dict[int, int]:
-        return dict(zip(self.elements, self.orders))
+        return _apery_max_reps(self)
 
     def m_pure_verdict(self) -> MPureVerdict:
         if self._m_pure is None:
@@ -295,13 +295,29 @@ def _build_apery_table(S: NumericalSemigroup) -> AperyTable:
         raise SizeLimit(f"the orders of the apery set of {S!r} exceed cap {ORDERS_LIMIT}")
     for w in elements[1:]:
         memo[w] = 1 + max(memo[w - g] for g in gens if contains(w - g))
-    orders = tuple(memo[w] for w in elements)
+    order_of = {w: memo[w] for w in elements}
+    orders = tuple(order_of.values())
     return AperyTable(
         semigroup=S,
         elements=elements,
         orders=orders,
+        order_of=order_of,
         socle_degree=max(orders),
     )
+
+
+def _apery_max_reps(table: AperyTable) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The maximal representations of the Apery set, in one pass over it:
+    w - g in S is a smaller Apery element, whose order order_of holds, and
+    w - g_1 never is one, so no representation uses g_1.  Values already in
+    the semigroup's memo are kept."""
+    S = table.semigroup
+    memo, order_of = S._max_reps, table.order_of
+    steps = tuple(enumerate(S.generators))
+    for w, d in order_of.items():
+        if w not in memo:
+            S._add_max_reps(w, [(i, w - g) for i, g in steps if order_of.get(w - g) == d - 1])
+    return tuple(map(memo.__getitem__, order_of))
 
 
 def _m_pure_check(table: AperyTable) -> MPureVerdict:
@@ -375,7 +391,7 @@ def compute_beta_gamma(S: NumericalSemigroup) -> FrameData:
     """
     table = S.apery_table()
     gens = S.generators
-    apery_orders = table.order_of()
+    apery_orders = table.order_of
     omega_max = table.elements[-1]
     beta: list[int] = []
     gamma: list[int] = []
@@ -395,13 +411,8 @@ def compute_beta_gamma(S: NumericalSemigroup) -> FrameData:
         gamma.append(gm)
         rho.append(0 if b == gm else 1)
         if gm < b:
-            pure = tuple(
-                (gm + 1) if j == idx else 0 for j in range(len(gens))
-            )
-            others = [
-                r for r in S.maximal_representations((gm + 1) * g)
-                if r != pure
-            ]
+            pure = tuple((gm + 1) if j == idx else 0 for j in range(len(gens)))
+            others = [r for r in S.maximal_representations((gm + 1) * g) if r != pure]
             if not others:
                 raise InternalFault(f"gamma < beta at {g} without a second maximal representation")
             # Any non-pure maximal representation avoids the generator itself.

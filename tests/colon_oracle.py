@@ -4,13 +4,15 @@ This is how `aperylef.algebra` built A/(0:x^c) before a power became a chain
 of c calls of `GradedAlgebra.colon_step`: a label is in (0:x^c) when c
 successive multiplications by x reach None, and the quotient keeps the other
 labels and A's table on them, with an image in the ideal sent to None and the
-column of a variable in the ideal dropped.  Unlike a colon step it returns
-the zero ring as an algebra of dimension 0.  `annihilator` reads the ideal
+column of a variable in the ideal dropped; a quotient of a monomial algebra
+finds its exponent vectors by the walk of `exponent_oracle`.  Unlike a colon
+step it returns the zero ring as an algebra of dimension 0.  `annihilator` reads the ideal
 back off a quotient, as the labels of A outside it, and `colon_steps` walks
 the library's chain of c steps that tests compare against the oracle.
 """
 
 from aperylef import GradedAlgebra
+from exponent_oracle import exponent_vectors
 
 
 def colon_by_power(alg: GradedAlgebra, variable: str, c: int) -> GradedAlgebra:
@@ -26,7 +28,7 @@ def colon_by_power(alg: GradedAlgebra, variable: str, c: int) -> GradedAlgebra:
 
     ideal = {lab for labels in alg.basis for lab in labels if killed(lab)}
     kept = [i for i, lab in enumerate(alg.var_labels) if lab not in ideal]
-    return GradedAlgebra(
+    quotient = GradedAlgebra(
         variables=tuple(alg.variables[i] for i in kept),
         basis=[[lab for lab in labels if lab not in ideal] for labels in alg.basis],
         var_labels=[alg.var_labels[i] for i in kept],
@@ -36,8 +38,10 @@ def colon_by_power(alg: GradedAlgebra, variable: str, c: int) -> GradedAlgebra:
             if lab not in ideal
         },
         kind="quotient",
-        monomial=alg.exponents is not None,
     )
+    if alg.exponents is not None:
+        quotient.exponents = exponent_vectors(quotient)
+    return quotient
 
 
 def annihilator(alg: GradedAlgebra, quotient) -> list[list]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import bareiss_oracle
 import colon_oracle
+import exponent_oracle
 import multiplication_oracle
 import product_oracle
 import relations_oracle
@@ -16,6 +17,7 @@ from aperylef import algebra as algebra_module
 from aperylef import (
     AperyError,
     DegreeOutOfRange,
+    InternalFault,
     InvalidStep,
     LinearForm,
     NotApplicable,
@@ -71,7 +73,7 @@ def test_products_follow_apery_membership():
     for label in (0, 10, 11, 12, 21, 22, 23, 33):
         assert product(0, label) == product(label, 0) == label
     table = create_semigroup([8, 10, 11, 12]).apery_table()
-    order_of = table.order_of()
+    order_of = table.order_of
     for a in table.elements:
         for v, image in zip(A.var_labels, A.times[a]):
             member = a + v in order_of and order_of[a + v] == order_of[a] + 1
@@ -670,6 +672,49 @@ def test_codim2_maps_are_torus_images_of_their_path_counts(S):
         for d, power in map_cases(alg):
             counts, symbolic = check_torus_identity(alg, d, power, rng)
             assert rank_info(symbolic)[0] == fraction_rank(counts.entries)
+
+
+@st.composite
+def codim_at_most_2_semigroups(draw):
+    g1 = draw(st.integers(2, 16))
+    rest = draw(st.lists(st.integers(g1 + 1, 50), min_size=1, max_size=2, unique=True))
+    try:
+        S = create_semigroup([g1] + rest)
+    except AperyError:
+        S = None
+    assume(S is not None and len(S.generators) <= 3)
+    return S
+
+
+@given(codim_at_most_2_semigroups())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_exponent_vectors_are_those_of_the_walk_over_the_table(S):
+    """An Apery algebra of codimension at most 2 reads each label's vector
+    off its one maximal representation, and each colon quotient, to depth 2
+    and down every power chain, off its parent's: each is the vector that
+    the walk over the algebra's own table gives."""
+    table = S.apery_table()
+    A = build_algebra(table)
+    assert all(len(reps) == 1 for reps in table.max_reps)
+    assert A.exponents == {e: reps[0][1:] for e, reps in zip(table.elements, table.max_reps)}
+    algebras, layer = [A], [A]
+    for _ in range(2):
+        layer = [Q for P in layer for Q in map(P.colon_step, P.variables) if Q is not None]
+        algebras += layer
+    algebras += [Q for x in A.variables for c in range(2, A.top_degree + 1)
+                 if (Q := colon_oracle.colon_steps(A, x, c)) is not None]
+    for alg in algebras:
+        assert alg.exponents == exponent_oracle.exponent_vectors(alg), alg
+        assert all(len(r) == len(alg.variables) for r in alg.exponents.values())
+
+
+def test_a_second_maximal_representation_in_a_monomial_algebra_is_an_internal_fault():
+    table = create_semigroup([8, 10, 11]).apery_table()
+    reps = list(table.max_reps)
+    reps[-1] = reps[-1] + ((0, 0, 0),)
+    table.__dict__["max_reps"] = tuple(reps)
+    with pytest.raises(InternalFault, match="maximal representations"):
+        build_algebra(table)
 
 
 @pytest.mark.parametrize("gens, symbolic", [((8, 10, 11), False), ((16, 18, 21, 27), True)])

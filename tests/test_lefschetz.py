@@ -571,27 +571,54 @@ DRAW_CALLS = st.lists(
 @given(DRAW_CALLS)
 @settings(max_examples=60, deadline=None)
 def test_the_draws_are_those_of_a_fresh_generator_per_report(calls):
-    # every report reseeds the one generator, so each sees at its k-th
+    # every report draws as a fresh generator would, so each sees at its k-th
     # attempt the k-th n values of random.Random(seed), whatever seed,
     # variable count, attempts or WITNESS_RANGE the reports before it used
+    assert_reports_draw_as_fresh_generators(calls)
+
+
+def assert_reports_draw_as_fresh_generators(calls):
+    """Each (seed, variables, attempts, witness range) call of the verdict
+    core sees at its k-th attempt the k-th n values of random.Random(seed),
+    and its witness is the last of them."""
     for seed, n, attempts, witness_range in calls:
         with pytest.MonkeyPatch.context() as mp:
             if witness_range is not None:
                 mp.setattr(lefschetz, "WITNESS_RANGE", witness_range)
-            obj = box_algebra(tuple(f"x{i}" for i in range(n)), (1,) * n)
+            variables = tuple(f"x{i}" for i in range(n))
             seen = []
 
             def usable(point):
                 seen.append(point)
                 return len(seen) == attempts
 
+            obj = box_algebra(variables, (1,) * n)
             unit = linalg.Matrix([0], [0], [[1]])
             report = lefschetz._decide("WLP", "ranks", obj, [({}, 1, lambda: unit)], seed, "", usable)
             rng = random.Random(0 if seed is None else seed)
-            expected = [{v: rng.randint(1, lefschetz.WITNESS_RANGE) for v in obj.variables}
-                        for _ in range(attempts)]
-            assert seen == expected
+            expected = [{v: rng.randint(1, lefschetz.WITNESS_RANGE) for v in variables} for _ in range(attempts)]
+            assert seen == expected, (seed, n, attempts, witness_range)
             assert report.witness == expected[-1]
+
+
+def test_reports_that_share_a_seed_draw_as_fresh_generators():
+    # the first draw of a seed and range is kept: a report with as many
+    # variables or fewer reads it, one with more draws anew, a later point
+    # replays it, and another range or seed draws anew
+    assert_reports_draw_as_fresh_generators([
+        (5, 3, 1, None), (5, 2, 1, None), (5, 2, 3, None), (5, 4, 2, None), (5, 1, 1, None),
+        (5, 4, 1, 7), (5, 4, 1, None), (None, 2, 1, None), (0, 3, 2, None), (5, 3, 1, 7),
+        (13, 5, 1, 2), (13, 5, 1, 7), (13, 3, 2, 2),
+    ])
+
+
+@given(st.lists(st.tuples(st.sampled_from([None, 0, 5]), st.integers(1, 5), st.integers(1, 3),
+                          st.sampled_from([None, 2, 7])), min_size=2, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_interleaved_reports_draw_as_fresh_generators(calls):
+    # reports of few seeds, with variable counts above and below the kept
+    # first draw and witness ranges changed between them
+    assert_reports_draw_as_fresh_generators(calls)
 
 
 # -- the decisive middle map against ranking every map --------------------------------

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aperylef import (
@@ -312,6 +312,52 @@ def test_maximal_representations_are_the_representations_of_top_degree(corpus):
             if S.contains(s):
                 top = [r for r in semigroup_oracle.representations(S, s) if sum(r) == S.order(s)]
                 assert S.maximal_representations(s) == top, (S.generators, s)
+
+
+@st.composite
+def codim_2_to_5_semigroups(draw):
+    """The generator tuple of a semigroup with 3 to 6 minimal generators."""
+    m = draw(st.integers(3, 20))
+    rest = draw(st.lists(st.integers(m + 1, 4 * m), min_size=2, max_size=5, unique=True))
+    try:
+        gens = create_semigroup([m] + rest).generators
+    except AperyError:
+        gens = ()
+    assume(3 <= len(gens) <= 6)
+    return gens
+
+
+@given(codim_2_to_5_semigroups(), st.booleans())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_the_max_reps_pass_gives_the_walks_maximal_representations(gens, frame_first):
+    # the table's one pass over the sorted Apery set gives every element the
+    # representations that maximal_representations walks down to on a fresh
+    # semigroup, and counts as many toward MAXIMAL_REPS_LIMIT; a frame built
+    # first leaves values in the memo that the pass keeps
+    S, walk = create_semigroup(gens), create_semigroup(gens)
+    if frame_first:
+        S.frame()
+    table = S.apery_table()
+    assert table.max_reps == tuple(tuple(walk.maximal_representations(e)) for e in table.elements)
+    assert S._reps_built == walk._reps_built
+    assert all(sum(r) == d and r[0] == 0 for reps, d in zip(table.max_reps, table.orders) for r in reps)
+
+
+def test_the_max_reps_pass_stops_at_the_cap(monkeypatch):
+    # one representation per Apery element of <30000, 30001, 30002>: the pass
+    # raises at the first value past the cap, with no more of them built
+    monkeypatch.setattr(semigroup, "MAXIMAL_REPS_LIMIT", 1_000)
+    S = create_semigroup([30000, 30001, 30002])
+    with pytest.raises(SizeLimit):
+        S.apery_table().max_reps
+    assert S._reps_built == 1_001 and len(S._max_reps) == 1_000
+    # many representations per element, past those the frame built first
+    S = create_semigroup([40, 61, 62, 63, 64, 65])
+    S.frame()
+    monkeypatch.setattr(semigroup, "MAXIMAL_REPS_LIMIT", S._reps_built + 50)
+    with pytest.raises(SizeLimit):
+        S.apery_table().max_reps
+    assert S._reps_built > semigroup.MAXIMAL_REPS_LIMIT and len(S._max_reps) < S.multiplicity
 
 
 # -- m-purity --------------------------------------------------------------------
