@@ -56,8 +56,7 @@ FUNCTIONS = {
     ("aperylef.inverse_system", "dual_socle_generator"): "texts",
     ("aperylef.algebra", "GradedAlgebra.map_matrix"): "map build and rank",
     ("aperylef.algebra", "multiplication_matrix"): "map build and rank",
-    ("aperylef.algebra", "_path_count_map"): "map build and rank",
-    ("aperylef.algebra", "_words"): "map build and rank",
+    ("aperylef.algebra", "_table_walk"): "map build and rank",
     ("aperylef.algebra", "_check_map_degrees"): "map build and rank",
     ("aperylef.algebra", "LinearForm.symbolic"): "map build and rank",
     ("aperylef.algebra", "OneStepMap.__init__"): "map build and rank",

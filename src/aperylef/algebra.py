@@ -22,13 +22,13 @@ in A/(0:x^c), so GradedAlgebra.colon_step is the only colon quotient.  Each
 algebra builds a map and a colon quotient once, and an Apery table gives one
 algebra while anything holds it.
 
-The map of one step by the generic form is the table itself: its entry
-(w', w) is the sum of the variables that carry w to w' (the torus form of a
-one-step map, Migliore-Miro-Roig-Nagel 2011).  So a OneStepMap keeps those
-cells and ranks itself at a point modulo linalg.POINT_PRIME straight from
-them; only a rank below full there builds its polynomial entries and goes
-to linalg.point_rank.  A map of two or more steps walks the table
-(multiplication_matrix).
+Two builders give the maps.  A map of one step by the generic form is the
+table itself: its entry (w', w) is the sum of the variables that carry w to
+w'.  So a OneStepMap keeps those cells and ranks itself at a point modulo
+linalg.POINT_PRIME straight from them; only a rank below full there builds
+its polynomial entries and goes to linalg.point_rank.  A map of two or more
+steps walks the table (_table_walk) on any coefficient values;
+multiplication_matrix walks on those of a linear form.
 
 The Apery algebra of a semigroup with at most three minimal generators is
 monomial: each Apery element has one maximal representation r(w), so the
@@ -37,16 +37,15 @@ map by the p-th power of the generic form t.x then has entries
 multinomial(r(w') - r(w)) t^(r(w') - r(w)), that is
 M(t) = diag(t^r(w')) M(1) diag(t^-r(w)) with M(1) the integer matrix of
 path counts (the torus argument, Migliore-Miro-Roig-Nagel 2011, Prop. 2.2).
-Such an algebra's maps are M(1): at a point with no zero coordinate the
-symbolic map has the rank of M(1), and that is its generic rank.  A colon
-quotient of a monomial algebra is monomial too, since (0:x) is spanned by
-monomials; its exponent vectors are its parent's on its labels, less the
-coordinates of the variables it drops (0 there).
+Every divisor of a nonzero monomial is nonzero there, so the walk with every
+coefficient the int 1 counts exactly the multinomials and gives M(1); at a
+point with no zero coordinate the symbolic map has the rank of M(1), and
+that is its generic rank.  A colon quotient of a monomial algebra is
+monomial too, since (0:x) is spanned by monomials.
 """
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -78,9 +77,8 @@ class GradedAlgebra:
     labels the variables kill) and the WLP middle-map criterion of
     lefschetz.wlp_by_ranks rely on it; every construction here keeps it.
 
-    A monomial algebra, k[x]/(monomial ideal), holds the exponent vector of
-    each label in ``exponents`` (None otherwise), which its builder gives,
-    and builds its maps as integer path-count matrices.
+    A ``monomial`` algebra, k[x]/(monomial ideal), walks its power maps in
+    ints, as the path-count matrices M(1) (module docstring).
     """
 
     def __init__(
@@ -90,7 +88,7 @@ class GradedAlgebra:
         var_labels: list,
         times: dict,
         kind: str,
-        exponents: Optional[dict] = None,
+        monomial: bool = False,
     ):
         # Trim empty top degrees so top_degree is the real socle degree.
         while basis and not basis[-1]:
@@ -104,7 +102,7 @@ class GradedAlgebra:
         self._maps: dict[tuple[int, int], Matrix] = {}
         self._colons: dict[str, Optional[GradedAlgebra]] = {}
         self._gorenstein: Optional[dict] = None
-        self.exponents = exponents
+        self.monomial = monomial
 
     # -- structure ----------------------------------------------------------
 
@@ -151,21 +149,20 @@ class GradedAlgebra:
         """Multiplication by the generic linear form^power, degree d to d+power.
 
         Built once per (d, power) and shared by every caller, who must not
-        change it: a monomial algebra gives the integer matrix M(1) of path
-        counts, whose rank at every point with no zero coordinate is the
-        symbolic map's (module docstring).  Any other algebra gives the map
-        by LinearForm.symbolic, whose entries are polynomials in the
-        variables, so a point of them is a linear form: a OneStepMap read
-        off the table for power 1, multiplication_matrix's walk above it.
+        change it.  Power 1 is a OneStepMap read off the table; a higher
+        power is the table walk, with each variable's polynomial as its
+        coefficient, so a point of the entries is a linear form.  A monomial
+        algebra walks with the int 1 for every coefficient instead, and gets
+        the integer matrix M(1) of path counts, whose rank at every point
+        with no zero coordinate is the symbolic map's (module docstring).
         """
         key = (d, power)
         if key not in self._maps:
-            if self.exponents is not None:
-                self._maps[key] = _path_count_map(self, d, power)
-            elif power == 1:
+            if power == 1:
                 self._maps[key] = OneStepMap(self, d)
-            else:
-                self._maps[key] = multiplication_matrix(self, LinearForm.symbolic(self), d, power)
+            else:  # the table walk, on ints or on polynomials
+                self._maps[key] = (_table_walk(self, d, power, [1] * len(self.variables), 0, 1) if self.monomial
+                                   else multiplication_matrix(self, LinearForm.symbolic(self), d, power))
         return self._maps[key]
 
     def colon_step(self, variable: str) -> Optional["GradedAlgebra"]:
@@ -173,8 +170,8 @@ class GradedAlgebra:
 
         The annihilator (0:x) is spanned by the labels x sends to None; the
         quotient keeps the other labels and this table on them, with an image
-        in (0:x) sent to None and the column (and exponent) of a variable in
-        (0:x) dropped, in one pass.  A variable an earlier colon step killed
+        in (0:x) sent to None and the column of a variable in (0:x) dropped,
+        in one pass.  A variable an earlier colon step killed
         is zero here, so its annihilator is the whole algebra.  Built once
         per variable and shared by every caller, as the maps are.
         """
@@ -186,11 +183,10 @@ class GradedAlgebra:
 
     def _colon(self, variable: str) -> Optional["GradedAlgebra"]:
         column = self.variables.index(variable)
-        times, parent = self.times, self.exponents
-        # a variable whose label a box bound of 0 leaves out of the basis is kept
-        kept = [i for i, lab in enumerate(self.var_labels) if lab not in times or times[lab][column] is not None]
+        times = self.times
+        kept = [i for i, lab in enumerate(self.var_labels) if times[lab][column] is not None]
         dropped = len(kept) < len(self.var_labels)
-        basis, table, exponents = [], {}, None if parent is None else {}
+        basis, table = [], {}
         for labels in self.basis:
             level = []
             for lab in labels:
@@ -201,9 +197,6 @@ class GradedAlgebra:
                 if dropped:
                     row = [row[i] for i in kept]
                 table[lab] = tuple([None if t is None or times[t][column] is None else t for t in row])
-                if parent is not None:
-                    r = parent[lab]
-                    exponents[lab] = tuple([r[i] for i in kept]) if dropped else r
             basis.append(level)
         if not table:
             return None
@@ -213,7 +206,7 @@ class GradedAlgebra:
             var_labels=[self.var_labels[i] for i in kept],
             times=table,
             kind="quotient",
-            exponents=exponents,
+            monomial=self.monomial,
         )
 
     def __repr__(self) -> str:
@@ -246,20 +239,18 @@ def _apery_algebra(table: AperyTable) -> GradedAlgebra:
         a: tuple(a + v if order_of.get(a + v) == d + 1 else None for v in degree1)
         for a, d in order_of.items()
     }
-    exponents = None
-    if len(degree1) <= 2:  # monomial: r(w) is the one maximal representation of w, less g_1's exponent
-        exponents = {}
+    monomial = len(degree1) <= 2  # each element's one maximal representation is its monomial
+    if monomial:
         for e, reps in zip(table.elements, table.max_reps):
             if len(reps) != 1:
                 raise InternalFault(f"apery element {e} of a monomial algebra has {len(reps)} maximal representations")
-            exponents[e] = reps[0][1:]
     return GradedAlgebra(
         variables=variable_names(len(degree1)),
         basis=basis,
         var_labels=degree1,
         times=times,
         kind="apery",
-        exponents=exponents,
+        monomial=monomial,
     )
 
 
@@ -273,9 +264,12 @@ def box_algebra(
 
     ``rewrite = (i, repl)`` sends the (bounds[i]+1)-th power of variable i to
     the monomial with exponents ``repl``; repl must avoid variable i, so one
-    rewrite of a label times variable i leaves that exponent 0.
+    rewrite of a label times variable i leaves that exponent 0.  Every
+    bound must be at least 1, so each variable is a label of degree 1.
     """
     bounds = tuple(int(b) for b in bounds)
+    if any(b < 1 for b in bounds):
+        raise ValueError("every box bound must be at least 1")
     if rewrite is not None:
         ri, repl = rewrite
         repl = tuple(int(x) for x in repl)
@@ -369,41 +363,40 @@ class LinearForm:
 
 
 def multiplication_matrix(alg: GradedAlgebra, L: LinearForm, d: int, power: int = 1) -> Matrix:
-    """Matrix of multiplication by L^power from degree d to degree d+power.
-
-    Each column carries its label through power multiplications by L.  A
-    step out of the column's own label yields each variable's coefficient
-    polynomial itself, and the first path into a label is stored as it is;
-    only a second path into the same label adds.  So a map of one step does
-    no polynomial arithmetic, and entries may be shared objects (the
-    coefficient polynomials, one zero): no entry is changed in place, and
-    callers must not change them either.
-    """
-    _check_map_degrees(alg, d, power)
+    """Matrix of multiplication by L^power from degree d to degree d+power:
+    the table walk with each coefficient of L as a polynomial in L's
+    symbols."""
     if len(L.coefficients) != len(alg.variables):
         raise ValueError("linear form arity does not match the algebra")
     symbols = L.symbol_names()
-    coeff_polys = []
-    for c in L.coefficients:
-        if isinstance(c, str):
-            coeff_polys.append(SparsePoly.variable(symbols, c))
-        else:
-            coeff_polys.append(SparsePoly.constant(symbols, c))
+    coeffs = [SparsePoly.variable(symbols, c) if isinstance(c, str) else SparsePoly.constant(symbols, c)
+              for c in L.coefficients]
+    return _table_walk(alg, d, power, coeffs, SparsePoly.zero(symbols), SparsePoly.constant(symbols, 1))
+
+
+def _table_walk(alg: GradedAlgebra, d: int, power: int, coeffs: list, zero, one) -> Matrix:
+    """The map by the form^power from degree d to d+power, where the form's
+    coefficient of the i-th variable is coeffs[i], with zero and one those of
+    the coefficients (ints or polynomials).  Each column carries its label
+    through power steps.  A step out of the column's own label yields each
+    coefficient itself, and the first path into a label is stored as it is;
+    only a second one adds.  So entries may be shared objects (the
+    coefficients, one zero): none is changed in place, by this or a caller.
+    """
+    _check_map_degrees(alg, d, power)
     rows = list(alg.basis[d + power])
     cols = list(alg.basis[d])
     row_index = {lab: i for i, lab in enumerate(rows)}
-    zero = SparsePoly.zero(symbols)
-    unit = SparsePoly.constant(symbols, 1)
     entries = [[zero] * len(cols) for _ in rows]
     for j, col in enumerate(cols):
-        vec = {col: unit}
+        vec = {col: one}
         for _ in range(power):
             nxt: dict = {}
             for lab, coeff in vec.items():
-                for target, cpoly in zip(alg.times[lab], coeff_polys):
-                    if target is None or not cpoly:
+                for target, c in zip(alg.times[lab], coeffs):
+                    if target is None or not c:
                         continue
-                    term = cpoly if coeff is unit else coeff * cpoly
+                    term = c if coeff is one else coeff * c
                     known = nxt.get(target)
                     nxt[target] = term if known is None else known + term
             vec = {lab: c for lab, c in nxt.items() if c}
@@ -469,28 +462,6 @@ class OneStepMap(Matrix):
         if full and _rank_mod_p(rows) == full:
             return full
         return point_rank(self, assignment)
-
-
-def _path_count_map(alg: GradedAlgebra, d: int, power: int) -> Matrix:
-    """M(1) of a monomial algebra: the entry (w', w) counts the words in the
-    variables that carry w to w', multinomial(r(w') - r(w)), and is 0 unless
-    r(w') >= r(w)."""
-    _check_map_degrees(alg, d, power)
-    r = alg.exponents
-    rows = list(alg.basis[d + power])
-    cols = list(alg.basis[d])
-    return Matrix(rows, cols, [[_words(r[top], r[bottom]) for bottom in cols] for top in rows])
-
-
-def _words(top: tuple, bottom: tuple) -> int:
-    """multinomial(top - bottom), or 0 unless top >= bottom entrywise."""
-    count, total = 1, 0
-    for a, b in zip(top, bottom):
-        if a < b:
-            return 0
-        total += a - b
-        count *= math.comb(total, a - b)
-    return count
 
 
 def _check_map_degrees(alg, d: int, power: int) -> None:

@@ -23,21 +23,21 @@ deficient map and certifies the latter; a matrix above the cap is instead
 ranked again at the later points.  Each algebra, of either kind, builds a
 map once and shares it with its reports, so a map's generic rank is
 certified once; a colon quotient is an algebra of its own and builds its
-own.  A monomial algebra (an Apery algebra of codimension at most 2, or
-a colon quotient of one) gives the integer path-count matrices M(1) as its
+own.  Every algebra gives its one-step maps, all that WLP ranks, as the
+cells of its table (algebra.OneStepMap): rank_at reads a draw into them
+modulo the point prime, and builds the symbolic entries only for a rank
+below full, where rank_at and generic_rank go on as for any map.  A
+monomial algebra (an Apery algebra of codimension at most 2, or a colon
+quotient of one) gives the integer path-count matrices M(1) as its power
 maps (algebra module docstring): the symbolic map is
 diag(t^r(w')) M(1) diag(t^-r(w)), so at every witness draw, none of whose
-coordinates is zero, its rank is rank M(1), which is also its generic rank.
-Any other algebra gives its one-step maps, all that WLP ranks, as the cells
-of its table (algebra.OneStepMap): rank_at reads a draw into them modulo
-the point prime, and builds the symbolic entries only for a rank below
-full, where rank_at and generic_rank go on as for any map.
+coordinates is zero, its rank is rank M(1), also its generic rank.
 
-Verdicts: "holds" always carries a rational witness verified exactly, on
-a monomial algebra by that identity and for a Gorenstein WLP rank report
-on the middle map (wlp_by_ranks).  "fails" always carries a symbolic
-generic-rank deficiency; "inconclusive" appears when a map above the
-symbolic cap is deficient at every witness point (its rank is then
+Verdicts: "holds" always carries a rational witness verified exactly, for
+the power maps of a monomial algebra by that identity and for a Gorenstein
+WLP rank report on the middle map (wlp_by_ranks).  "fails" always carries
+a symbolic generic-rank deficiency; "inconclusive" appears when a map above
+the symbolic cap is deficient at every witness point (its rank is then
 probabilistic) or when a quotient step's hypotheses cannot be checked.
 
 Reports serialize field by field: each to_dict builds a new JSON-ready dict

@@ -2,9 +2,9 @@
 as a test oracle.
 
 This is how `aperylef.algebra` found the exponent vectors of a monomial
-algebra before an Apery algebra read them off its maximal representations
-and a colon quotient off its parent's: r(1) = 0 and r(w*x_i) = r(w) + e_i,
-in one walk over the table in degree order.
+algebra before it read them off the Apery maximal representations, and then
+kept none: r(1) = 0 and r(w*x_i) = r(w) + e_i, in one walk over the table in
+degree order.  Tests read the r(w) of the torus identity from it.
 """
 
 from aperylef import GradedAlgebra, InternalFault

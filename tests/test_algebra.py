@@ -201,8 +201,8 @@ def test_paths_that_cancel_leave_the_zero_entry():
 
 @st.composite
 def symbolic_map_algebras(draw):
-    """An algebra whose maps multiplication_matrix builds: the Apery algebra
-    of a semigroup with 4 or 5 minimal generators, or a box algebra on three
+    """An algebra whose power maps walk on polynomials: the Apery algebra of
+    a semigroup with 4 or 5 minimal generators, or a box algebra on three
     variables with a degree-preserving rewrite of one pure power into a
     mixed monomial, as a gamma algebra has."""
     if draw(st.booleans()):
@@ -211,7 +211,7 @@ def symbolic_map_algebras(draw):
         gens = [m] + sorted(rest)
         assume(math.gcd(*gens) == 1)
         A = algebra_of(gens)
-        assume(A.exponents is None)  # 4 or 5 minimal generators
+        assume(not A.monomial)  # 4 or 5 minimal generators
         return A
     bounds = [draw(st.integers(1, 3)) for _ in range(3)]
     i = draw(st.integers(0, 2))
@@ -300,8 +300,10 @@ def test_a_colon_step_is_built_once_per_variable():
             Q = alg.colon_step(v)
             assert Q is not None and alg.colon_step(v) is Q
             assert Q.hilbert() == tuple(len(b) for b in Q.basis)
-    G = box_algebra(("y", "z"), (1, 0))
-    assert G.colon_step("z") is None and G.colon_step("z") is None
+    # a box bound below 1 would leave its variable in no degree
+    for bounds in ((1, 0), (-1,)):
+        with pytest.raises(ValueError, match="at least 1"):
+            box_algebra(("y", "z")[:len(bounds)], bounds)
 
 
 def test_colon_reproduces_apery_algebra_from_gamma_box():
@@ -404,10 +406,12 @@ def map_cases(alg):
 
 
 def check_torus_identity(alg, d, power, rng):
-    """alg's symbolic map at 3 random points t >= 1 is
-    diag(t^r(w')) M(1) diag(t^-r(w)), with M(1) its map_matrix and r the
-    exponents of the monomial algebra it is."""
+    """alg's symbolic map by a power of two or more, at 3 random points
+    t >= 1, is diag(t^r(w')) M(1) diag(t^-r(w)), with M(1) its map_matrix,
+    in ints, and r the exponent vectors of the monomial algebra it is, as
+    the walk over its table gives them."""
     counts = alg.map_matrix(d, power)
+    r = exponent_oracle.exponent_vectors(alg)
     symbolic = multiplication_oracle.multiplication_matrix(alg, LinearForm.symbolic(alg), d, power)
     assert counts.row_labels == symbolic.row_labels
     assert counts.col_labels == symbolic.col_labels
@@ -416,7 +420,7 @@ def check_torus_identity(alg, d, power, rng):
         point = [rng.randint(1, 50) for _ in alg.variables]
 
         def weight(lab):
-            return math.prod(Fraction(t) ** k for t, k in zip(point, alg.exponents[lab]))
+            return math.prod(Fraction(t) ** k for t, k in zip(point, r[lab]))
 
         image = [
             [weight(top) * c / weight(bottom) for bottom, c in zip(counts.col_labels, row)]
@@ -428,44 +432,47 @@ def check_torus_identity(alg, d, power, rng):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The kinds of the algebras whose symbolic maps the package builds, a
-    one-step map off the table or a longer one with multiplication_matrix;
-    the tests' own calls of multiplication_matrix are not counted."""
-    kinds = []
-    original, one_step = algebra_module.multiplication_matrix, algebra_module.OneStepMap.__init__
+    """(kind of the algebra, builder) for each map the package builds: "one
+    step" for a map read off the table, and "ints" or "polynomials", the
+    coefficients it walks on, for a table walk.  The tests that use it call
+    no builder themselves."""
+    builds = []
+    walk, one_step = algebra_module._table_walk, algebra_module.OneStepMap.__init__
 
-    def recording(alg, L, d, power=1):
-        kinds.append(alg.kind)
-        return original(alg, L, d, power)
+    def recording_walk(alg, d, power, coeffs, zero, one):
+        builds.append((alg.kind, "ints" if isinstance(one, int) else "polynomials"))
+        return walk(alg, d, power, coeffs, zero, one)
 
     def recording_one_step(self, alg, d):
-        kinds.append(alg.kind)
+        builds.append((alg.kind, "one step"))
         one_step(self, alg, d)
 
-    monkeypatch.setattr(algebra_module, "multiplication_matrix", recording)
+    monkeypatch.setattr(algebra_module, "_table_walk", recording_walk)
     monkeypatch.setattr(algebra_module.OneStepMap, "__init__", recording_one_step)
-    return kinds
+    return builds
 
 
 def test_quotient_maps_are_slices_of_the_parent_maps(corpus, built):
     """A colon quotient builds its own maps, and each is its parent's map on
-    the quotient's rows and columns: the same path counts on a monomial
-    algebra, the same polynomials over the quotient's symbols on any other,
-    with no symbol of a killed variable in a row the quotient keeps."""
+    the quotient's rows and columns: the same path counts for a power map
+    of a monomial algebra, the same polynomials over the quotient's symbols
+    for any other map, with no symbol of a killed variable in a row the
+    quotient keeps."""
     quotients = dropping = chained = maps = monomial = 0
     for parent, Q in slice_cases(corpus):
         quotients += 1
         kept = kept_variables(parent, Q)
         dropping += len(kept) < len(parent.variables)
         chained += parent.kind == "quotient"
-        monomial += Q.exponents is not None
+        monomial += Q.monomial
         for d, power in map_cases(Q):
             got = Q.map_matrix(d, power)
             assert got.row_labels == list(Q.basis[d + power]) and got.col_labels == list(Q.basis[d])
             want = sliced(parent.map_matrix(d, power), got.row_labels, got.col_labels, kept, Q.variables)
             assert got.entries == want, (Q, d, power)
             maps += 1
-    assert "quotient" in built  # a non-monomial quotient builds its maps itself
+    # a quotient builds its maps itself, by both builders
+    assert {("quotient", b) for b in ("one step", "ints", "polynomials")} <= set(built)
     assert quotients > 100 and maps > 2000
     assert dropping and chained and monomial
 
@@ -501,11 +508,10 @@ def quotient_roots(draw):
 @given(quotient_roots())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_colon_quotients_build_their_own_maps(root):
-    """Every colon quotient to depth 2 is an algebra of its own: its maps
-    equal the reference builder's on the quotient (a monomial quotient's as
-    the torus identity with its own exponents), and the exponents of a
-    monomial quotient are its parent's on its labels, with the killed
-    coordinates, which are 0 there, dropped."""
+    """Every colon quotient to depth 2 is an algebra of its own, monomial
+    when its parent is: its maps equal the reference builder's on the
+    quotient, and a monomial quotient's power maps are the torus images of
+    its own path counts."""
     A, chain = root
     pairs = [(A, Q) for Q in chain]
     layer = [A]
@@ -515,23 +521,25 @@ def test_colon_quotients_build_their_own_maps(root):
         layer = [Q for _, Q in layer_pairs]
     rng = random.Random(repr(A))
     for parent, Q in pairs:
-        assert (Q.exponents is None) == (parent.exponents is None)
-        if Q.exponents is not None:
-            kept = kept_variables(parent, Q)
-            labels = [lab for labels in Q.basis for lab in labels]
-            assert set(Q.exponents) == set(labels)
-            for lab in labels:
-                r = parent.exponents[lab]
-                assert Q.exponents[lab] == tuple(r[i] for i in kept)
-                assert not any(x for i, x in enumerate(r) if i not in kept)
+        assert Q.monomial == parent.monomial
         for d, power in every_map(Q):
-            if Q.exponents is not None:
+            if Q.monomial and power > 1:
                 check_torus_identity(Q, d, power, rng)
                 continue
             got = Q.map_matrix(d, power)
             want = multiplication_oracle.multiplication_matrix(Q, LinearForm.symbolic(Q), d, power)
             assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
             assert got.entries == want.entries, (Q, d, power)
+
+
+def colon_tower(A, depth=2):
+    """A and its colon quotients to the given depth, each layer the colon
+    steps of the one before."""
+    algebras, layer = [A], [A]
+    for _ in range(depth):
+        layer = [Q for P in layer for Q in map(P.colon_step, P.variables) if Q is not None]
+        algebras += layer
+    return algebras
 
 
 def one_step_draws(alg, rng):
@@ -549,20 +557,14 @@ def one_step_draws(alg, rng):
 @given(quotient_roots())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_one_step_maps_are_the_builders_maps_read_off_the_table(root):
-    """Every one-step map of a non-monomial algebra, on the algebra, its
+    """Every one-step map, a monomial algebra's too, on the algebra, its
     chain quotients and its colon quotients to depth 2, is read off the
     table: at each draw its rank_at is point_rank of the map that
     multiplication_matrix builds by the generic form, the independent
     builder, and then its symbolic entries are that map's entries."""
     A, chain = root
-    algebras, layer = [A] + chain, [A]
-    for _ in range(2):
-        layer = [Q for P in layer for Q in map(P.colon_step, P.variables) if Q is not None]
-        algebras += layer
     rng = random.Random(repr(A))
-    for alg in algebras:
-        if alg.exponents is not None:
-            continue
+    for alg in chain + colon_tower(A):
         for d in range(alg.top_degree):
             got = alg.map_matrix(d, 1)
             want = multiplication_matrix(alg, LinearForm.symbolic(alg), d, 1)
@@ -585,6 +587,10 @@ def test_a_one_step_map_of_full_rank_at_a_point_builds_no_polynomial(monkeypatch
     point = {"y": 3, "z": 5, "w": 7}
     maps = [A.map_matrix(d, 1) for d in range(A.top_degree)]
     assert [m.rank_at(point) for m in maps] == [1, 3, 4, 3, 1] and built == []
+    C = algebra_of([8, 10, 11])  # codimension 2, a monomial algebra
+    maps = [C.map_matrix(d, 1) for d in range(C.top_degree)]
+    assert all(isinstance(m, algebra_module.OneStepMap) for m in maps)
+    assert [m.rank_at(point) for m in maps] == [1, 2, 2] and built == []
     B = algebra_of([7, 8, 10, 19])  # Hilbert (1, 3, 3), a 3 x 3 map of generic rank 2
     maps = [B.map_matrix(d, 1) for d in range(B.top_degree)]
     assert [m.rank_at(point) for m in maps] == [1, 2] and built == maps[1:]
@@ -597,13 +603,11 @@ def test_the_variable_actions_commute_and_generate(root):
     """The table's contract, on the algebra, its chain quotients and its
     colon quotients to depth 2: each variable sends a label to one of the
     next degree or to None, times[times[w][i]][j] == times[times[w][j]][i]
-    with None absorbing, and every label of positive degree is an image."""
+    with None absorbing, and every label of positive degree is an image.
+    The table of a monomial algebra is that of k[x]/(monomial ideal): the
+    walk of exponent vectors reaches every label with one vector."""
     A, chain = root
-    algebras, layer = [A] + chain, [A]
-    for _ in range(2):
-        layer = [Q for P in layer for Q in map(P.colon_step, P.variables) if Q is not None]
-        algebras += layer
-    for alg in algebras:
+    for alg in chain + colon_tower(A):
         degree = {lab: d for d, labels in enumerate(alg.basis) for lab in labels}
         assert set(alg.times) == set(degree)
 
@@ -619,14 +623,16 @@ def test_the_variable_actions_commute_and_generate(root):
                     assert act(act(w, i), j) == act(act(w, j), i), (alg, w, i, j)
         images = {t for w in degree for t in alg.times[w]} - {None}
         assert images == {lab for lab, d in degree.items() if d > 0}, alg
+        if alg.monomial:
+            assert set(exponent_oracle.exponent_vectors(alg)) == set(degree), alg
 
 
 def test_a_colon_quotient_of_a_monomial_algebra_may_be_the_zero_ring():
     A = algebra_of([8, 10, 11])
-    assert A.exponents is not None
+    assert A.monomial
     assert colon_oracle.colon_steps(A, "y", A.top_degree + 1) is None
     Q = colon_oracle.colon_by_power(A, "y", A.top_degree + 1)
-    assert Q.dimension == 0 and Q.exponents == {}
+    assert Q.dimension == 0 and Q.monomial
 
 
 @given(quotient_roots())
@@ -645,7 +651,7 @@ def test_colon_steps_are_the_colon_by_the_power(root):
                 continue
             assert got is not None, (A, x, c)
             assert (got.variables, got.basis, got.var_labels) == (want.variables, want.basis, want.var_labels)
-            assert got.times == want.times and got.exponents == want.exponents, (A, x, c)
+            assert got.times == want.times and got.monomial == want.monomial, (A, x, c)
 
 
 @st.composite
@@ -664,14 +670,16 @@ def three_generator_semigroups(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_codim2_maps_are_torus_images_of_their_path_counts(S):
     # the torus argument: M(t) = diag(t^r(w')) M(1) diag(t^-r(w)), so the
-    # generic rank is rank M(1), on the algebra and its colon quotients
+    # generic rank of a power map is rank M(1), on the algebra and its colon
+    # quotients to depth 2
     A = build_algebra(S.apery_table())
-    assert A.exponents is not None
+    assert A.monomial
     rng = random.Random(repr(S.generators))
-    for alg in [A] + [Q for Q in map(A.colon_step, A.variables) if Q is not None]:
+    for alg in colon_tower(A):
         for d, power in map_cases(alg):
-            counts, symbolic = check_torus_identity(alg, d, power, rng)
-            assert rank_info(symbolic)[0] == fraction_rank(counts.entries)
+            if power > 1:
+                counts, symbolic = check_torus_identity(alg, d, power, rng)
+                assert rank_info(symbolic)[0] == fraction_rank(counts.entries)
 
 
 @st.composite
@@ -689,23 +697,25 @@ def codim_at_most_2_semigroups(draw):
 @given(codim_at_most_2_semigroups())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_exponent_vectors_are_those_of_the_walk_over_the_table(S):
-    """An Apery algebra of codimension at most 2 reads each label's vector
-    off its one maximal representation, and each colon quotient, to depth 2
-    and down every power chain, off its parent's: each is the vector that
-    the walk over the algebra's own table gives."""
+    """An Apery algebra of codimension at most 2 is monomial, and the walk
+    over its table gives each label the exponent vector of its one maximal
+    representation.  Each colon quotient, to depth 2 and down every power
+    chain, is monomial, and the walk over its own table gives each label its
+    parent's vector less the coordinates of the variables it drops, which
+    are 0 there."""
     table = S.apery_table()
     A = build_algebra(table)
-    assert all(len(reps) == 1 for reps in table.max_reps)
-    assert A.exponents == {e: reps[0][1:] for e, reps in zip(table.elements, table.max_reps)}
-    algebras, layer = [A], [A]
-    for _ in range(2):
-        layer = [Q for P in layer for Q in map(P.colon_step, P.variables) if Q is not None]
-        algebras += layer
-    algebras += [Q for x in A.variables for c in range(2, A.top_degree + 1)
-                 if (Q := colon_oracle.colon_steps(A, x, c)) is not None]
-    for alg in algebras:
-        assert alg.exponents == exponent_oracle.exponent_vectors(alg), alg
-        assert all(len(r) == len(alg.variables) for r in alg.exponents.values())
+    assert A.monomial and all(len(reps) == 1 for reps in table.max_reps)
+    assert exponent_oracle.exponent_vectors(A) == {e: reps[0][1:] for e, reps in zip(table.elements, table.max_reps)}
+    pairs = [(P, Q) for P in colon_tower(A, 1) for Q in map(P.colon_step, P.variables) if Q is not None]
+    pairs += [(A, Q) for x in A.variables for c in range(2, A.top_degree + 1)
+              if (Q := colon_oracle.colon_steps(A, x, c)) is not None]
+    for parent, Q in pairs:
+        assert Q.monomial, Q
+        r, vectors = exponent_oracle.exponent_vectors(parent), exponent_oracle.exponent_vectors(Q)
+        kept = kept_variables(parent, Q)
+        assert vectors == {lab: tuple(r[lab][i] for i in kept) for lab in vectors}, Q
+        assert not any(x for lab in vectors for i, x in enumerate(r[lab]) if i not in kept), Q
 
 
 def test_a_second_maximal_representation_in_a_monomial_algebra_is_an_internal_fault():
@@ -719,9 +729,13 @@ def test_a_second_maximal_representation_in_a_monomial_algebra_is_an_internal_fa
 
 @pytest.mark.parametrize("gens, symbolic", [((8, 10, 11), False), ((16, 18, 21, 27), True)])
 def test_ranks_route_builds_symbolic_maps_only_above_codimension_2(gens, symbolic, built):
+    # every algebra reads its one-step maps off its table; a power map walks
+    # on polynomials above codimension 2 and on ints at or below it
     analyze_record(list(gens), method="ranks", seed_root=0)
-    assert bool(built) == symbolic
-    assert (algebra_of(gens).exponents is None) == symbolic
+    builders = {b for _, b in built}
+    assert "one step" in builders
+    assert ("polynomials" in builders) == symbolic and ("ints" in builders) != symbolic
+    assert algebra_of(gens).monomial != symbolic
 
 
 def test_one_algebra_per_table_while_it_is_held():

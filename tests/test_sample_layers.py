@@ -29,8 +29,8 @@ def test_a_frame_takes_the_layer_of_the_innermost_frame_that_names_one():
 
     record = Frame("aperylef.cli", "_record")
     text = Frame("aperylef.polynomial", "SparsePoly.__str__", Frame("aperylef.algebra", "relation_text", record))
-    product = Frame("fractions", "Fraction._mul", Frame("aperylef.polynomial", "SparsePoly.__mul__",
-                                                         Frame("aperylef.algebra", "multiplication_matrix", record)))
+    walk = Frame("aperylef.algebra", "_table_walk", Frame("aperylef.algebra", "multiplication_matrix", record))
+    product = Frame("fractions", "Fraction._mul", Frame("aperylef.polynomial", "SparsePoly.__mul__", walk))
     assert sample_layers.layer_of(text) == "texts"
     assert sample_layers.layer_of(product) == "map build and rank"
     assert sample_layers.layer_of(Frame("aperylef.algebra", "_apery_algebra", record)) == "algebra build"
