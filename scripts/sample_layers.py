@@ -55,6 +55,8 @@ FUNCTIONS = {
     ("aperylef.algebra", "codim3_defining_ideal"): "texts",
     ("aperylef.inverse_system", "dual_socle_generator"): "texts",
     ("aperylef.algebra", "GradedAlgebra.map_matrix"): "map build and rank",
+    ("aperylef.algebra", "GradedAlgebra._walk"): "map build and rank",
+    ("aperylef.algebra", "GradedAlgebra._shape"): "map build and rank",
     ("aperylef.algebra", "multiplication_matrix"): "map build and rank",
     ("aperylef.algebra", "_table_walk"): "map build and rank",
     ("aperylef.algebra", "_check_map_degrees"): "map build and rank",

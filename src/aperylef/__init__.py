@@ -53,6 +53,7 @@ from .algebra import (
 )
 from .inverse_system import (
     DualAlgebraView,
+    differential_form,
     dual_algebra_view,
     dual_socle_generator,
     hessian,

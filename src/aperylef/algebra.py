@@ -42,6 +42,19 @@ coefficient the int 1 counts exactly the multinomials and gives M(1); at a
 point with no zero coordinate the symbolic map has the rank of M(1), and
 that is its generic rank.  A colon quotient of a monomial algebra is
 monomial too, since (0:x) is spanned by monomials.
+
+A sweep's Apery algebras repeat each other's tables up to the names of
+their labels, so one sweep call keeps a memo, handed to build_algebra, from
+the shape of a power map to its entries.  The shape is everything the walk
+reads, by position: the variable names, whether the coefficients are ints
+(a monomial algebra) or polynomials, the size of the target degree, and the
+table rows of the degrees walked, each target written as its position in
+the next degree.  The walk's entries are a function of exactly these, and
+the rows and columns follow the order of the basis, so two maps of one
+shape have the same entries, and a hit wraps them in a Matrix with its own
+labels.  The memo holds entries only, never an algebra, a label or a Matrix
+(whose generic rank stays its own), and it ends with its sweep call; every
+other caller builds its algebras with no memo.
 """
 
 from __future__ import annotations
@@ -103,6 +116,8 @@ class GradedAlgebra:
         self._colons: dict[str, Optional[GradedAlgebra]] = {}
         self._gorenstein: Optional[dict] = None
         self.monomial = monomial
+        self.shapes: Optional[dict] = None  # a sweep's power-map entries by shape
+        self._steps: Optional[tuple] = None  # each degree's table rows by position (_shape)
 
     # -- structure ----------------------------------------------------------
 
@@ -155,15 +170,46 @@ class GradedAlgebra:
         algebra walks with the int 1 for every coefficient instead, and gets
         the integer matrix M(1) of path counts, whose rank at every point
         with no zero coordinate is the symbolic map's (module docstring).
+        An algebra given a sweep's ``shapes`` memo takes a power map's
+        entries from it when another algebra has walked the same shape, and
+        stores them there when it walks.
         """
         key = (d, power)
         if key not in self._maps:
             if power == 1:
                 self._maps[key] = OneStepMap(self, d)
-            else:  # the table walk, on ints or on polynomials
-                self._maps[key] = (_table_walk(self, d, power, [1] * len(self.variables), 0, 1) if self.monomial
-                                   else multiplication_matrix(self, LinearForm.symbolic(self), d, power))
+            elif self.shapes is None:
+                self._maps[key] = self._walk(d, power)
+            else:
+                _check_map_degrees(self, d, power)
+                shape = self._shape(d, power)
+                entries = self.shapes.get(shape)
+                if entries is None:
+                    self._maps[key] = self._walk(d, power)
+                    self.shapes[shape] = self._maps[key].entries
+                else:
+                    self._maps[key] = Matrix(list(self.basis[d + power]), list(self.basis[d]), entries)
         return self._maps[key]
+
+    def _walk(self, d: int, power: int) -> Matrix:
+        """The table walk of a power map, on ints or on polynomials."""
+        if self.monomial:
+            return _table_walk(self, d, power, [1] * len(self.variables), 0, 1)
+        return multiplication_matrix(self, LinearForm.symbolic(self), d, power)
+
+    def _shape(self, d: int, power: int) -> tuple:
+        """Everything the walk from degree d by power reads, by position: the
+        variables, whether the coefficients are ints, the size of degree
+        d + power, and the table rows of degrees d..d+power-1, each target
+        written as its position in the next degree."""
+        if self._steps is None:
+            steps = []
+            for labels, following in zip(self.basis, self.basis[1:]):
+                position = {lab: i for i, lab in enumerate(following)}
+                steps.append(tuple(tuple(None if t is None else position[t] for t in self.times[lab])
+                                   for lab in labels))
+            self._steps = tuple(steps)
+        return (self.variables, self.monomial, len(self.basis[d + power]), self._steps[d:d + power])
 
     def colon_step(self, variable: str) -> Optional["GradedAlgebra"]:
         """Quotient by the annihilator of one variable; None for the zero ring.
@@ -213,18 +259,22 @@ class GradedAlgebra:
         return f"GradedAlgebra(kind={self.kind!r}, hilbert={self.hilbert()})"
 
 
-def build_algebra(table: AperyTable) -> GradedAlgebra:
+def build_algebra(table: AperyTable, shapes: Optional[dict] = None) -> GradedAlgebra:
     """The graded algebra whose basis is the apery set graded by order.
 
     While anything holds the table's algebra, the table gives that algebra
     again, with the maps it has built.  The table keeps only a weak
     reference: the table and its semigroup refer to each other, so a strong
-    one would keep every map alive until the cycle collector runs.
+    one would keep every map alive until the cycle collector runs.  Given
+    ``shapes``, a sweep's memo of power-map entries by table shape, the
+    algebra reads and fills it (module docstring).
     """
     alg = table._algebra() if table._algebra is not None else None
     if alg is None:
         alg = _apery_algebra(table)
         table._algebra = weakref.ref(alg)
+    if shapes is not None:
+        alg.shapes = shapes
     return alg
 
 

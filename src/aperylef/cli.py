@@ -30,6 +30,7 @@ from .errors import (
     ConflictingInput,
     EmptyInput,
     GcdNotOne,
+    InternalFault,
     InvalidDualGenerator,
     InvalidGenerator,
     InvalidOutputPath,
@@ -41,7 +42,7 @@ from .errors import (
     PolyParseError,
     SizeLimit,
 )
-from .inverse_system import dual_algebra_view, dual_socle_generator
+from .inverse_system import differential_form, dual_algebra_view, dual_socle_generator
 from .lefschetz import (
     conjecture_check,
     derive_seed,
@@ -131,17 +132,19 @@ def analyze_record(
     return _record(create_semigroup(list(gens)), method, seed_root, t0 if with_timings else None)
 
 
-def _record(S: NumericalSemigroup, method: str, seed_root: Optional[int], t0: Optional[float] = None) -> dict:
+def _record(S: NumericalSemigroup, method: str, seed_root: Optional[int], t0: Optional[float] = None,
+            shapes: Optional[dict] = None) -> dict:
     """Full pipeline record for S, with its wall time since t0 when t0 is given.
 
     It reads whatever S has already built (a sweep's filter builds the Apery
     table), so a record of a semigroup the caller holds costs no second one.
+    ``shapes`` is a sweep's memo of power-map entries (build_algebra).
     """
     seed = _seed(seed_root, S)
     table = S.apery_table()
     max_reps = _max_representations(table)  # before any rank, and before the frame reads them
     frame = S.frame()
-    A = build_algebra(table)
+    A = build_algebra(table, shapes)
     ginfo = A.gorenstein_info()
     m_pure = table.m_pure_verdict()
     classification = classify(frame)
@@ -150,9 +153,11 @@ def _record(S: NumericalSemigroup, method: str, seed_root: Optional[int], t0: Op
     view = None
     F = None
     if m_pure:
-        F = dual_socle_generator(table)
+        F = dual_socle_generator(table)  # in divided powers, as the record prints it
         if method != "ranks" and F.degree() >= 1:
-            view = dual_algebra_view(F)  # only the Hessian route reads it
+            view = dual_algebra_view(differential_form(F))  # only the Hessian route reads it
+            if view.hilbert != A.hilbert():
+                raise InternalFault(f"the dual view has Hilbert vector {view.hilbert}, not the algebra's {A.hilbert()}")
         dual_text = str(F)
 
     if method == "hessian" and not m_pure:
@@ -408,6 +413,7 @@ def sweep(args) -> int:
     clo, chi = args.count
     written = skipped = resumed = 0
     keys = _read_resume_keys(args.out) if (args.resume and args.out) else set()
+    shapes: dict = {}  # power-map entries by table shape, for this call's records only
     out = _open_out(args.out, "a") if args.out else sys.stdout
     flagged = []
     try:
@@ -434,7 +440,7 @@ def sweep(args) -> int:
                         if not (frame.is_ci() or len(gens) - 1 == 3):
                             skipped += 1
                             continue
-                    record = _record(S, args.method, args.seed)
+                    record = _record(S, args.method, args.seed, shapes=shapes)
                     out.write(_RECORD_ENCODER.encode(record) + "\n")
                     out.flush()
                     keys.add(key)

@@ -46,6 +46,7 @@ DUAL_MONOMIALS_LIMIT = 1000
 
 __all__ = [
     "dual_socle_generator",
+    "differential_form",
     "DualAlgebraView",
     "dual_algebra_view",
     "hessian",
@@ -84,6 +85,19 @@ def dual_socle_generator(table: AperyTable) -> SparsePoly:
     names = variable_names(codim)
     one = Fraction(1)
     return SparsePoly._from_clean(names, {rep[1:]: one for rep in table.max_reps[-1]})
+
+
+def differential_form(F: SparsePoly) -> SparsePoly:
+    """The form whose derivatives act as the contractions act on F.
+
+    dual_socle_generator gives F in divided powers: the Apery ideal is the
+    annihilator of F under contraction, x^a sending X^b to X^(b-a).  A dual
+    view differentiates.  The two actions match through X^r <-> X^r / r!,
+    with r! the product of the factorials of r's exponents (Iarrobino-Kanev,
+    LNM 1721, Appendix A), so the view of sum c_r X^r / r! presents the
+    algebra F presents under contraction.
+    """
+    return SparsePoly._from_clean(F.vars, {r: c / math.prod(map(math.factorial, r)) for r, c in F.terms.items()})
 
 
 def _derivatives(F: SparsePoly, exps) -> dict[tuple[int, ...], SparsePoly]:

@@ -103,8 +103,8 @@ def test_analyze_record_releases_its_algebra(gens, monkeypatch):
     refs = []
     build = cli.build_algebra
 
-    def recording(table):
-        alg = build(table)
+    def recording(table, shapes=None):
+        alg = build(table, shapes)
         refs.append(weakref.ref(alg))
         return alg
 
@@ -116,6 +116,123 @@ def test_analyze_record_releases_its_algebra(gens, monkeypatch):
         assert refs and all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+def test_a_sweep_releases_every_record_algebra(monkeypatch):
+    """The sweep's memo of power maps holds entries only, so no record's
+    algebra, nor its maps, outlives its record."""
+    import aperylef.cli as cli
+
+    refs = []
+    build = cli.build_algebra
+
+    def recording(table, shapes=None):
+        alg = build(table, shapes)
+        refs.append(weakref.ref(alg))
+        return alg
+
+    monkeypatch.setattr(cli, "build_algebra", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        code, out, _ = run_cli(["--seed", "0", "sweep", "--mult", "5:8", "--count", "3:5", "--max-gen", "16"])
+        assert code == 0 and len(refs) == len(out.splitlines()) > 100
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+# -- the sweep's memo of power-map entries by table shape --
+
+NORTH_STAR = ["--seed", "0", "sweep", "--mult", "2:16", "--count", "3:4", "--max-gen", "28", "--require-m-pure"]
+
+
+def test_a_north_star_sweep_walks_each_power_map_shape_once(monkeypatch):
+    import aperylef.algebra as algebra
+    import aperylef.cli as cli
+
+    walks = []
+    walk = algebra._table_walk
+    monkeypatch.setattr(algebra, "_table_walk", lambda *args: walks.append(args[1:3]) or walk(*args))
+    code, out, _ = run_cli(NORTH_STAR)
+    assert code == 0 and len(out.splitlines()) == 739
+    assert len(walks) == 101
+    # each record with no memo, as analyze_record builds it, walks every power map
+    build = cli.build_algebra
+    monkeypatch.setattr(cli, "build_algebra", lambda table, shapes=None: build(table))
+    walks.clear()
+    assert run_cli(NORTH_STAR) == (code, out, _)
+    assert len(walks) == 1299
+
+
+@st.composite
+def small_sweeps(draw):
+    """A sweep of one or two multiplicities, mostly without the m-pure filter,
+    whose algebras repeat each other's shapes."""
+    lo = draw(st.integers(5, 9))
+    hi = lo + draw(st.integers(0, 1))
+    count = draw(st.sampled_from(["3:4", "3:5", "4:5"]))
+    filters = draw(st.sampled_from([[], [], ["--require-m-pure"]]))
+    return ["--seed", "0", "sweep", f"--mult={lo}:{hi}", f"--count={count}",
+            f"--max-gen={draw(st.integers(2 * lo, 2 * hi + 4))}", *filters]
+
+
+@given(small_sweeps())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_a_power_map_from_the_memo_is_the_walk_of_its_own_algebra(argv):
+    import aperylef.algebra as algebra
+    from aperylef.algebra import GradedAlgebra, LinearForm, multiplication_matrix
+
+    walk = algebra._table_walk
+    map_matrix = GradedAlgebra.map_matrix
+    walks, hits = [], []
+
+    def counting(*args):
+        walks.append(args[1:3])
+        return walk(*args)
+
+    def checking(alg, d, power):
+        new, walked = (d, power) not in alg._maps, len(walks)
+        matrix = map_matrix(alg, d, power)
+        if new and power >= 2 and len(walks) == walked:  # the memo gave the entries
+            fresh = (walk(alg, d, power, [1] * len(alg.variables), 0, 1) if alg.monomial
+                     else multiplication_matrix(alg, LinearForm.symbolic(alg), d, power))
+            assert (matrix.row_labels, matrix.col_labels) == (list(alg.basis[d + power]), list(alg.basis[d]))
+            assert matrix.entries == fresh.entries, (argv, alg, d, power)
+            hits.append((d, power))
+        return matrix
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_table_walk", counting)
+        mp.setattr(GradedAlgebra, "map_matrix", checking)
+        code, out, _ = run_cli(argv)
+    assert code == 0 and out
+    assert hits, argv
+
+
+def test_a_sweep_writes_the_same_bytes_again_and_leaves_analyze_as_a_fresh_process_has_it():
+    argv = ["--seed", "0", "sweep", "--mult", "7:8", "--count", "3:4", "--max-gen", "18"]
+    first = run_cli(argv)
+    assert first[0] == 0 and run_cli(argv) == first
+    last = json.loads(first[1].splitlines()[-1])
+    assert last["socle_degree"] >= 3  # its SLP reads power maps
+    gens = ",".join(map(str, last["generators"]))
+    fresh = subprocess.run([sys.executable, "-m", "aperylef.cli", "--seed", "0", "analyze", "--gens", gens],
+                           capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+                           timeout=60)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout == json.dumps(analyze_record(last["generators"], seed_root=0)) + "\n"
+
+
+def test_a_dual_view_of_another_algebra_is_an_internal_fault(monkeypatch):
+    # differentiated as printed, the divided-power dual generator of
+    # <13, 14, 16, 18> presents h = (1, 3, 6, 3, 1), not (1, 3, 5, 3, 1)
+    import aperylef.cli as cli
+
+    monkeypatch.setattr(cli, "differential_form", lambda F: F)
+    with pytest.raises(InternalFault, match=r"Hilbert vector \(1, 3, 6, 3, 1\), not the algebra's"):
+        analyze_record((13, 14, 16, 18), method="hessian", seed_root=0)
+    assert run_cli(["analyze", "--gens", "13,14,16,18"])[0] == 5
 
 
 def test_ranks_route_builds_no_dual_view(monkeypatch):

@@ -3,7 +3,9 @@
 Records are byte-identical for a fixed seed; these cases cover both routes,
 CI and codimension-3 sweeps with their chains and conjecture harness, a
 certified SLP failure, two Gorenstein semigroup algebras with certified
-failures (WLP and SLP on h = (1, 5, 5, 1), SLP alone on the other), a
+failures (WLP and SLP on h = (1, 5, 5, 1), SLP alone on the other), one
+whose two maximal representations of the Apery top have different
+factorials, so its dual view needs the differential form, a
 sweep of codimension 5 whose eight certified WLP failures all have
 h = (1, 5, 5, 1), a wider m-pure sweep of codimensions 4 and 5 on the ranks
 route (290 records out of 18,629 minimal tuples), the degenerate notes,
@@ -54,6 +56,10 @@ GOLDEN = {
     "analyze-gorenstein-slp-fails": (
         ["analyze", "--gens", "18,20,21,28,29,30", "--method", "both"],
         "46a5d0f00afaa21c7aa622eb96b0793b92df81a44e23df1bd4afd49c15fc294b",
+    ),
+    "analyze-13-14-16-18": (
+        ["analyze", "--gens", "13,14,16,18", "--method", "both"],
+        "3e77dbbbf67e53d2a41c3bfe4d110c8c334a717dfaa773764a8ea1257a994daa",
     ),
     "analyze-field": (
         ["analyze", "--gens", "1", "--method", "both"],
@@ -119,6 +125,18 @@ def output(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_record_digest(name):
     assert hashlib.sha256(output(name).encode()).hexdigest() == GOLDEN[name][1]
+
+
+def test_the_hessian_evidence_of_13_14_16_18_has_the_sizes_of_its_hilbert_vector():
+    """The dual generator y^2*w^2 + y*z^2*w + z^4 is printed in divided
+    powers; differentiated as printed it would present an algebra with
+    h = (1, 3, 6, 3, 1), not the Apery algebra's (1, 3, 5, 3, 1)."""
+    record = json.loads(output("analyze-13-14-16-18"))
+    assert record["hilbert"] == [1, 3, 5, 3, 1]
+    assert record["dual_generator"] == "y^2*w^2 + y*z^2*w + z^4"
+    assert [e["size"] for e in record["slp"]["hessian"]["evidence"]] == [3, 5]
+    (mixed,) = record["wlp"]["hessian"]["evidence"]
+    assert (mixed["rows"], mixed["cols"]) == (3, 5)
 
 
 # -- theorem oracles over the golden sweep's records --------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from aperylef import (
     NotGorenstein,
     SparsePoly,
     create_semigroup,
+    differential_form,
     dual_algebra_view,
     dual_socle_generator,
     hessian,
@@ -21,6 +23,7 @@ from aperylef import (
     parse_polynomial,
     rank_info,
 )
+from aperylef.semigroup import minimal_tuples
 from aperylef import inverse_system
 from aperylef.cli import from_dual_record
 from aperylef.errors import SizeLimit
@@ -167,6 +170,35 @@ def test_catalecticant_symmetry():
         D = F.degree()
         for d in range(D + 1):
             assert catalecticant_rank(F, d) == catalecticant_rank(F, D - d)
+
+
+def test_the_differential_form_divides_each_term_by_its_factorials():
+    assert differential_form(F_16) == parse_polynomial("1/24*y^4*w + 1/12*y^2*z^3", YZW)
+    assert differential_form(parse_polynomial("3*x^2 - 2/5*y")) == parse_polynomial("3/2*x^2 - 2/5*y")
+
+
+@functools.cache
+def m_pure_generators() -> tuple:
+    """The m-pure semigroups of multiplicity 3..13 with 3 or 4 generators,
+    all at most 30."""
+    return tuple(S.generators for m in range(3, 14) for count in (3, 4)
+                 for S in minimal_tuples(m, count, 30) if S.apery_table().m_pure_verdict())
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_the_differential_form_presents_the_apery_algebra(data):
+    """The maximal representations of each Apery element act alike on the
+    differential form of the dual generator, so the Apery binomials
+    annihilate it, and its view has the Apery algebra's Hilbert vector."""
+    gens = data.draw(st.sampled_from(m_pure_generators()))
+    table = create_semigroup(gens).apery_table()
+    F = differential_form(dual_socle_generator(table))
+    for reps in table.max_reps:
+        images = {apply_operator(mono(F.vars, r[1:]), F) for r in reps}
+        assert len(images) == 1, (gens, reps)
+    if F.degree() >= 1:
+        assert dual_algebra_view(F).hilbert == build_algebra(table).hilbert(), gens
 
 
 def test_view_hilbert_vectors():
